@@ -148,18 +148,13 @@ class FinCat:
 
     def precompose_matrix(self, r: Morphism, t: str) -> Mat:
         """Matrix of (- after r): A(r.tgt, t) -> A(r.src, t) in the chosen bases."""
-        a, b = r.src, r.tgt
-        cols = []
-        for x in self.basis(b, t):
-            cols.append(self.compose(x, r).coords)
-        d_src = self.hom_dim[(a, t)]
-        return Mat(self.p, d_src, len(cols), tuple(zip(*cols)) if cols else ((),) * d_src if d_src else ())
+        cols = [self.compose(x, r).coords for x in self.basis(r.tgt, t)]
+        return Mat.from_cols(self.p, self.hom_dim[(r.src, t)], cols)
 
     def postcompose_matrix(self, r: Morphism, s: str) -> Mat:
         """Matrix of (r after -): A(s, r.src) -> A(s, r.tgt)."""
         cols = [self.compose(r, x).coords for x in self.basis(s, r.src)]
-        d_tgt = self.hom_dim[(s, r.tgt)]
-        return Mat(self.p, d_tgt, len(cols), tuple(zip(*cols)) if cols else ((),) * d_tgt if d_tgt else ())
+        return Mat.from_cols(self.p, self.hom_dim[(s, r.tgt)], cols)
 
     def total_dim(self) -> int:
         return sum(self.hom_dim.values())
@@ -235,6 +230,50 @@ def validate(cat: FinCat) -> list:
                                         }
                                     )
     return report
+
+
+def transfer_category(base: FinCat, objects, carrier, decode, encode, units, name: str) -> FinCat:
+    """The category induced on `objects` by coordinate maps into `base`.
+
+    Object o sits over the base object carrier[o].  For every pair of
+    objects, the columns of the matrix decode[(o1, o2)] are the base
+    coordinates of a basis of the new hom space, and encode[(o1, o2)] takes
+    base coordinates of a morphism in that space to coordinates in that
+    basis, or returns None for a morphism outside it.  units[o] holds the
+    base coordinates of the identity of o.  Composition is base composition
+    of decoded basis elements, encoded again; a composite or identity that
+    encodes to None raises RuntimeError.
+    """
+    bases = {
+        (o1, o2): [Morphism(carrier[o1], carrier[o2], lift.col(i)) for i in range(lift.cols)]
+        for (o1, o2), lift in decode.items()
+    }
+    hom = {pair: len(b) for pair, b in bases.items()}
+    comp = {}
+    for o1 in objects:
+        for o2 in objects:
+            if hom[(o1, o2)] == 0:
+                continue
+            for o3 in objects:
+                if hom[(o2, o3)] == 0 or hom[(o1, o3)] == 0:
+                    continue
+                enc = encode[(o1, o3)]
+                table = []
+                for f in bases[(o1, o2)]:
+                    row = []
+                    for g in bases[(o2, o3)]:
+                        coords = enc(base.compose(g, f).coords)
+                        if coords is None:
+                            raise RuntimeError(f"composite escaped the hom space at {(o1, o2, o3)}")
+                        row.append(coords)
+                    table.append(tuple(row))
+                comp[(o1, o2, o3)] = tuple(table)
+    ids = {}
+    for o in objects:
+        ids[o] = encode[(o, o)](units[o])
+        if ids[o] is None:
+            raise RuntimeError(f"identity escaped the endomorphism space of {o}")
+    return FinCat(base.p, objects, hom, comp, ids, name=name)
 
 
 def from_ring_table(p: int, dim: int, mult_table, unit_coords, name: str = "") -> FinCat:

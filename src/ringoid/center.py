@@ -12,7 +12,7 @@ import itertools
 
 from .category import FinCat, Morphism
 from .ideals import Ideal, enumerate_ideals
-from .linalg import Mat, Subspace, check_vector_cap, kernel_basis, solve
+from .linalg import Mat, Subspace, check_vector_cap, kernel_basis
 from .modules import FinModule, module_times_ideal
 
 
@@ -99,10 +99,8 @@ def compute_center(cat: FinCat) -> CenterAlgebra:
                 continue
             for u in cat.basis(a, b):
                 # z_b . u - u . z_a = 0, one row per coordinate of A(a, b)
-                left = [cat.compose(Morphism(b, b, _unit(cat.hom_dim[(b, b)], i)), u).coords
-                        for i in range(cat.hom_dim[(b, b)])]
-                right = [cat.compose(u, Morphism(a, a, _unit(cat.hom_dim[(a, a)], i))).coords
-                         for i in range(cat.hom_dim[(a, a)])]
+                left = [cat.compose(z, u).coords for z in cat.basis(b, b)]
+                right = [cat.compose(u, z).coords for z in cat.basis(a, a)]
                 for c in range(d):
                     row = [0] * total
                     for i, vec in enumerate(left):
@@ -124,7 +122,7 @@ def compute_center(cat: FinCat) -> CenterAlgebra:
         flat = []
         for a in cat.objects:
             flat.extend(elem.components[a].coords)
-        coords = solve(ker.mat.transpose(), tuple(flat))
+        coords = ker.coords(flat)
         if coords is None:
             raise RuntimeError("element is not central")
         return coords
@@ -141,12 +139,6 @@ def compute_center(cat: FinCat) -> CenterAlgebra:
     identity = CenterElement(cat, {a: cat.identity(a) for a in cat.objects})
     unit = to_coords(identity)
     return CenterAlgebra(cat, basis, mult, unit)
-
-
-def _unit(n: int, j: int):
-    v = [0] * n
-    v[j] = 1
-    return tuple(v)
 
 
 def center_idempotents(z: CenterAlgebra) -> list:
@@ -173,10 +165,8 @@ def ideal_of_idempotent(cat: FinCat, eps: CenterElement):
                 eu = cat.compose(eps.components[b], u)
                 cols_fix.append(tuple((x - y) % cat.p for x, y in zip(eu.coords, u.coords)))
                 cols_kill.append(eu.coords)
-            fix_mat = Mat(cat.p, d, d, tuple(zip(*cols_fix)) if cols_fix else ())
-            kill_mat = Mat(cat.p, d, d, tuple(zip(*cols_kill)) if cols_kill else ())
-            fixed[(a, b)] = kernel_basis(fix_mat)
-            killed[(a, b)] = kernel_basis(kill_mat)
+            fixed[(a, b)] = kernel_basis(Mat.from_cols(cat.p, d, cols_fix))
+            killed[(a, b)] = kernel_basis(Mat.from_cols(cat.p, d, cols_kill))
     return Ideal(cat, fixed), Ideal(cat, killed)
 
 

@@ -18,13 +18,15 @@ from .category import FinCat, cat_from_json, cat_hash, cat_to_json, catalog, val
 from .center import center_idempotents, compute_center, summand_bijection_check
 from .completion import additive_closure, find_oplus_generator, idempotent_completion
 from .ideals import enumerate_ideals, enumerate_idempotent_ideals, is_idempotent, is_trace_of_projectives
-from .linalg import CapExceeded
-from .modules import enumerate_modules, quotient_module, representable
+from .linalg import CapExceeded, vector_cap
+from .modules import enumerate_modules
 from .torsion import (
+    ModuleCensus,
     enumerate_topologies,
     gabriel_roundtrip,
     has_fg_basis,
     hereditary_closure_oracle,
+    topology_seeds,
 )
 from .ttf import is_split, jans_roundtrip, recollement_data, recollement_shadows, ttf_from_ideal
 
@@ -190,17 +192,11 @@ def cmd_gabriel(cat, args, report):
         "pass" if all(has_fg_basis(t) for t in topos) else "fail",
     )
     if args.census:
-        census = enumerate_modules(cat, args.census)
+        census = ModuleCensus(cat, args.census)
         fps = set()
         collisions = False
         for topo in topos:
-            seeds = []
-            for a in cat.objects:
-                h = representable(cat, a)
-                for sub in topo.families[a]:
-                    q, _ = quotient_module(h, sub)
-                    seeds.append(q)
-            oracle = hereditary_closure_oracle(cat, seeds, args.census, census=census)
+            oracle = hereditary_closure_oracle(cat, topology_seeds(topo), args.census, census=census)
             if oracle.census_fingerprint in fps:
                 collisions = True
             fps.add(oracle.census_fingerprint)
@@ -224,21 +220,27 @@ def cmd_jans(cat, args, report):
     return report
 
 
-def cmd_split(cat, args, report):
-    census = enumerate_modules(cat, args.dim)
-    ideals = enumerate_idempotent_ideals(cat)
+def split_check(cat, ideals, census):
+    """(split flags, central idempotent count, verdict) over the idempotent
+    ideals: it passes when every ideal's split criteria agree, its class
+    formulas hold, and the split count equals the central idempotent count."""
     split_flags = []
     agree = True
     for ideal in ideals:
         rep = is_split(cat, ttf_from_ideal(cat, ideal), census=census)
         split_flags.append(rep["split"])
         agree = agree and rep["agree"] and rep.get("class_formulas", True)
-    z = compute_center(cat)
-    n_central = len(center_idempotents(z))
+    n_central = len(center_idempotents(compute_center(cat)))
+    return split_flags, n_central, "pass" if agree and sum(split_flags) == n_central else "fail"
+
+
+def cmd_split(cat, args, report):
+    census = enumerate_modules(cat, args.dim)
+    split_flags, n_central, verdict = split_check(cat, enumerate_idempotent_ideals(cat), census)
     report.add(
         "split-three-way-agreement",
         "bijection:central-idempotents-split-ttf",
-        "pass" if agree and sum(split_flags) == n_central else "fail",
+        verdict,
         {"split": split_flags, "central_idempotents": n_central},
     )
     return report
@@ -314,16 +316,10 @@ def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
         "pass" if all(roundtrips) else "fail",
         {"count": len(topos)},
     )
-    census = enumerate_modules(cat, dim)
+    census = ModuleCensus(cat, dim)
     fps = set()
     for topo in topos:
-        seeds = []
-        for a in cat.objects:
-            h = representable(cat, a)
-            for sub in topo.families[a]:
-                q, _ = quotient_module(h, sub)
-                seeds.append(q)
-        fps.add(hereditary_closure_oracle(cat, seeds, dim, census=census).census_fingerprint)
+        fps.add(hereditary_closure_oracle(cat, topology_seeds(topo), dim, census=census).census_fingerprint)
     report.add(
         "torsion-fingerprints",
         "census:topologies-vs-hereditary-classes",
@@ -337,14 +333,11 @@ def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
         "pass" if jrep["pass"] else "fail",
         {"count": jrep["idempotent_ideals"]},
     )
-    split_flags = []
-    for ideal in idem:
-        srep = is_split(cat, ttf_from_ideal(cat, ideal), census=census)
-        split_flags.append(srep["split"])
+    split_flags, _, verdict = split_check(cat, idem, census.classes)
     report.add(
         "split-ttf-count",
         "bijection:central-idempotents-split-ttf",
-        "pass",
+        verdict,
         {"count": sum(split_flags)},
     )
     shadows_pass = True
@@ -410,18 +403,22 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
+        cap = vector_cap()
+    except ValueError as e:
+        print(f"ringoid: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         cat, violations = load_category(args.source, args.p)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as e:
         print(f"cannot load category: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    from .linalg import vector_cap
 
     params = {
         "source": args.source,
         "p": cat.p,
         "bound": args.bound,
         "dim": args.dim,
-        "cap": vector_cap(),
+        "cap": cap,
         "seed": args.seed,
     }
     report = Report(args.command, cat, params)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 
-from .category import FinCat, Morphism, list_idempotents
-from .linalg import CapExceeded, Mat, Subspace, kernel_basis, solve, vector_cap
+from .category import FinCat, Morphism, list_idempotents, transfer_category
+from .linalg import CapExceeded, Mat, Subspace, kernel_basis, vector_cap
 from .modules import (
     FinModule,
     ModuleMap,
@@ -304,8 +304,8 @@ class IdempotentCompletion:
                 obj = f"{t_id}#{n}"
                 objects.append(obj)
                 self.objects_meta[obj] = IdemObject(t_id, self.closure.tuples[t_id], eps)
-        self._lift = {}
-        hom = {}
+        lift = {}
+        encode = {}
         p = ccat.p
         for o1 in objects:
             m1 = self.objects_meta[o1]
@@ -316,45 +316,18 @@ class IdempotentCompletion:
                 for f in ccat.basis(m1.carrier_id, m2.carrier_id):
                     g = ccat.compose(ccat.compose(m2.idem, f), m1.idem)
                     sandwich_cols.append(tuple((x - y) % p for x, y in zip(g.coords, f.coords)))
-                mat = Mat(p, amb, amb, tuple(zip(*sandwich_cols)) if sandwich_cols else ())
-                sub = kernel_basis(mat)
-                basis = sub.basis_vectors()
-                cols = tuple(zip(*basis)) if basis else ((),) * amb if amb else ()
-                self._lift[(o1, o2)] = Mat(p, amb, len(basis), cols)
-                hom[(o1, o2)] = len(basis)
-        comp = {}
-        for o1 in objects:
-            for o2 in objects:
-                d1 = hom[(o1, o2)]
-                if d1 == 0:
-                    continue
-                for o3 in objects:
-                    d2, d3 = hom[(o2, o3)], hom[(o1, o3)]
-                    if d2 == 0 or d3 == 0:
-                        continue
-                    m1, m2, m3 = (self.objects_meta[o] for o in (o1, o2, o3))
-                    table = []
-                    for i in range(d1):
-                        fi = Morphism(m1.carrier_id, m2.carrier_id, self._lift[(o1, o2)].col(i))
-                        row = []
-                        for j in range(d2):
-                            gj = Morphism(m2.carrier_id, m3.carrier_id, self._lift[(o2, o3)].col(j))
-                            comp_c = ccat.compose(gj, fi)
-                            coords = solve(self._lift[(o1, o3)], comp_c.coords)
-                            if coords is None:
-                                raise RuntimeError("composite escaped the sandwich subspace")
-                            row.append(coords)
-                        table.append(tuple(row))
-                    comp[(o1, o2, o3)] = tuple(table)
-        ids = {}
-        for o in objects:
-            m = self.objects_meta[o]
-            coords = solve(self._lift[(o, o)], m.idem.coords)
-            if coords is None:
-                raise RuntimeError("idempotent escaped its own sandwich subspace")
-            ids[o] = coords
-        self.cat = FinCat(p, objects, hom, comp, ids,
-                          name=f"karoubi({base.name},{bound})" if base.name else "karoubi")
+                sub = kernel_basis(Mat.from_cols(p, amb, sandwich_cols))
+                lift[(o1, o2)] = Mat.from_cols(p, amb, sub.basis_vectors())
+                encode[(o1, o2)] = sub.coords
+        self.cat = transfer_category(
+            ccat,
+            objects,
+            {o: m.carrier_id for o, m in self.objects_meta.items()},
+            lift,
+            encode,
+            {o: m.idem.coords for o, m in self.objects_meta.items()},
+            name=f"karoubi({base.name},{bound})" if base.name else "karoubi",
+        )
 
 
 def idempotent_completion(base: FinCat, bound: int, cap: int | None = None) -> IdempotentCompletion:

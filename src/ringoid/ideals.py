@@ -8,7 +8,7 @@ sum-closure of the finitely many principal ideals is the whole ideal lattice.
 
 from __future__ import annotations
 
-from .category import FinCat, Morphism
+from .category import FinCat, Morphism, transfer_category
 from .linalg import (
     CapExceeded,
     Subspace,
@@ -194,30 +194,17 @@ class QuotientCategory:
         self.ideal = ideal
         proj = {}
         lift = {}
-        hom = {}
         for pair, s in ideal.spaces.items():
-            pr, lf = complement_data(s)
-            proj[pair] = pr
-            lift[pair] = lf
-            hom[pair] = pr.rows
-        comp = {}
-        for a in cat.objects:
-            for b in cat.objects:
-                for c in cat.objects:
-                    if hom[(a, b)] == 0 or hom[(b, c)] == 0 or hom[(a, c)] == 0:
-                        continue
-                    table = []
-                    for i in range(hom[(a, b)]):
-                        fi = Morphism(a, b, lift[(a, b)].col(i))
-                        row = []
-                        for j in range(hom[(b, c)]):
-                            gj = Morphism(b, c, lift[(b, c)].col(j))
-                            row.append(proj[(a, c)].apply(cat.compose(gj, fi).coords))
-                        table.append(tuple(row))
-                    comp[(a, b, c)] = tuple(table)
-        ids = {a: proj[(a, a)].apply(cat.id_coords[a]) for a in cat.objects}
-        self.cat = FinCat(cat.p, cat.objects, hom, comp, ids,
-                          name=f"{cat.name}/I" if cat.name else "quotient")
+            proj[pair], lift[pair] = complement_data(s)
+        self.cat = transfer_category(
+            cat,
+            cat.objects,
+            {a: a for a in cat.objects},
+            lift,
+            {pair: pr.apply for pair, pr in proj.items()},
+            cat.id_coords,
+            name=f"{cat.name}/I" if cat.name else "quotient",
+        )
         self.proj = proj
         self.lift = lift
 
@@ -261,16 +248,9 @@ def extend_to_quotient(qdata: QuotientCategory, m: FinModule) -> FinModule:
     action = {}
     for a in cat.objects:
         for b in cat.objects:
-            for j in range(qcat.hom_dim[(a, b)]):
-                rep = qdata.lift_morphism(Morphism(a, b, _unit_vec(qcat.hom_dim[(a, b)], j)))
-                action[(a, b, j)] = proj[a] @ m.act(rep) @ lift[b]
+            for j, g in enumerate(qcat.basis(a, b)):
+                action[(a, b, j)] = proj[a] @ m.act(qdata.lift_morphism(g)) @ lift[b]
     return FinModule(qcat, dims, action, name=f"{m.name}/MI" if m.name else "")
-
-
-def _unit_vec(n: int, j: int):
-    v = [0] * n
-    v[j] = 1
-    return tuple(v)
 
 
 def trace_ideal(cat: FinCat, modules) -> Ideal:
@@ -392,7 +372,3 @@ def subcategory_from_ideal(cat: FinCat, ideal: Ideal, bound: int = 3, cap: int |
         return None
     closure = additive_closure(cat, bound)
     return [proj_module_of_idempotent(closure, eps)[0] for eps in witness]
-
-
-def trace_from_subcategory(cat: FinCat, modules) -> Ideal:
-    return trace_ideal(cat, modules)

@@ -25,10 +25,15 @@ class DimensionMismatch(ValueError):
 
 
 def vector_cap() -> int:
-    """Global cap on exhaustive vector scans, overridable via RINGOID_CAP_VECTORS."""
+    """Global cap on exhaustive vector scans, overridable via RINGOID_CAP_VECTORS.
+
+    Raises ValueError when the override is not a non-negative integer.
+    """
     raw = os.environ.get(_ENV_CAP)
     if raw is None:
         return DEFAULT_VECTOR_CAP
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{_ENV_CAP} must be a non-negative integer, got {raw!r}")
     return int(raw)
 
 
@@ -106,6 +111,12 @@ class Mat:
         rows = [tuple(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         return cls(p, len(rows), ncols, rows)
+
+    @classmethod
+    def from_cols(cls, p: int, nrows: int, cols) -> "Mat":
+        """The nrows x len(cols) matrix whose columns are the given vectors."""
+        cols = tuple(cols)
+        return cls(p, nrows, len(cols), tuple(zip(*cols)) if cols else ((),) * nrows)
 
     @classmethod
     def zero(cls, p: int, rows: int, cols: int) -> "Mat":
@@ -314,18 +325,33 @@ class Subspace:
     def basis_vectors(self):
         return self.mat.entries
 
-    def reduce(self, v: Vec) -> Vec:
-        """Canonical representative of v modulo this subspace."""
+    def _eliminate(self, v: Vec):
+        """(v minus its pivot entries times the basis rows, those entries)."""
         if len(v) != self.ambient:
             raise DimensionMismatch("ambient mismatch")
         p = self.p
         v = [x % p for x in v]
+        coeffs = []
         for row in self.mat.entries:
             c = next(j for j, x in enumerate(row) if x != 0)
-            if v[c] != 0:
-                f = v[c]
+            f = v[c]
+            coeffs.append(f)
+            if f != 0:
                 v = [(x - f * y) % p for x, y in zip(v, row)]
-        return tuple(v)
+        return v, tuple(coeffs)
+
+    def reduce(self, v: Vec) -> Vec:
+        """Canonical representative of v modulo this subspace."""
+        return tuple(self._eliminate(v)[0])
+
+    def coords(self, v: Vec):
+        """Coordinates of v in the RREF basis, or None if v is not in the subspace.
+
+        Every basis row is zero at the other rows' pivots, so the coordinates
+        are the pivot entries of v.
+        """
+        rest, coeffs = self._eliminate(v)
+        return None if any(rest) else coeffs
 
     def contains(self, v: Vec) -> bool:
         return all(x == 0 for x in self.reduce(v))
@@ -429,7 +455,7 @@ def solve_matrix(m: Mat, b: Mat):
         if x is None:
             return None
         cols.append(x)
-    return Mat(m.p, m.cols, b.cols, tuple(zip(*cols)) if cols else ((),) * m.cols if m.cols else ())
+    return Mat.from_cols(m.p, m.cols, cols)
 
 
 def complement_data(s: Subspace):
@@ -447,14 +473,14 @@ def complement_data(s: Subspace):
         e = [0] * n
         e[j] = 1
         lift_cols.append(tuple(e))
-    lift = Mat(s.p, n, q, tuple(zip(*lift_cols)) if lift_cols else ((),) * n if n else ())
+    lift = Mat.from_cols(s.p, n, lift_cols)
     proj_rows = []
     for i in range(n):
         e = [0] * n
         e[i] = 1
         r = s.reduce(tuple(e))
         proj_rows.append(tuple(r[j] for j in nonpiv))
-    proj = Mat(s.p, q, n, tuple(zip(*proj_rows)) if proj_rows else ((),) * q if q else ())
+    proj = Mat.from_cols(s.p, q, proj_rows)
     return proj, lift
 
 

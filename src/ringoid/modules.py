@@ -362,9 +362,7 @@ def submodule_module(s: Submodule):
     cat = m.cat
     incl = {}
     for a in cat.objects:
-        basis = s.spaces[a].basis_vectors()
-        cols = tuple(zip(*basis)) if basis else ((),) * m.dims[a] if m.dims[a] else ()
-        incl[a] = Mat(m.p, m.dims[a], len(basis), cols)
+        incl[a] = Mat.from_cols(m.p, m.dims[a], s.spaces[a].basis_vectors())
     dims = {a: s.spaces[a].dim for a in cat.objects}
     action = {}
     for (a, b, i), mat in m.action.items():
@@ -671,6 +669,15 @@ def module_times_ideal(m: FinModule, ideal) -> Submodule:
                 acc = subspace_sum(acc, image_basis(mat))
         spaces[a] = acc
     return Submodule(m, spaces)
+
+
+def killed_by(m: FinModule, ideal) -> bool:
+    """Every element of the ideal acts on M by zero."""
+    for (a, b), s in ideal.spaces.items():
+        for w in s.basis_vectors():
+            if not m.act(Morphism(a, b, w)).is_zero():
+                return False
+    return True
 
 
 def annihilator(m: FinModule, ideal) -> Submodule:

@@ -22,6 +22,7 @@ from .modules import (
     enumerate_modules,
     full_submodule,
     is_iso,
+    killed_by,
     quotient_module,
     representable,
     submodule_module,
@@ -131,7 +132,7 @@ def yoneda_kernel(cat: FinCat, m: FinModule, a: str, v) -> Submodule:
     for b in cat.objects:
         d = cat.hom_dim[(b, a)]
         cols = [m.action[(b, a, i)].apply(v) for i in range(d)]
-        mat = Mat(cat.p, m.dims[b], d, tuple(zip(*cols)) if cols else ((),) * m.dims[b] if m.dims[b] else ())
+        mat = Mat.from_cols(cat.p, m.dims[b], cols)
         from .linalg import kernel_basis
 
         spaces[b] = kernel_basis(mat)
@@ -185,14 +186,7 @@ def oracle_from_topology(topo: Topology) -> TorsionOracle:
 
 
 def oracle_from_ideal(ideal) -> TorsionOracle:
-    def member(m: FinModule) -> bool:
-        for (a, b), s in ideal.spaces.items():
-            for w in s.basis_vectors():
-                if not m.act(Morphism(a, b, w)).is_zero():
-                    return False
-        return True
-
-    return TorsionOracle(member, "from_ideal")
+    return TorsionOracle(lambda m: killed_by(m, ideal), "from_ideal")
 
 
 def topology_from_class(cat: FinCat, oracle: TorsionOracle) -> Topology:
@@ -347,6 +341,19 @@ class ModuleCensus:
                         table[(i, j)] = self.class_index(direct_sum(m, n))
             self._sums = table
         return self._sums
+
+
+def topology_seeds(topo: Topology) -> list:
+    """The quotients H_a / R of the representables by every covering
+    submodule R: the seeds whose hereditary closure is the topology's
+    torsion class."""
+    seeds = []
+    for a in topo.cat.objects:
+        h = topo.representables[a]
+        for sub in topo.families[a]:
+            q, _ = quotient_module(h, sub)
+            seeds.append(q)
+    return seeds
 
 
 def hereditary_closure_oracle(cat: FinCat, seeds, bound: int, census=None) -> TorsionOracle:

@@ -9,7 +9,7 @@ the finite intersection computes the honest infinite one.
 
 from __future__ import annotations
 
-from .category import FinCat, Morphism
+from .category import FinCat, Morphism, transfer_category
 from .center import center_idempotents, compute_center, ideal_of_idempotent
 from .completion import AdditiveClosure, additive_closure, induce_module, proj_module_of_idempotent
 from .ideals import (
@@ -21,7 +21,7 @@ from .ideals import (
     quotient_category,
     restrict_along_quotient,
 )
-from .linalg import Mat, image_basis, kernel_basis, solve, solve_matrix
+from .linalg import Mat, image_basis, kernel_basis, solve_matrix
 from .modules import (
     FinModule,
     ModuleMap,
@@ -29,6 +29,7 @@ from .modules import (
     annihilator,
     enumerate_modules,
     hom_space,
+    killed_by,
     module_times_ideal,
     quotient_module,
     submodule_module,
@@ -46,11 +47,7 @@ class TTFTriple:
 
     def in_torsion(self, m: FinModule) -> bool:
         """Every ideal element acts by zero."""
-        for (a, b), s in self.ideal.spaces.items():
-            for w in s.basis_vectors():
-                if not m.act(Morphism(a, b, w)).is_zero():
-                    return False
-        return True
+        return killed_by(m, self.ideal)
 
     def in_closed(self, m: FinModule) -> bool:
         """M . I = M (the left class of the triple)."""
@@ -170,13 +167,6 @@ def is_split(cat: FinCat, triple: TTFTriple, census=None, census_bound: int = 4)
     return report
 
 
-def _column_matrix(p, vectors, ambient):
-    cols = list(vectors)
-    if not cols:
-        return Mat(p, ambient, 0, ((),) * ambient if ambient else ())
-    return Mat(p, ambient, len(cols), tuple(zip(*cols)))
-
-
 class CornerCategory:
     """Objects are chosen idempotents; homs are the two-sided sandwiches."""
 
@@ -189,7 +179,7 @@ class CornerCategory:
         self.carrier = {f"e{i}": eps for i, eps in enumerate(self.idempotents)}
         self._lift = {}
         self._restriction_cache = {}
-        hom = {}
+        encode = {}
         for o1, e1 in self.carrier.items():
             for o2, e2 in self.carrier.items():
                 amb = ccat.hom_dim[(e1.src, e2.src)]
@@ -197,37 +187,18 @@ class CornerCategory:
                     ccat.compose(ccat.compose(e2, f), e1).coords
                     for f in ccat.basis(e1.src, e2.src)
                 ]
-                img = image_basis(_column_matrix(p, sandwiched, amb))
-                self._lift[(o1, o2)] = _column_matrix(p, img.basis_vectors(), amb)
-                hom[(o1, o2)] = img.dim
-        comp = {}
-        for o1 in objects:
-            for o2 in objects:
-                if hom[(o1, o2)] == 0:
-                    continue
-                for o3 in objects:
-                    if hom[(o2, o3)] == 0 or hom[(o1, o3)] == 0:
-                        continue
-                    e1, e2, e3 = (self.carrier[o] for o in (o1, o2, o3))
-                    table = []
-                    for i in range(hom[(o1, o2)]):
-                        fi = Morphism(e1.src, e2.src, self._lift[(o1, o2)].col(i))
-                        row = []
-                        for j in range(hom[(o2, o3)]):
-                            gj = Morphism(e2.src, e3.src, self._lift[(o2, o3)].col(j))
-                            coords = solve(self._lift[(o1, o3)], ccat.compose(gj, fi).coords)
-                            if coords is None:
-                                raise RuntimeError("corner composite escaped the sandwich image")
-                            row.append(coords)
-                        table.append(tuple(row))
-                    comp[(o1, o2, o3)] = tuple(table)
-        ids = {}
-        for o, e in self.carrier.items():
-            coords = solve(self._lift[(o, o)], e.coords)
-            if coords is None:
-                raise RuntimeError("idempotent escaped its own sandwich image")
-            ids[o] = coords
-        self.cat = FinCat(p, objects, hom, comp, ids, name="corner")
+                img = image_basis(Mat.from_cols(p, amb, sandwiched))
+                self._lift[(o1, o2)] = Mat.from_cols(p, amb, img.basis_vectors())
+                encode[(o1, o2)] = img.coords
+        self.cat = transfer_category(
+            ccat,
+            objects,
+            {o: e.src for o, e in self.carrier.items()},
+            self._lift,
+            encode,
+            {o: e.coords for o, e in self.carrier.items()},
+            name="corner",
+        )
 
     def restriction_data(self, m: FinModule):
         """(j* module, per-object lift matrices), cached by module identity."""
@@ -236,22 +207,19 @@ class CornerCategory:
             return self._restriction_cache[key]
         closure = self.closure
         mhat = induce_module(closure, m)
-        lifts = {}
-        dims = {}
-        for o, eps in self.carrier.items():
-            e_mat = mhat.act(eps)
-            img = image_basis(e_mat)
-            lifts[o] = _column_matrix(m.p, img.basis_vectors(), e_mat.rows)
-            dims[o] = img.dim
+        images = {o: image_basis(mhat.act(eps)) for o, eps in self.carrier.items()}
+        lifts = {o: Mat.from_cols(m.p, img.ambient, img.basis_vectors()) for o, img in images.items()}
+        dims = {o: img.dim for o, img in images.items()}
         action = {}
         for o1, e1 in self.carrier.items():
             for o2, e2 in self.carrier.items():
                 for i in range(self.cat.hom_dim[(o1, o2)]):
                     gamma = Morphism(e1.src, e2.src, self._lift[(o1, o2)].col(i))
-                    restricted = solve_matrix(lifts[o1], mhat.act(gamma) @ lifts[o2])
-                    if restricted is None:
+                    moved = mhat.act(gamma) @ lifts[o2]
+                    cols = [images[o1].coords(moved.col(j)) for j in range(moved.cols)]
+                    if None in cols:
                         raise RuntimeError("corner action does not preserve the images")
-                    action[(o1, o2, i)] = restricted
+                    action[(o1, o2, i)] = Mat.from_cols(m.p, dims[o1], cols)
         mod = FinModule(self.cat, dims, action, name=f"j*({m.name})" if m.name else "")
         self._restriction_cache[key] = (mod, lifts)
         return mod, lifts

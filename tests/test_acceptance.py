@@ -33,13 +33,13 @@ from ringoid.modules import (
     hom_space,
     is_iso,
     representable,
-    quotient_module,
     validate_module,
 )
 from ringoid.torsion import (
     enumerate_topologies,
     gabriel_roundtrip,
     hereditary_closure_oracle,
+    topology_seeds,
 )
 from ringoid.ttf import is_split, jans_roundtrip, recollement_data, recollement_shadows, ttf_from_ideal
 
@@ -81,13 +81,7 @@ def test_criterion_2_gabriel_roundtrip_and_census():
         census = ModuleCensus(cat, 4)
         fingerprints = set()
         for topo in topos:
-            seeds = []
-            for a in cat.objects:
-                h = representable(cat, a)
-                for sub in topo.families[a]:
-                    q, _ = quotient_module(h, sub)
-                    seeds.append(q)
-            oracle = hereditary_closure_oracle(cat, seeds, 4, census=census)
+            oracle = hereditary_closure_oracle(cat, topology_seeds(topo), 4, census=census)
             fingerprints.add(oracle.census_fingerprint)
         ok = ok and len(fingerprints) == len(topos)
         # second, axiom-free oracle: sweep the closures of every seed subset

@@ -233,3 +233,26 @@ def test_every_command_accepts_a_file_source(tmp_path, capsys):
     for command in ["validate", "ideals", "jans", "split", "center"]:
         code, out = run_cli([command, str(path), "--dim", "3"], capsys)
         assert code == 0, (command, out)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_bad_cap_env_is_usage_error(monkeypatch, capsys, raw):
+    monkeypatch.setenv("RINGOID_CAP_VECTORS", raw)
+    code = cli.main(["validate", "catalog:pt", "--p", "2"])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert len(err.strip().splitlines()) == 1
+    assert "RINGOID_CAP_VECTORS" in err
+
+
+def test_census_split_disagreement_fails(monkeypatch, capsys):
+    real_is_split = cli.is_split
+
+    def disagreeing(*args, **kwargs):
+        return {**real_is_split(*args, **kwargs), "agree": False}
+
+    monkeypatch.setattr(cli, "is_split", disagreeing)
+    code, out = run_cli(["census", "catalog:pt", "--p", "2", "--json"], capsys)
+    assert code == 1
+    by_id = {f["statement_id"]: f for f in json.loads(out)["findings"]}
+    assert by_id["split-ttf-count"]["verdict"] == "fail"

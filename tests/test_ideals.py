@@ -19,7 +19,6 @@ from ringoid.ideals import (
     restrict_along_quotient,
     restrict_closure_ideal,
     subcategory_from_ideal,
-    trace_from_subcategory,
     trace_ideal,
     unit_ideal,
     zero_ideal,
@@ -370,7 +369,7 @@ def test_subcategory_roundtrip_a2cat():
     for ideal in idem:
         mods = subcategory_from_ideal(cat, ideal, bound=2)
         assert mods is not None
-        back = trace_from_subcategory(cat, mods)
+        back = trace_ideal(cat, mods)
         assert back == ideal
         traces.append(back.key())
     assert len(set(traces)) == 4

@@ -10,7 +10,7 @@ import pytest
 
 from ringoid.category import validate
 from ringoid.ideals import enumerate_ideals, enumerate_idempotent_ideals
-from ringoid.modules import enumerate_modules, quotient_module, representable
+from ringoid.modules import enumerate_modules
 from ringoid.quiver import parse_quiver_dsl, path_category
 from ringoid.torsion import (
     ModuleCensus,
@@ -18,6 +18,7 @@ from ringoid.torsion import (
     gabriel_roundtrip,
     hereditary_class_sweep,
     hereditary_closure_oracle,
+    topology_seeds,
 )
 from ringoid.ttf import jans_roundtrip
 
@@ -87,13 +88,7 @@ def test_star_classifications_agree(star):
     census = ModuleCensus(star, 4)
     fps = set()
     for topo in topos:
-        seeds = []
-        for a in star.objects:
-            h = representable(star, a)
-            for sub in topo.families[a]:
-                q, _ = quotient_module(h, sub)
-                seeds.append(q)
-        fps.add(hereditary_closure_oracle(star, seeds, 4, census=census).census_fingerprint)
+        fps.add(hereditary_closure_oracle(star, topology_seeds(topo), 4, census=census).census_fingerprint)
     assert len(fps) == 16
     rep = jans_roundtrip(star, census_bound=4)
     assert rep["pass"] and rep["idempotent_ideals"] == 16

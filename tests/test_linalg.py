@@ -203,3 +203,27 @@ def test_enumeration_deterministic():
     a = enumerate_subspaces(3, 2)
     b = enumerate_subspaces(3, 2)
     assert a == b
+
+
+@settings(max_examples=150, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 5, 7]).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(st.lists(st.integers(0, p - 1), min_size=4, max_size=4), max_size=3),
+            st.lists(st.integers(0, p - 1), min_size=3, max_size=3),
+            st.one_of(st.none(), st.lists(st.integers(0, p - 1), min_size=4, max_size=4)),
+        )
+    )
+)
+def test_coords_agree_with_solve(data):
+    # v is a combination of the spanning vectors, plus an optional offset
+    # that usually leaves the subspace
+    p, vecs, coeffs, offset = data
+    s = Subspace.from_vectors(p, 4, vecs)
+    v = [sum(c * row[k] for c, row in zip(coeffs, vecs)) % p for k in range(4)]
+    if offset is not None:
+        v = [(x + y) % p for x, y in zip(v, offset)]
+    expected = solve(Mat.from_cols(p, 4, s.basis_vectors()), tuple(v))
+    assert s.coords(v) == expected
+    assert (s.coords(v) is None) == (not s.contains(v))
