@@ -15,7 +15,7 @@ import hashlib
 import itertools
 import json
 
-from .linalg import Mat, Vec, check_prime, check_vector_cap, zero_vec
+from .linalg import Mat, Vec, check_prime, check_vector_cap, vector_cap, zero_vec
 
 
 class Morphism:
@@ -52,6 +52,10 @@ class FinCat:
     comp[(a, b, c)][i][j] holds the coordinates in A(a, c) of the composite
     (j-th basis element of A(b, c)) after (i-th basis element of A(a, b)).
     Pairs and triples with a zero-dimensional hom space may be omitted.
+
+    A FinCat is immutable once built, so every structure derived from it
+    (module census, additive closure, center, ...) is built once and kept
+    in the private memo `_derived`; see `derived`.
     """
 
     def __init__(self, p: int, objects, hom_dim, comp, id_coords, name: str = ""):
@@ -84,6 +88,7 @@ class FinCat:
                 raise ValueError(f"identity coordinates length mismatch at {a}")
             self.id_coords[a] = v
         self.name = name
+        self._derived = {}
 
     def hom(self, a: str, b: str) -> int:
         return self.hom_dim[(a, b)]
@@ -162,6 +167,17 @@ class FinCat:
     def __repr__(self):
         label = self.name or f"{len(self.objects)} objects"
         return f"FinCat({label}, p={self.p}, total dim {self.total_dim()})"
+
+
+def derived(cat: FinCat, key, build):
+    """build(), kept in cat's memo for every later call with the same key,
+    which shares it unmutated; nothing is kept when build raises.  The key
+    holds the arguments with their caps resolved, and the global vector cap
+    is added, so a lower cap still refuses after a cached success."""
+    key = (key, vector_cap())
+    if key not in cat._derived:
+        cat._derived[key] = build()
+    return cat._derived[key]
 
 
 def validate(cat: FinCat) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .category import FinCat, Morphism
+from .category import FinCat, Morphism, derived
 from .ideals import Ideal, enumerate_ideals
 from .linalg import Mat, Subspace, check_vector_cap, kernel_basis
 from .modules import FinModule, module_times_ideal
@@ -85,6 +85,10 @@ class CenterAlgebra:
 
 def compute_center(cat: FinCat) -> CenterAlgebra:
     """Solve the naturality system and assemble the multiplication table."""
+    return derived(cat, ("center",), lambda: _build_center(cat))
+
+
+def _build_center(cat: FinCat) -> CenterAlgebra:
     p = cat.p
     offs = {}
     total = 0

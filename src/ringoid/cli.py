@@ -17,11 +17,17 @@ import time
 from .category import FinCat, cat_from_json, cat_hash, cat_to_json, catalog, validate
 from .center import center_idempotents, compute_center, summand_bijection_check
 from .completion import additive_closure, find_oplus_generator, idempotent_completion
-from .ideals import enumerate_ideals, enumerate_idempotent_ideals, is_idempotent, is_trace_of_projectives
+from .ideals import (
+    enumerate_ideals,
+    enumerate_idempotent_ideals,
+    ideal_sum,
+    is_idempotent,
+    is_trace_of_projectives,
+    unit_ideal,
+    zero_ideal,
+)
 from .linalg import CapExceeded, vector_cap
-from .modules import enumerate_modules
 from .torsion import (
-    ModuleCensus,
     enumerate_topologies,
     gabriel_roundtrip,
     has_fg_basis,
@@ -192,11 +198,10 @@ def cmd_gabriel(cat, args, report):
         "pass" if all(has_fg_basis(t) for t in topos) else "fail",
     )
     if args.census:
-        census = ModuleCensus(cat, args.census)
         fps = set()
         collisions = False
         for topo in topos:
-            oracle = hereditary_closure_oracle(cat, topology_seeds(topo), args.census, census=census)
+            oracle = hereditary_closure_oracle(cat, topology_seeds(topo), args.census)
             if oracle.census_fingerprint in fps:
                 collisions = True
             fps.add(oracle.census_fingerprint)
@@ -220,14 +225,15 @@ def cmd_jans(cat, args, report):
     return report
 
 
-def split_check(cat, ideals, census):
+def split_check(cat, ideals, census_bound):
     """(split flags, central idempotent count, verdict) over the idempotent
-    ideals: it passes when every ideal's split criteria agree, its class
-    formulas hold, and the split count equals the central idempotent count."""
+    ideals: it passes when every ideal's split criteria agree on the census
+    up to census_bound, its class formulas hold, and the split count equals
+    the central idempotent count."""
     split_flags = []
     agree = True
     for ideal in ideals:
-        rep = is_split(cat, ttf_from_ideal(cat, ideal), census=census)
+        rep = is_split(cat, ttf_from_ideal(cat, ideal), census_bound)
         split_flags.append(rep["split"])
         agree = agree and rep["agree"] and rep.get("class_formulas", True)
     n_central = len(center_idempotents(compute_center(cat)))
@@ -235,8 +241,7 @@ def split_check(cat, ideals, census):
 
 
 def cmd_split(cat, args, report):
-    census = enumerate_modules(cat, args.dim)
-    split_flags, n_central, verdict = split_check(cat, enumerate_idempotent_ideals(cat), census)
+    split_flags, n_central, verdict = split_check(cat, enumerate_idempotent_ideals(cat), args.dim)
     report.add(
         "split-three-way-agreement",
         "bijection:central-idempotents-split-ttf",
@@ -302,12 +307,29 @@ def cmd_recollement(cat, args, report):
     return report
 
 
+def lattice_verdict(cat: FinCat, ideals) -> str:
+    """'pass' when the ideals validate, are pairwise distinct, include the
+    zero and unit ideals, and are closed under sums: necessary conditions
+    for the list of all ideals, and for the list of idempotent ones, since
+    (I + J)^2 contains I^2 + J^2."""
+    keys = {i.key() for i in ideals}
+    ok = (
+        len(keys) == len(ideals)
+        and all(i.validate() == [] for i in ideals)
+        and {zero_ideal(cat).key(), unit_ideal(cat).key()} <= keys
+        and all(ideal_sum(i, j).key() in keys for n, i in enumerate(ideals) for j in ideals[n + 1:])
+    )
+    return "pass" if ok else "fail"
+
+
 def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
     """One aggregated classification census for a category."""
     ideals = enumerate_ideals(cat)
     idem = [i for i in ideals if is_idempotent(i)]
-    report.add("ideal-count", "lattice:two-sided-ideals", "pass", {"count": len(ideals)})
-    report.add("idempotent-ideal-count", "lattice:idempotent-ideals", "pass", {"count": len(idem)})
+    report.add("ideal-count", "lattice:two-sided-ideals", lattice_verdict(cat, ideals),
+               {"count": len(ideals)})
+    report.add("idempotent-ideal-count", "lattice:idempotent-ideals", lattice_verdict(cat, idem),
+               {"count": len(idem)})
     topos = enumerate_topologies(cat)
     roundtrips = [gabriel_roundtrip(t) for t in topos]
     report.add(
@@ -316,10 +338,9 @@ def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
         "pass" if all(roundtrips) else "fail",
         {"count": len(topos)},
     )
-    census = ModuleCensus(cat, dim)
     fps = set()
     for topo in topos:
-        fps.add(hereditary_closure_oracle(cat, topology_seeds(topo), dim, census=census).census_fingerprint)
+        fps.add(hereditary_closure_oracle(cat, topology_seeds(topo), dim).census_fingerprint)
     report.add(
         "torsion-fingerprints",
         "census:topologies-vs-hereditary-classes",
@@ -333,7 +354,7 @@ def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
         "pass" if jrep["pass"] else "fail",
         {"count": jrep["idempotent_ideals"]},
     )
-    split_flags, _, verdict = split_check(cat, idem, census.classes)
+    split_flags, _, verdict = split_check(cat, idem, dim)
     report.add(
         "split-ttf-count",
         "bijection:central-idempotents-split-ttf",

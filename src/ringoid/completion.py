@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .category import FinCat, Morphism, list_idempotents, transfer_category
+from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
 from .linalg import CapExceeded, Mat, Subspace, kernel_basis, vector_cap
 from .modules import (
     FinModule,
@@ -134,7 +134,7 @@ class AdditiveClosure:
 
 
 def additive_closure(base: FinCat, bound: int, cap_objects: int = MAX_CLOSURE_OBJECTS) -> AdditiveClosure:
-    return AdditiveClosure(base, bound, cap_objects)
+    return derived(base, ("additive-closure", bound, cap_objects), lambda: AdditiveClosure(base, bound, cap_objects))
 
 
 def induce_module(closure: AdditiveClosure, m: FinModule) -> FinModule:
@@ -287,7 +287,7 @@ class IdempotentCompletion:
 
     def __init__(self, base: FinCat, bound: int, cap: int | None = None):
         self.base = base
-        self.closure = AdditiveClosure(base, bound)
+        self.closure = additive_closure(base, bound)
         ccat = self.closure.cat
         if cap is None:
             cap = vector_cap()
@@ -317,7 +317,7 @@ class IdempotentCompletion:
                     g = ccat.compose(ccat.compose(m2.idem, f), m1.idem)
                     sandwich_cols.append(tuple((x - y) % p for x, y in zip(g.coords, f.coords)))
                 sub = kernel_basis(Mat.from_cols(p, amb, sandwich_cols))
-                lift[(o1, o2)] = Mat.from_cols(p, amb, sub.basis_vectors())
+                lift[(o1, o2)] = sub.basis_matrix()
                 encode[(o1, o2)] = sub.coords
         self.cat = transfer_category(
             ccat,
@@ -452,7 +452,7 @@ def find_oplus_generator(base: FinCat, bound: int):
     in the span of composites (g -> a) . (a -> g).  Returns the first tuple in
     the deterministic object order, or None within the bound.
     """
-    closure = AdditiveClosure(base, bound)
+    closure = additive_closure(base, bound)
     ccat = closure.cat
     for g_id in ccat.objects:
         ok = True

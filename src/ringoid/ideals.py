@@ -8,7 +8,7 @@ sum-closure of the finitely many principal ideals is the whole ideal lattice.
 
 from __future__ import annotations
 
-from .category import FinCat, Morphism, transfer_category
+from .category import FinCat, Morphism, derived, transfer_category
 from .linalg import (
     CapExceeded,
     Subspace,
@@ -341,10 +341,14 @@ def _closure_idempotent_candidates(closure, ideal: Ideal, cap: int):
 def is_trace_of_projectives(cat: FinCat, ideal: Ideal, bound: int = 3, cap: int | None = None):
     """A witness set of idempotent endomorphisms in the bounded additive
     closure whose generated ideal is the given one, or None within the bound."""
-    from .completion import additive_closure
-
     if cap is None:
         cap = vector_cap()
+    return derived(cat, ("witness", ideal.key(), bound, cap), lambda: _trace_witness(cat, ideal, bound, cap))
+
+
+def _trace_witness(cat: FinCat, ideal: Ideal, bound: int, cap: int):
+    from .completion import additive_closure
+
     closure = additive_closure(cat, bound)
     candidates = _closure_idempotent_candidates(closure, ideal, cap)
     total = zero_ideal(cat)

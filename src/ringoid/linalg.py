@@ -325,6 +325,10 @@ class Subspace:
     def basis_vectors(self):
         return self.mat.entries
 
+    def basis_matrix(self) -> Mat:
+        """The ambient x dim matrix whose columns are the RREF basis."""
+        return Mat.from_cols(self.p, self.ambient, self.mat.entries)
+
     def _eliminate(self, v: Vec):
         """(v minus its pivot entries times the basis rows, those entries)."""
         if len(v) != self.ambient:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .category import FinCat, Morphism, cat_hash
+from .category import FinCat, Morphism, cat_hash, derived
 from .linalg import (
     CapExceeded,
     Mat,
@@ -21,7 +21,6 @@ from .linalg import (
     complement_data,
     image_basis,
     kernel_basis,
-    solve_matrix,
     subspace_sum,
     vector_cap,
 )
@@ -362,15 +361,15 @@ def submodule_module(s: Submodule):
     cat = m.cat
     incl = {}
     for a in cat.objects:
-        incl[a] = Mat.from_cols(m.p, m.dims[a], s.spaces[a].basis_vectors())
+        incl[a] = s.spaces[a].basis_matrix()
     dims = {a: s.spaces[a].dim for a in cat.objects}
     action = {}
     for (a, b, i), mat in m.action.items():
-        rhs = mat @ incl[b]
-        x = solve_matrix(incl[a], rhs)
-        if x is None:
+        moved = mat @ incl[b]
+        cols = [s.spaces[a].coords(moved.col(j)) for j in range(moved.cols)]
+        if None in cols:
             raise ValueError("submodule is not closed under the action")
-        action[(a, b, i)] = x
+        action[(a, b, i)] = Mat.from_cols(m.p, dims[a], cols)
     n = FinModule(cat, dims, action, name=f"sub({m.name})" if m.name else "")
     return n, ModuleMap(n, m, incl)
 
@@ -623,6 +622,10 @@ def enumerate_modules(cat: FinCat, total_dim_bound: int, cap: int | None = None)
     """
     if cap is None:
         cap = vector_cap()
+    return derived(cat, ("modules", total_dim_bound, cap), lambda: _crawl_modules(cat, total_dim_bound, cap))
+
+
+def _crawl_modules(cat: FinCat, total_dim_bound: int, cap: int) -> list:
     simples = simple_modules(cat)
     levels = {0: [zero_module(cat)]}
     for n in range(1, total_dim_bound + 1):

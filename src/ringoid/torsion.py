@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .category import FinCat, Morphism
+from .category import FinCat, Morphism, derived
 from .linalg import CapExceeded, Mat, Subspace, preimage, vector_cap
 from .modules import (
     FinModule,
@@ -291,21 +291,31 @@ def has_fg_basis(topo: Topology) -> bool:
 
 
 class ModuleCensus:
-    """A census of iso classes over a category, with cached decomposition data.
+    """A census of iso classes over a category, with its decomposition data.
 
-    Caches the class index of every module it is shown, the submodule and
-    quotient class pairs of every census member, and the class of every
-    bounded pairwise direct sum; repeated closure computations share the work.
+    Holds the submodule and quotient class pairs of every census member and
+    the class of every bounded pairwise direct sum, and caches the class
+    index of every module it is shown; repeated closure computations share
+    the work.  `module_census` keeps one per category and bound.
     """
 
-    def __init__(self, cat: FinCat, bound: int, classes=None):
-        self.cat = cat
-        self.bound = bound
-        self.classes = list(classes) if classes is not None else enumerate_modules(cat, bound)
+    def __init__(self, cat: FinCat, bound: int):
+        self.classes = enumerate_modules(cat, bound)
         self._index_memo = {}
-        self._sub_quot = None
-        self._sums = None
         self.zero_index = next(i for i, c in enumerate(self.classes) if c.total_dim() == 0)
+        self.sub_quot = {}
+        for i, m in enumerate(self.classes):
+            pairs = []
+            for sub in all_submodules(m):
+                n, _ = submodule_module(sub)
+                q, _ = quotient_module(m, sub)
+                pairs.append((self.class_index(n), self.class_index(q)))
+            self.sub_quot[i] = pairs
+        self.sums = {}
+        for i, m in enumerate(self.classes):
+            for j, n in enumerate(self.classes):
+                if j >= i and m.total_dim() + n.total_dim() <= bound:
+                    self.sums[(i, j)] = self.class_index(direct_sum(m, n))
 
     def class_index(self, m: FinModule):
         k = m.key()
@@ -315,32 +325,11 @@ class ModuleCensus:
             )
         return self._index_memo[k]
 
-    def sub_quot_pairs(self):
-        """Per census class, the (submodule class, quotient class) pairs."""
-        if self._sub_quot is None:
-            table = {}
-            for i, m in enumerate(self.classes):
-                pairs = []
-                for sub in all_submodules(m):
-                    n, _ = submodule_module(sub)
-                    q, _ = quotient_module(m, sub)
-                    pairs.append((self.class_index(n), self.class_index(q)))
-                table[i] = pairs
-            self._sub_quot = table
-        return self._sub_quot
 
-    def sum_table(self):
-        """Class of the direct sum of census pairs that stay within the bound."""
-        if self._sums is None:
-            table = {}
-            for i, m in enumerate(self.classes):
-                for j, n in enumerate(self.classes):
-                    if j < i:
-                        continue
-                    if m.total_dim() + n.total_dim() <= self.bound:
-                        table[(i, j)] = self.class_index(direct_sum(m, n))
-            self._sums = table
-        return self._sums
+def module_census(cat: FinCat, bound: int) -> ModuleCensus:
+    """The census of modules of total dimension <= bound, built once per
+    category and bound."""
+    return derived(cat, ("census", bound), lambda: ModuleCensus(cat, bound))
 
 
 def topology_seeds(topo: Topology) -> list:
@@ -356,7 +345,7 @@ def topology_seeds(topo: Topology) -> list:
     return seeds
 
 
-def hereditary_closure_oracle(cat: FinCat, seeds, bound: int, census=None) -> TorsionOracle:
+def hereditary_closure_oracle(cat: FinCat, seeds, bound: int) -> TorsionOracle:
     """Close the seed iso-classes under submodules, quotients, bounded direct
     sums, and extensions, inside the census of modules of dimension <= bound.
 
@@ -366,8 +355,7 @@ def hereditary_closure_oracle(cat: FinCat, seeds, bound: int, census=None) -> To
     no larger dimension.  The membership is total on the census and raises
     beyond it.
     """
-    if not isinstance(census, ModuleCensus):
-        census = ModuleCensus(cat, bound, census)
+    census = module_census(cat, bound)
     member = set()
     for s in seeds:
         if s.total_dim() <= bound:
@@ -377,8 +365,8 @@ def hereditary_closure_oracle(cat: FinCat, seeds, bound: int, census=None) -> To
             member.add(idx)
     member.add(census.zero_index)
 
-    sub_quot = census.sub_quot_pairs()
-    sums = census.sum_table()
+    sub_quot = census.sub_quot
+    sums = census.sums
     changed = True
     while changed:
         changed = False
@@ -410,11 +398,10 @@ def hereditary_closure_oracle(cat: FinCat, seeds, bound: int, census=None) -> To
 
     oracle = TorsionOracle(membership, f"closure(bound={bound})")
     oracle.census_fingerprint = frozenset(member)
-    oracle.census = census.classes
     return oracle
 
 
-def hereditary_class_sweep(cat: FinCat, bound: int, census=None):
+def hereditary_class_sweep(cat: FinCat, bound: int):
     """Every hereditary torsion class fingerprint on the census, found without
     the topology axioms: close each subset of the quotients-of-representables
     seed family and collect the distinct results.
@@ -424,10 +411,6 @@ def hereditary_class_sweep(cat: FinCat, bound: int, census=None):
     generators sit inside the census.  An independent count for the topology
     enumeration.
     """
-    import itertools as _it
-
-    if not isinstance(census, ModuleCensus):
-        census = ModuleCensus(cat, bound, census)
     seeds = []
     for a in cat.objects:
         h = representable(cat, a)
@@ -436,9 +419,7 @@ def hereditary_class_sweep(cat: FinCat, bound: int, census=None):
             seeds.append(q)
     fingerprints = set()
     for size in range(len(seeds) + 1):
-        for subset in _it.combinations(range(len(seeds)), size):
-            oracle = hereditary_closure_oracle(
-                cat, [seeds[i] for i in subset], bound, census=census
-            )
+        for subset in itertools.combinations(range(len(seeds)), size):
+            oracle = hereditary_closure_oracle(cat, [seeds[i] for i in subset], bound)
             fingerprints.add(oracle.census_fingerprint)
     return sorted(fingerprints, key=sorted)

@@ -9,7 +9,7 @@ the finite intersection computes the honest infinite one.
 
 from __future__ import annotations
 
-from .category import FinCat, Morphism, transfer_category
+from .category import FinCat, Morphism, derived, transfer_category
 from .center import center_idempotents, compute_center, ideal_of_idempotent
 from .completion import AdditiveClosure, additive_closure, induce_module, proj_module_of_idempotent
 from .ideals import (
@@ -21,7 +21,7 @@ from .ideals import (
     quotient_category,
     restrict_along_quotient,
 )
-from .linalg import Mat, image_basis, kernel_basis, solve_matrix
+from .linalg import Mat, image_basis, kernel_basis
 from .modules import (
     FinModule,
     ModuleMap,
@@ -72,18 +72,17 @@ def ttf_from_ideal(cat: FinCat, ideal: Ideal) -> TTFTriple:
     return TTFTriple(cat, ideal)
 
 
-def ideal_from_ttf(cat: FinCat, membership, census=None) -> Ideal:
+def ideal_from_ttf(cat: FinCat, membership) -> Ideal:
     """The ideal of morphisms killed by every torsion module.
 
     The test census of all modules with dimension up to the largest
     representable contains the canonical witnesses, which makes the finite
     intersection exact."""
-    if census is None:
-        bound = max(
-            (sum(cat.hom_dim[(a, b)] for a in cat.objects) for b in cat.objects),
-            default=0,
-        )
-        census = enumerate_modules(cat, bound)
+    bound = max(
+        (sum(cat.hom_dim[(a, b)] for a in cat.objects) for b in cat.objects),
+        default=0,
+    )
+    census = enumerate_modules(cat, bound)
     members = [m for m in census if membership(m)]
     spaces = {}
     for a in cat.objects:
@@ -122,15 +121,14 @@ def jans_roundtrip(cat: FinCat, census_bound: int = 4) -> dict:
     }
 
 
-def is_split(cat: FinCat, triple: TTFTriple, census=None, census_bound: int = 4) -> dict:
+def is_split(cat: FinCat, triple: TTFTriple, census_bound: int = 4) -> dict:
     """The three split criteria, evaluated independently and compared.
 
     (1) every census module decomposes as c(M) + t(M);
     (2) some central idempotent induces the ideal (exact, not census-bound);
     (3) the closed and free classes agree on the census.
     """
-    if census is None:
-        census = enumerate_modules(cat, census_bound)
+    census = enumerate_modules(cat, census_bound)
     z = compute_center(cat)
     central = None
     for coords, eps in center_idempotents(z):
@@ -178,7 +176,6 @@ class CornerCategory:
         objects = [f"e{i}" for i in range(len(self.idempotents))]
         self.carrier = {f"e{i}": eps for i, eps in enumerate(self.idempotents)}
         self._lift = {}
-        self._restriction_cache = {}
         encode = {}
         for o1, e1 in self.carrier.items():
             for o2, e2 in self.carrier.items():
@@ -188,7 +185,7 @@ class CornerCategory:
                     for f in ccat.basis(e1.src, e2.src)
                 ]
                 img = image_basis(Mat.from_cols(p, amb, sandwiched))
-                self._lift[(o1, o2)] = Mat.from_cols(p, amb, img.basis_vectors())
+                self._lift[(o1, o2)] = img.basis_matrix()
                 encode[(o1, o2)] = img.coords
         self.cat = transfer_category(
             ccat,
@@ -201,14 +198,13 @@ class CornerCategory:
         )
 
     def restriction_data(self, m: FinModule):
-        """(j* module, per-object lift matrices), cached by module identity."""
-        key = m.key()
-        if key in self._restriction_cache:
-            return self._restriction_cache[key]
-        closure = self.closure
-        mhat = induce_module(closure, m)
+        """(j* module, per-object image subspaces), built once per module."""
+        return derived(self.cat, ("j*", m.key()), lambda: self._restrict(m))
+
+    def _restrict(self, m: FinModule):
+        mhat = induce_module(self.closure, m)
         images = {o: image_basis(mhat.act(eps)) for o, eps in self.carrier.items()}
-        lifts = {o: Mat.from_cols(m.p, img.ambient, img.basis_vectors()) for o, img in images.items()}
+        lifts = {o: img.basis_matrix() for o, img in images.items()}
         dims = {o: img.dim for o, img in images.items()}
         action = {}
         for o1, e1 in self.carrier.items():
@@ -221,8 +217,7 @@ class CornerCategory:
                         raise RuntimeError("corner action does not preserve the images")
                     action[(o1, o2, i)] = Mat.from_cols(m.p, dims[o1], cols)
         mod = FinModule(self.cat, dims, action, name=f"j*({m.name})" if m.name else "")
-        self._restriction_cache[key] = (mod, lifts)
-        return mod, lifts
+        return mod, images
 
 
 def corner_category(closure: AdditiveClosure, idempotents) -> CornerCategory:
@@ -239,15 +234,15 @@ def corner_restriction(corner: CornerCategory, m: FinModule) -> FinModule:
 
 def corner_restriction_map(corner: CornerCategory, phi: ModuleMap) -> ModuleMap:
     """j* on maps: restrict the induced block-diagonal components to the images."""
-    src_mod, src_lifts = corner.restriction_data(phi.src)
-    tgt_mod, tgt_lifts = corner.restriction_data(phi.tgt)
+    src_mod, src_images = corner.restriction_data(phi.src)
+    tgt_mod, tgt_images = corner.restriction_data(phi.tgt)
     comps = {}
     for o, eps in corner.carrier.items():
-        phat = _induced_component(corner.closure, phi, eps.src)
-        mat = solve_matrix(tgt_lifts[o], phat @ src_lifts[o])
-        if mat is None:
+        moved = _induced_component(corner.closure, phi, eps.src) @ src_images[o].basis_matrix()
+        cols = [tgt_images[o].coords(moved.col(j)) for j in range(moved.cols)]
+        if None in cols:
             raise RuntimeError("induced map does not preserve idempotent images")
-        comps[o] = mat
+        comps[o] = Mat.from_cols(moved.p, tgt_mod.dims[o], cols)
     return ModuleMap(src_mod, tgt_mod, comps)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -256,3 +257,29 @@ def test_census_split_disagreement_fails(monkeypatch, capsys):
     assert code == 1
     by_id = {f["statement_id"]: f for f in json.loads(out)["findings"]}
     assert by_id["split-ttf-count"]["verdict"] == "fail"
+
+
+def test_census_missing_ideal_fails(monkeypatch, capsys):
+    real_enumerate_ideals = cli.enumerate_ideals
+    monkeypatch.setattr(cli, "enumerate_ideals", lambda cat: real_enumerate_ideals(cat)[:-1])
+    code, out = run_cli(["census", "catalog:prod", "--p", "2", "--json"], capsys)
+    assert code == 1
+    by_id = {f["statement_id"]: f for f in json.loads(out)["findings"]}
+    assert by_id["ideal-count"]["verdict"] == "fail"
+    assert by_id["idempotent-ideal-count"]["verdict"] == "fail"
+
+
+# sha256 prefixes of `census catalog:<name> --p 3 --json` on stdout, as
+# recorded in CHANGES.md; a change here changes the report bytes
+CENSUS_P3_SHA256 = {
+    "pt": "9e6e36170abac88e",
+    "dual": "a7c5e7777b776106",
+    "prod": "b13f10a0f47ac8de",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_P3_SHA256))
+def test_census_json_matches_recorded_hash(capsys, name):
+    code, out = run_cli(["census", f"catalog:{name}", "--p", "3", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == CENSUS_P3_SHA256[name]

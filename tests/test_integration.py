@@ -13,11 +13,11 @@ from ringoid.ideals import enumerate_ideals, enumerate_idempotent_ideals
 from ringoid.modules import enumerate_modules
 from ringoid.quiver import parse_quiver_dsl, path_category
 from ringoid.torsion import (
-    ModuleCensus,
     enumerate_topologies,
     gabriel_roundtrip,
     hereditary_class_sweep,
     hereditary_closure_oracle,
+    module_census,
     topology_seeds,
 )
 from ringoid.ttf import jans_roundtrip
@@ -65,8 +65,7 @@ def test_kronecker_classifications_agree(kronecker):
     topos = enumerate_topologies(kronecker)
     assert len(topos) == 4
     assert all(gabriel_roundtrip(t) for t in topos)
-    census = ModuleCensus(kronecker, 4)
-    assert len(hereditary_class_sweep(kronecker, 4, census=census)) == 4
+    assert len(hereditary_class_sweep(kronecker, 4)) == 4
     rep = jans_roundtrip(kronecker)
     assert rep["pass"] and rep["idempotent_ideals"] == 4
 
@@ -85,10 +84,9 @@ def test_star_classifications_agree(star):
     topos = enumerate_topologies(star)
     assert len(topos) == 16
     assert all(gabriel_roundtrip(t) for t in topos)
-    census = ModuleCensus(star, 4)
     fps = set()
     for topo in topos:
-        fps.add(hereditary_closure_oracle(star, topology_seeds(topo), 4, census=census).census_fingerprint)
+        fps.add(hereditary_closure_oracle(star, topology_seeds(topo), 4).census_fingerprint)
     assert len(fps) == 16
     rep = jans_roundtrip(star, census_bound=4)
     assert rep["pass"] and rep["idempotent_ideals"] == 16
@@ -98,8 +96,8 @@ def test_ttf_classes_appear_among_hereditary_classes(kronecker):
     # every TTF fingerprint is a hereditary-class fingerprint from the sweep
     from ringoid.ttf import ttf_from_ideal
 
-    census = ModuleCensus(kronecker, 4)
-    sweep = {frozenset(fp) for fp in hereditary_class_sweep(kronecker, 4, census=census)}
+    census = module_census(kronecker, 4)
+    sweep = {frozenset(fp) for fp in hereditary_class_sweep(kronecker, 4)}
     for ideal in enumerate_idempotent_ideals(kronecker):
         triple = ttf_from_ideal(kronecker, ideal)
         fp = frozenset(

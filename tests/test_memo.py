@@ -1,0 +1,86 @@
+"""The per-category memo: every derived structure is built once per key."""
+
+from collections import Counter
+
+import pytest
+
+from ringoid import category, center, cli, completion, ideals, modules, torsion, ttf
+from ringoid.category import catalog, derived
+from ringoid.linalg import CapExceeded
+from ringoid.modules import enumerate_modules
+from ringoid.torsion import module_census
+
+
+def test_repeat_enumeration_returns_the_same_list():
+    cat = catalog("dual(2)")
+    first = enumerate_modules(cat, 3)
+    assert enumerate_modules(cat, 3) is first
+    assert enumerate_modules(cat, 2) is not first
+    assert enumerate_modules(catalog("dual(2)"), 3) is not first
+
+
+def test_lowered_cap_still_refuses_on_a_cached_category(monkeypatch):
+    cat = catalog("a2cat(2)")
+    enumerate_modules(cat, 4)
+    module_census(cat, 3)
+    monkeypatch.setenv("RINGOID_CAP_VECTORS", "1")
+    with pytest.raises(CapExceeded):
+        enumerate_modules(cat, 4)
+    with pytest.raises(CapExceeded):
+        module_census(cat, 3)
+
+
+def test_nothing_is_kept_when_the_build_raises():
+    cat = catalog("pt(2)")
+
+    def refuse():
+        raise CapExceeded("refused")
+
+    with pytest.raises(CapExceeded):
+        derived(cat, ("probe",), refuse)
+    assert derived(cat, ("probe",), lambda: 7) == 7
+    assert derived(cat, ("probe",), refuse) == 7
+
+
+def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
+    builds = []  # (category, key); holding the category keeps its id unique
+    real_derived = category.derived
+
+    def counting_derived(cat, key, build):
+        def counted():
+            builds.append((cat, key))
+            return build()
+
+        return real_derived(cat, key, counted)
+
+    for mod in (modules, completion, center, ideals, torsion, ttf):
+        monkeypatch.setattr(mod, "derived", counting_derived)
+
+    constructed = {"closure": [], "census": []}
+
+    def counting_init(kind, init):
+        def wrapped(self, cat, bound, *args):
+            constructed[kind].append((cat, bound))
+            init(self, cat, bound, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(completion.AdditiveClosure, "__init__",
+                        counting_init("closure", completion.AdditiveClosure.__init__))
+    monkeypatch.setattr(torsion.ModuleCensus, "__init__",
+                        counting_init("census", torsion.ModuleCensus.__init__))
+
+    assert cli.main(["census", "catalog:a2cat", "--p", "2", "--json"]) == 0
+    capsys.readouterr()
+
+    per_key = Counter((id(cat), key) for cat, key in builds)
+    assert set(per_key.values()) == {1}
+    kinds = Counter(key[0] for _, key in builds)
+    assert kinds["center"] == 1
+    module_lists = Counter((id(cat), key[1]) for cat, key in builds if key[0] == "modules")
+    assert module_lists and set(module_lists.values()) == {1}
+    for kind in ("closure", "census"):
+        per_bound = Counter((id(cat), bound) for cat, bound in constructed[kind])
+        assert per_bound and set(per_bound.values()) == {1}, kind
+    assert kinds["additive-closure"] == len(constructed["closure"])
+    assert kinds["census"] == len(constructed["census"])

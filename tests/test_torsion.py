@@ -260,17 +260,14 @@ def test_closure_oracle_matches_topology_membership():
             for sub in topo.families[a]:
                 q, _ = quotient_module(h, sub)
                 seeds.append(q)
-        oracle = hereditary_closure_oracle(cat, seeds, 4, census=census)
+        oracle = hereditary_closure_oracle(cat, seeds, 4)
         for m in census:
             assert oracle(m) == torsion_membership(topo, m)
 
 
 def test_census_equality_counts():
-    from ringoid.torsion import ModuleCensus
-
     for name, expected in [("pt(2)", 2), ("dual(2)", 2), ("a2cat(2)", 4)]:
         cat = catalog(name)
-        census = ModuleCensus(cat, 4)
         fps = set()
         topos = enumerate_topologies(cat)
         for topo in topos:
@@ -280,7 +277,7 @@ def test_census_equality_counts():
                 for sub in topo.families[a]:
                     q, _ = quotient_module(h, sub)
                     seeds.append(q)
-            fps.add(hereditary_closure_oracle(cat, seeds, 4, census=census).census_fingerprint)
+            fps.add(hereditary_closure_oracle(cat, seeds, 4).census_fingerprint)
         assert len(fps) == len(topos) == expected
 
 
@@ -291,10 +288,10 @@ def test_census_equality_counts():
 def test_hereditary_class_sweep_matches_topologies(name):
     # an oracle fully independent of the axiom checker: closures of every
     # subset of the quotient seeds yield exactly one fingerprint per topology
-    from ringoid.torsion import ModuleCensus, hereditary_class_sweep
+    from ringoid.torsion import hereditary_class_sweep
 
     cat = catalog(name)
-    sweep = hereditary_class_sweep(cat, 4, census=ModuleCensus(cat, 4))
+    sweep = hereditary_class_sweep(cat, 4)
     assert len(sweep) == len(enumerate_topologies(cat))
 
 

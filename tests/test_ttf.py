@@ -198,10 +198,9 @@ def test_jans_roundtrip_p3(name, count):
 )
 def test_split_counts(name, split_count):
     cat = catalog(name)
-    census = enumerate_modules(cat, 4)
     found = 0
     for ideal in enumerate_idempotent_ideals(cat):
-        rep = is_split(cat, ttf_from_ideal(cat, ideal), census=census)
+        rep = is_split(cat, ttf_from_ideal(cat, ideal))
         assert rep["agree"], rep
         if rep["split"]:
             assert rep["class_formulas"]
