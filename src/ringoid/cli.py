@@ -10,6 +10,7 @@ timing is shown on the human output only and never serialized.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -23,6 +24,7 @@ from .ideals import (
     ideal_sum,
     is_idempotent,
     is_trace_of_projectives,
+    principal_ideals,
     unit_ideal,
     zero_ideal,
 )
@@ -307,16 +309,19 @@ def cmd_recollement(cat, args, report):
     return report
 
 
-def lattice_verdict(cat: FinCat, ideals) -> str:
+def lattice_verdict(cat: FinCat, ideals, required=()) -> str:
     """'pass' when the ideals validate, are pairwise distinct, include the
-    zero and unit ideals, and are closed under sums: necessary conditions
-    for the list of all ideals, and for the list of idempotent ones, since
-    (I + J)^2 contains I^2 + J^2."""
+    zero and unit ideals and every `required` one, and are closed under
+    sums: necessary conditions for the list of all ideals, and for the list
+    of idempotent ones, since (I + J)^2 contains I^2 + J^2.  With the
+    principal ideals required they are also sufficient for the list of all
+    ideals, since every ideal is a sum of principal ones."""
     keys = {i.key() for i in ideals}
     ok = (
         len(keys) == len(ideals)
         and all(i.validate() == [] for i in ideals)
         and {zero_ideal(cat).key(), unit_ideal(cat).key()} <= keys
+        and all(i.key() in keys for i in required)
         and all(ideal_sum(i, j).key() in keys for n, i in enumerate(ideals) for j in ideals[n + 1:])
     )
     return "pass" if ok else "fail"
@@ -326,8 +331,8 @@ def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
     """One aggregated classification census for a category."""
     ideals = enumerate_ideals(cat)
     idem = [i for i in ideals if is_idempotent(i)]
-    report.add("ideal-count", "lattice:two-sided-ideals", lattice_verdict(cat, ideals),
-               {"count": len(ideals)})
+    report.add("ideal-count", "lattice:two-sided-ideals",
+               lattice_verdict(cat, ideals, principal_ideals(cat)), {"count": len(ideals)})
     report.add("idempotent-ideal-count", "lattice:idempotent-ideals", lattice_verdict(cat, idem),
                {"count": len(idem)})
     topos = enumerate_topologies(cat)
@@ -418,6 +423,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    finally:
+        # memo entries point back at their category, so only the cyclic
+        # collector frees a finished command's derived structures
+        gc.collect()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

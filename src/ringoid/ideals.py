@@ -149,8 +149,9 @@ def is_idempotent(i: Ideal) -> bool:
     return product(i, i) == i
 
 
-def enumerate_ideals(cat: FinCat, cap: int | None = None) -> list:
-    """Every two-sided ideal: sum-closure of the principal ideals."""
+def principal_ideals(cat: FinCat, cap: int | None = None) -> list:
+    """The distinct principal ideals of the nonzero morphisms, in key order:
+    every ideal is a sum of these."""
     if cap is None:
         cap = vector_cap()
     count = sum(cat.p ** d - 1 for d in cat.hom_dim.values() if d)
@@ -166,7 +167,12 @@ def enumerate_ideals(cat: FinCat, cap: int | None = None) -> list:
                     continue
                 ideal = principal(cat, f)
                 principals.setdefault(ideal.key(), ideal)
-    gens = [principals[k] for k in sorted(principals)]
+    return [principals[k] for k in sorted(principals)]
+
+
+def enumerate_ideals(cat: FinCat, cap: int | None = None) -> list:
+    """Every two-sided ideal: sum-closure of the principal ideals."""
+    gens = principal_ideals(cat, cap)
     found = {zero_ideal(cat).key(): zero_ideal(cat)}
     frontier = [zero_ideal(cat)]
     while frontier:
@@ -310,9 +316,10 @@ def closure_idempotent_base_ideal(closure, eps: Morphism) -> Ideal:
     return Ideal(base, spaces)
 
 
-def _closure_idempotent_candidates(closure, ideal: Ideal, cap: int):
-    """(eps, induced base ideal) for closure idempotents inside the ideal,
-    one representative per induced ideal.
+def _closure_idempotent_ideals(closure, cap: int) -> list:
+    """(eps, induced base ideal) for the first nonzero closure idempotent of
+    each induced base ideal, in scan order.  The list does not depend on the
+    ideal a witness is sought for, so it is kept in the closure's memo.
 
     Endo spaces whose element count exceeds the cap are skipped; that is the
     documented bounded-search caveat.
@@ -330,9 +337,7 @@ def _closure_idempotent_candidates(closure, ideal: Ideal, cap: int):
             if eps.is_zero():
                 continue
             j = closure_idempotent_base_ideal(closure, eps)
-            if j.key() in seen:
-                continue
-            if ideal.contains(j):
+            if j.key() not in seen:
                 seen.add(j.key())
                 out.append((eps, j))
     return out
@@ -350,7 +355,8 @@ def _trace_witness(cat: FinCat, ideal: Ideal, bound: int, cap: int):
     from .completion import additive_closure
 
     closure = additive_closure(cat, bound)
-    candidates = _closure_idempotent_candidates(closure, ideal, cap)
+    scan = derived(closure.cat, ("idempotent ideals", cap), lambda: _closure_idempotent_ideals(closure, cap))
+    candidates = [(eps, j) for eps, j in scan if ideal.contains(j)]
     total = zero_ideal(cat)
     for _, j in candidates:
         total = ideal_sum(total, j)

@@ -325,6 +325,36 @@ class ModuleCensus:
             )
         return self._index_memo[k]
 
+    def close(self, member) -> frozenset:
+        """The hereditary closure of a set of class indices: the least superset
+        closed under submodules and quotients, bounded direct sums, and
+        extensions, inside the census."""
+        member = set(member)
+        sub_quot = self.sub_quot
+        sums = self.sums
+        changed = True
+        while changed:
+            changed = False
+            for i in list(member):
+                for s_idx, q_idx in sub_quot[i]:
+                    for j in (s_idx, q_idx):
+                        if j not in member:
+                            member.add(j)
+                            changed = True
+            for i in list(member):
+                for j in list(member):
+                    k = sums.get((min(i, j), max(i, j)))
+                    if k is not None and k not in member:
+                        member.add(k)
+                        changed = True
+            for i in range(len(self.classes)):
+                if i in member:
+                    continue
+                if any(s in member and q in member for s, q in sub_quot[i]):
+                    member.add(i)
+                    changed = True
+        return frozenset(member)
+
 
 def module_census(cat: FinCat, bound: int) -> ModuleCensus:
     """The census of modules of total dimension <= bound, built once per
@@ -345,6 +375,19 @@ def topology_seeds(topo: Topology) -> list:
     return seeds
 
 
+def _seed_indices(census: ModuleCensus, seeds, bound: int) -> set:
+    """The census class indices of the seeds of dimension <= bound; larger
+    seeds are skipped, and a bounded seed outside the census raises."""
+    out = set()
+    for s in seeds:
+        if s.total_dim() <= bound:
+            idx = census.class_index(s)
+            if idx is None:
+                raise RuntimeError("seed not found in census")
+            out.add(idx)
+    return out
+
+
 def hereditary_closure_oracle(cat: FinCat, seeds, bound: int) -> TorsionOracle:
     """Close the seed iso-classes under submodules, quotients, bounded direct
     sums, and extensions, inside the census of modules of dimension <= bound.
@@ -356,38 +399,7 @@ def hereditary_closure_oracle(cat: FinCat, seeds, bound: int) -> TorsionOracle:
     beyond it.
     """
     census = module_census(cat, bound)
-    member = set()
-    for s in seeds:
-        if s.total_dim() <= bound:
-            idx = census.class_index(s)
-            if idx is None:
-                raise RuntimeError("seed not found in census")
-            member.add(idx)
-    member.add(census.zero_index)
-
-    sub_quot = census.sub_quot
-    sums = census.sums
-    changed = True
-    while changed:
-        changed = False
-        for i in list(member):
-            for s_idx, q_idx in sub_quot[i]:
-                for j in (s_idx, q_idx):
-                    if j not in member:
-                        member.add(j)
-                        changed = True
-        for i in list(member):
-            for j in list(member):
-                k = sums.get((min(i, j), max(i, j)))
-                if k is not None and k not in member:
-                    member.add(k)
-                    changed = True
-        for i in range(len(census.classes)):
-            if i in member:
-                continue
-            if any(s in member and q in member for s, q in sub_quot[i]):
-                member.add(i)
-                changed = True
+    member = census.close(_seed_indices(census, seeds, bound) | {census.zero_index})
 
     def membership(m: FinModule) -> bool:
         if m.total_dim() > bound:
@@ -397,29 +409,41 @@ def hereditary_closure_oracle(cat: FinCat, seeds, bound: int) -> TorsionOracle:
         return census.class_index(m) in member
 
     oracle = TorsionOracle(membership, f"closure(bound={bound})")
-    oracle.census_fingerprint = frozenset(member)
+    oracle.census_fingerprint = member
     return oracle
 
 
 def hereditary_class_sweep(cat: FinCat, bound: int):
     """Every hereditary torsion class fingerprint on the census, found without
-    the topology axioms: close each subset of the quotients-of-representables
-    seed family and collect the distinct results.
+    the topology axioms: the closures of all subsets of the
+    quotients-of-representables seed family, reached by joining one seed at
+    a time to the closed classes already found.
 
     Any hereditary torsion class is generated by the quotients H_a/R it
-    contains, so the sweep over all seed subsets reaches every class whose
-    generators sit inside the census.  An independent count for the topology
-    enumeration.
+    contains, so the closures of the seed subsets reach every class whose
+    generators sit inside the census.  Closure is a closure operator, so
+    cl(S + s) = cl(cl(S) + s): starting from the closure of zero and adding
+    each seed missing from each class found reaches every cl(S) with one
+    closure per (class, missing seed).  An independent count for the
+    topology enumeration.
     """
+    census = module_census(cat, bound)
     seeds = []
     for a in cat.objects:
         h = representable(cat, a)
         for sub in all_submodules(h):
             q, _ = quotient_module(h, sub)
             seeds.append(q)
-    fingerprints = set()
-    for size in range(len(seeds) + 1):
-        for subset in itertools.combinations(range(len(seeds)), size):
-            oracle = hereditary_closure_oracle(cat, [seeds[i] for i in subset], bound)
-            fingerprints.add(oracle.census_fingerprint)
+    seed_indices = sorted(_seed_indices(census, seeds, bound))
+    start = census.close({census.zero_index})
+    fingerprints = {start}
+    worklist = [start]
+    while worklist:
+        closed = worklist.pop()
+        for s in seed_indices:
+            if s not in closed:
+                joined = census.close(closed | {s})
+                if joined not in fingerprints:
+                    fingerprints.add(joined)
+                    worklist.append(joined)
     return sorted(fingerprints, key=sorted)

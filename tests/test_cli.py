@@ -269,6 +269,48 @@ def test_census_missing_ideal_fails(monkeypatch, capsys):
     assert by_id["idempotent-ideal-count"]["verdict"] == "fail"
 
 
+def test_census_missing_join_irreducible_ideal_fails(monkeypatch, capsys):
+    # the dropped ideal is principal, so sum-closure alone cannot notice it
+    real_enumerate_ideals = cli.enumerate_ideals
+
+    def without_first_nonzero(cat):
+        ideals = real_enumerate_ideals(cat)
+        return ideals[:1] + ideals[2:]
+
+    monkeypatch.setattr(cli, "enumerate_ideals", without_first_nonzero)
+    code, out = run_cli(["census", "catalog:prod", "--p", "2", "--json"], capsys)
+    assert code == 1
+    by_id = {f["statement_id"]: f for f in json.loads(out)["findings"]}
+    assert by_id["ideal-count"]["verdict"] == "fail"
+    assert by_id["ideal-count"]["witness"]["count"] == 3
+
+
+def test_main_frees_the_loaded_category(monkeypatch, capsys):
+    # memo entries point back at their category; main must not leave the
+    # cycle to the automatic collector
+    import gc
+    import weakref
+
+    loaded = []
+    real_load = cli.load_category
+
+    def load(source, p):
+        cat, violations = real_load(source, p)
+        loaded.append(weakref.ref(cat))
+        return cat, violations
+
+    monkeypatch.setattr(cli, "load_category", load)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code, _ = run_cli(["gabriel", "catalog:a2cat", "--p", "2", "--census", "2"], capsys)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert code == 0
+    assert len(loaded) == 1 and loaded[0]() is None
+
+
 # sha256 prefixes of `census catalog:<name> --p 3 --json` on stdout, as
 # recorded in CHANGES.md; a change here changes the report bytes
 CENSUS_P3_SHA256 = {

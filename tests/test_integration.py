@@ -88,6 +88,7 @@ def test_star_classifications_agree(star):
     for topo in topos:
         fps.add(hereditary_closure_oracle(star, topology_seeds(topo), 4).census_fingerprint)
     assert len(fps) == 16
+    assert set(hereditary_class_sweep(star, 4)) == fps
     rep = jans_roundtrip(star, census_bound=4)
     assert rep["pass"] and rep["idempotent_ideals"] == 16
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ringoid.category import Morphism, catalog
@@ -293,6 +295,46 @@ def test_hereditary_class_sweep_matches_topologies(name):
     cat = catalog(name)
     sweep = hereditary_class_sweep(cat, 4)
     assert len(sweep) == len(enumerate_topologies(cat))
+
+
+KRONECKER_DSL = """
+vertices 1 2 ;
+arrow a: 1 -> 2 ;
+arrow b: 1 -> 2 ;
+field 2 ;
+maxlen 1 ;
+"""
+
+
+def subset_sweep(cat, bound):
+    """The closure of every subset of the quotient seeds, one oracle each."""
+    seeds = []
+    for a in cat.objects:
+        h = representable(cat, a)
+        for sub in all_submodules(h):
+            seeds.append(quotient_module(h, sub)[0])
+    fps = set()
+    for size in range(len(seeds) + 1):
+        for subset in itertools.combinations(seeds, size):
+            fps.add(hereditary_closure_oracle(cat, list(subset), bound).census_fingerprint)
+    return sorted(fps, key=sorted)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"{n}({p})" for p in (2, 3) for n in ("pt", "dual", "prod", "a2", "mat2", "a2cat")]
+    + ["kronecker"],
+)
+def test_class_sweep_joins_match_subset_closures(name):
+    # the join worklist reaches exactly the closures of all seed subsets
+    from ringoid.quiver import parse_quiver_dsl, path_category
+    from ringoid.torsion import hereditary_class_sweep
+
+    if name == "kronecker":
+        cat = path_category(parse_quiver_dsl(KRONECKER_DSL))
+    else:
+        cat = catalog(name)
+    assert hereditary_class_sweep(cat, 4) == subset_sweep(cat, 4)
 
 
 def test_membership_fingerprints_pairwise_distinct():
