@@ -11,9 +11,12 @@ Composition follows the function convention: ``compose(g, f)`` is g after f.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import json
+import operator
+from functools import reduce
 
 from .linalg import Mat, Vec, check_prime, check_vector_cap, vector_cap, zero_vec
 
@@ -51,7 +54,11 @@ class FinCat:
 
     comp[(a, b, c)][i][j] holds the coordinates in A(a, c) of the composite
     (j-th basis element of A(b, c)) after (i-th basis element of A(a, b)).
-    Pairs and triples with a zero-dimensional hom space may be omitted.
+    Pairs and triples with a zero-dimensional hom space may be omitted; every
+    other triple needs its table, and a nonzero hom space needs nonzero
+    endomorphism spaces at both ends.  p (a prime), dimensions and
+    coordinates are ints (a bool counts as one).  Anything else raises
+    ValueError.
 
     A FinCat is immutable once built, so every structure derived from it
     (module census, additive closure, center, ...) is built once and kept
@@ -59,6 +66,8 @@ class FinCat:
     """
 
     def __init__(self, p: int, objects, hom_dim, comp, id_coords, name: str = ""):
+        if type(p) is not int:
+            raise ValueError(f"modulus must be an integer, not {type(p).__name__}")
         check_prime(p)
         self.p = p
         self.objects = tuple(objects)
@@ -68,22 +77,56 @@ class FinCat:
         for a in self.objects:
             for b in self.objects:
                 d = hom_dim.get((a, b), 0)
-                if d < 0:
-                    raise ValueError("negative hom dimension")
+                if type(d) is not int or d < 0:
+                    raise ValueError(f"hom dimension at {(a, b)} must be a non-negative integer")
                 self.hom_dim[(a, b)] = d
+        # A(a, a) = 0 makes id_a = 0 and so A(a, b) = A(b, a) = 0; with the
+        # tables below required, every dimension is spelled out by entries
+        for (a, b), d in self.hom_dim.items():
+            if d and not (self.hom_dim[(a, a)] and self.hom_dim[(b, b)]):
+                raise ValueError(f"A{(a, b)} is nonzero but an endomorphism space at an end is zero")
         self.comp = {}
+        full = 0  # tables whose three spaces are nonzero
         for (a, b, c), table in comp.items():
-            da, db = self.hom_dim[(a, b)], self.hom_dim[(b, c)]
-            dc = self.hom_dim[(a, c)]
-            table = tuple(tuple(tuple(x % p for x in vec) for vec in row) for row in table)
+            where = (a, b, c)
+            try:
+                da, db, dc = self.hom_dim[(a, b)], self.hom_dim[(b, c)], self.hom_dim[(a, c)]
+            except KeyError:
+                raise ValueError(f"composition table at {where} names an unknown object") from None
+            # x % p leaves a float a float, and sum() refuses strings, so
+            # an int total means int entries
+            try:
+                table = tuple([tuple([tuple([x % p for x in vec]) for vec in row]) for row in table])
+                exact = type(sum(map(sum, itertools.chain.from_iterable(table)))) is int
+            except TypeError:
+                exact = False
+            if not exact:
+                raise ValueError(f"composition table at {where} must hold integer vectors")
             if len(table) != da or any(len(row) != db for row in table):
-                raise ValueError(f"composition table shape mismatch at {(a, b, c)}")
+                raise ValueError(f"composition table shape mismatch at {where}")
             if any(len(vec) != dc for row in table for vec in row):
-                raise ValueError(f"composition coordinates length mismatch at {(a, b, c)}")
-            self.comp[(a, b, c)] = table
+                raise ValueError(f"composition coordinates length mismatch at {where}")
+            self.comp[where] = table
+            full += bool(da and db and dc)
+        # those tables must cover every triple with three nonzero spaces
+        hom, objs = self.hom_dim, self.objects
+        after = {a: {b for b in objs if hom[(a, b)]} for a in objs}
+        before = {c: {b for b in objs if hom[(b, c)]} for c in objs}
+        if full != sum(len(after[a] & before[c]) for a in objs for c in objs if hom[(a, c)]):
+            missing = next(
+                (a, b, c) for a in objs for c in objs if hom[(a, c)]
+                for b in after[a] & before[c] if (a, b, c) not in self.comp
+            )
+            raise ValueError(f"composition table missing at {missing}")
         self.id_coords = {}
         for a in self.objects:
-            v = tuple(x % p for x in id_coords.get(a, ()))
+            try:
+                v = tuple([x % p for x in id_coords.get(a, ())])
+                exact = type(sum(v)) is int
+            except TypeError:
+                exact = False
+            if not exact:
+                raise ValueError(f"identity coordinates at {a} must be integers")
             if len(v) != self.hom_dim[(a, a)]:
                 raise ValueError(f"identity coordinates length mismatch at {a}")
             self.id_coords[a] = v
@@ -195,57 +238,143 @@ def validate(cat: FinCat) -> list:
                     report.append({"kind": "right-identity", "at": (a, b), "basis": f.coords})
                 if cat.compose(idb, f) != f:
                     report.append({"kind": "left-identity", "at": (a, b), "basis": f.coords})
-    # associativity on raw structure constants: for basis f: a->b, g: b->c,
-    # h: c->d, expand h.(g.f) and (h.g).f through the tables and compare
-    p = cat.p
-    for a in cat.objects:
-        for b in cat.objects:
-            d_ab = cat.hom_dim[(a, b)]
-            if d_ab == 0:
+    return report + _associativity_failures(cat)
+
+
+def _associativity_failures(cat: FinCat) -> list:
+    """Basis triples f_i: a -> b, g_j: b -> c, h_k: c -> d with
+    h_k(g_j f_i) != (h_k g_j) f_i, in the order (a, b, c, d, i, j, k).
+
+    Coordinate x of the left side is sum_m t_abc[i][j][m] t_acd[m][k][x],
+    of the right side sum_m t_bcd[j][k][m] t_abd[i][m][x].  For fixed
+    a, b, c both sides, over every d at once, are packed into one integer
+    each (Kronecker substitution).  Row X = start(d) + x runs over the
+    coordinates of A(a, d) for all d in turn, and slot (X, i, j, k) is bits
+    [w s, w s + w) with s(X, i, j, k) = ((X n_ab + i) n_bc + j) K + k, K
+    the largest dim A(c, -).  Then
+
+        lhs = sum_m C[m] L[m]             C[m] packs t_abc[.][.][m] on (i, j),
+                                          L[m] packs t_acd[m][.][.] on (X, k);
+        rhs = sum_(d,m) T[d,m] S[d,m] << (w s(start(d), 0, 0, 0))
+                                          T[d,m] packs t_abd[.][m][.] on (x, i),
+                                          S[d,m] packs t_bcd[.][.][m] on (j, k);
+
+    and the slots of each product are disjoint.  Coordinates enter as
+    representatives in (-p/2, p/2].  At p = 2 products combine by XOR in
+    1-bit slots.  At odd p they add, and w holds every slot sum: at most
+    `bound`, the largest sum of |coordinates| of a composite times the
+    largest |coordinate|.  So equal integers mean equal slots, and unequal
+    ones are decoded and compared mod p.
+    """
+    p, objs, hom, comp = cat.p, cat.objects, cat.hom_dim, cat.comp
+    half = p // 2
+    if p == 2:
+        w, combine, bound = 1, operator.xor, 0
+    else:
+        # a slot sums coordinates of one composite times coordinates of others
+        vectors = {vec for table in comp.values() for row in table for vec in row}
+        sizes = [[min(v, p - v) for v in vec] for vec in vectors]
+        bound = max(map(sum, sizes), default=0) * max(map(max, filter(None, sizes)), default=0)
+        w, combine = max(1, (2 * bound).bit_length()), operator.add
+    width = {c: max(hom[c, d] for d in objs) for c in objs}
+    # S packs depend on (b, c) alone and are kept throughout; L and T packs
+    # are kept while a is fixed, and C packs serve one (a, b, c)
+    s_packs = {}
+    report = []
+    for a in objs:
+        starts = list(itertools.accumulate((hom[a, d] for d in objs), initial=0))
+        rows = starts.pop()
+        l_packs, t_packs = {}, {}
+        for b in objs:
+            n_ab = hom[a, b]
+            if not n_ab:
                 continue
-            for c in cat.objects:
-                d_bc = cat.hom_dim[(b, c)]
-                if d_bc == 0:
+            for c in objs:
+                n_bc = hom[b, c]
+                if not n_bc:
                     continue
-                t_abc = cat.comp.get((a, b, c))
-                for d in cat.objects:
-                    d_cd = cat.hom_dim[(c, d)]
-                    if d_cd == 0:
-                        continue
-                    d_ad = cat.hom_dim[(a, d)]
-                    t_acd = cat.comp.get((a, c, d))
-                    t_bcd = cat.comp.get((b, c, d))
-                    t_abd = cat.comp.get((a, b, d))
-                    for i in range(d_ab):
-                        for j in range(d_bc):
-                            gf = t_abc[i][j] if t_abc else None
-                            for k in range(d_cd):
-                                lhs = [0] * d_ad
-                                if gf is not None and t_acd:
-                                    for m, cf in enumerate(gf):
-                                        if cf:
-                                            vec = t_acd[m][k]
-                                            for x, y in enumerate(vec):
-                                                if y:
-                                                    lhs[x] = (lhs[x] + cf * y) % p
-                                rhs = [0] * d_ad
-                                hg = t_bcd[j][k] if t_bcd else None
-                                if hg is not None and t_abd:
-                                    for m, cf in enumerate(hg):
-                                        if cf:
-                                            vec = t_abd[i][m]
-                                            for x, y in enumerate(vec):
-                                                if y:
-                                                    rhs[x] = (rhs[x] + cf * y) % p
-                                if lhs != rhs:
-                                    report.append(
-                                        {
-                                            "kind": "associativity",
-                                            "objects": (a, b, c, d),
-                                            "basis": (i, j, k),
-                                        }
-                                    )
+                kc, n_ac = width[c], hom[a, c]
+                cs = [0] * n_ac
+                for i, row in enumerate(comp.get((a, b, c), ())):
+                    for j, vec in enumerate(row):
+                        shift = w * (i * n_bc + j) * kc
+                        for m, v in enumerate(vec):
+                            if v:
+                                cs[m] += (v - p if v > half else v) << shift
+                stride = n_ab * n_bc * kc
+                ls = l_packs.get((c, stride))
+                if ls is None:
+                    ls = l_packs[c, stride] = [0] * n_ac
+                    for start, d in zip(starts, objs):
+                        for m, row in enumerate(comp.get((a, c, d), ())):
+                            packed = 0
+                            for k, vec in enumerate(row):
+                                for x, v in enumerate(vec):
+                                    if v:
+                                        shift = w * ((start + x) * stride + k)
+                                        packed += (v - p if v > half else v) << shift
+                            ls[m] += packed
+                stride = n_bc * kc
+                ts = t_packs.get((b, stride))
+                if ts is None:
+                    ts = t_packs[b, stride] = ([], [])  # T[d, m] and their shifts
+                    for start, d in zip(starts, objs):
+                        n_bd = hom[b, d]
+                        packed = [0] * n_bd
+                        for i, row in enumerate(comp.get((a, b, d), ())):
+                            for m, vec in enumerate(row):
+                                for x, v in enumerate(vec):
+                                    if v:
+                                        shift = w * (x * n_ab + i) * stride
+                                        packed[m] += (v - p if v > half else v) << shift
+                        ts[0].extend(packed)
+                        ts[1].extend([w * start * n_ab * stride] * n_bd)
+                ss = s_packs.get((b, c))
+                if ss is None:
+                    ss = s_packs[b, c] = []
+                    for d in objs:
+                        packed = [0] * hom[b, d]
+                        for j, row in enumerate(comp.get((b, c, d), ())):
+                            for k, vec in enumerate(row):
+                                shift = w * (j * kc + k)
+                                for m, v in enumerate(vec):
+                                    if v:
+                                        packed[m] += (v - p if v > half else v) << shift
+                        ss.extend(packed)
+                lhs = reduce(combine, map(operator.mul, cs, ls), 0)
+                rhs = reduce(combine, map(operator.lshift, map(operator.mul, ts[0], ss), ts[1]), 0)
+                if lhs == rhs:
+                    continue
+                failures = set()
+                for s in _unequal_slots(lhs, rhs, rows * n_ab * n_bc * kc, w, bound, p):
+                    s, k = divmod(s, kc)
+                    s, j = divmod(s, n_bc)
+                    x_row, i = divmod(s, n_ab)
+                    d = bisect.bisect_right(starts, x_row) - 1
+                    failures.add((d, i, j, k))
+                report.extend(
+                    {"kind": "associativity", "objects": (a, b, c, objs[d]), "basis": (i, j, k)}
+                    for d, i, j, k in sorted(failures)
+                )
     return report
+
+
+def _unequal_slots(lhs: int, rhs: int, n: int, w: int, bound: int, p: int) -> list:
+    """The slots s < n, highest first, whose values differ mod p between two
+    integers packed in w-bit slots, each slot value in [-bound, bound]."""
+    # adding bound to every slot turns each one into a plain nonnegative
+    # bit field; as binary text, slot s is the field starting at w (n-1-s)
+    offset = bound * ((1 << w * n) - 1) // ((1 << w) - 1)
+    lhs, rhs = lhs + offset, rhs + offset
+    left, right, diff = (format(v, "b").zfill(w * n) for v in (lhs, rhs, lhs ^ rhs))
+    out = []
+    e = diff.find("1")
+    while e >= 0:
+        start = e - e % w
+        if (int(left[start:start + w], 2) - int(right[start:start + w], 2)) % p:
+            out.append(n - 1 - start // w)
+        e = diff.find("1", start + w)
+    return out
 
 
 def transfer_category(base: FinCat, objects, carrier, decode, encode, units, name: str) -> FinCat:
@@ -459,29 +588,71 @@ def cat_to_json(cat: FinCat) -> str:
         "p": cat.p,
         "objects": list(cat.objects),
         "hom": {f"{a}|{b}": d for (a, b), d in sorted(cat.hom_dim.items()) if d > 0},
-        "comp": {
-            f"{a}|{b}|{c}": [[list(vec) for vec in row] for row in table]
-            for (a, b, c), table in sorted(cat.comp.items())
-        },
-        "id": {a: list(v) for a, v in sorted(cat.id_coords.items())},
+        # json writes the stored tuples as arrays, so no list copy of the
+        # tables is made
+        "comp": {f"{a}|{b}|{c}": table for (a, b, c), table in sorted(cat.comp.items())},
+        "id": dict(sorted(cat.id_coords.items())),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def cat_from_json(text: str) -> FinCat:
-    doc = json.loads(text)
-    p = int(doc["p"])
-    objects = [str(x) for x in doc["objects"]]
-    hom = {}
-    for key, d in doc.get("hom", {}).items():
-        a, b = key.split("|")
-        hom[(a, b)] = int(d)
-    comp = {}
-    for key, table in doc.get("comp", {}).items():
-        a, b, c = key.split("|")
-        comp[(a, b, c)] = tuple(tuple(tuple(vec) for vec in row) for row in table)
-    ids = {a: tuple(v) for a, v in doc.get("id", {}).items()}
-    return FinCat(p, objects, hom, comp, ids)
+    """The category of a document in the interchange format (see README).
+
+    Raises ValueError, json.JSONDecodeError included, for text that is not
+    such a document: a field that is not the documented container, or a p,
+    dimension or coordinate that is not a JSON integer.
+    """
+    doc = json_document(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a category document must be a JSON object")
+    objects = doc.get("objects")
+    if not isinstance(objects, list) or not all(isinstance(a, str) for a in objects):
+        raise ValueError('"objects" must be a list of strings')
+    hom = {json_key(k, 2): json_ints(d, 0, f"hom {k}") for k, d in json_object(doc, "hom").items()}
+    comp = {json_key(k, 3): json_ints(t, 3, f"comp {k}") for k, t in json_object(doc, "comp").items()}
+    ids = {a: json_ints(v, 1, f"id {a}") for a, v in json_object(doc, "id").items()}
+    return FinCat(json_ints(doc.get("p"), 0, "p"), objects, hom, comp, ids)
+
+
+def json_document(text: str):
+    """json.loads(text), with nesting too deep to parse a ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+def json_object(doc: dict, field: str) -> dict:
+    """doc[field], an object; an absent field reads as empty."""
+    value = doc.get(field, {})
+    if not isinstance(value, dict):
+        raise ValueError(f'"{field}" must be a JSON object')
+    return value
+
+
+def json_key(key: str, parts: int) -> tuple:
+    """An interchange key such as "a|b|c", split into its parts."""
+    out = tuple(key.split("|"))
+    if len(out) != parts:
+        raise ValueError(f"key {key!r} must have {parts} parts separated by |")
+    return out
+
+
+def json_ints(value, depth: int, what: str):
+    """value, an integer (depth 0) or arrays nested depth deep around
+    integers, as nested tuples; JSON true and false are not integers."""
+    if depth == 0:
+        if type(value) is not int:
+            raise ValueError(f"{what}: expected an integer, got {type(value).__name__}")
+        return value
+    if not isinstance(value, list):
+        raise ValueError(f"{what}: expected arrays nested {depth} deep")
+    if depth == 1:
+        if not all(type(x) is int for x in value):
+            raise ValueError(f"{what}: expected integer entries")
+        return tuple(value)
+    return tuple(json_ints(v, depth - 1, what) for v in value)
 
 
 def cat_hash(cat: FinCat) -> str:

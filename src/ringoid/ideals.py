@@ -272,12 +272,6 @@ def trace_ideal(cat: FinCat, modules) -> Ideal:
     return Ideal(cat, spaces)
 
 
-def idempotent_generated_ideal(cat: FinCat, eps: Morphism) -> Ideal:
-    if cat.compose(eps, eps) != eps:
-        raise ValueError("generator is not idempotent")
-    return generated_by(cat, [eps])
-
-
 def restrict_closure_ideal(closure, j: "Ideal") -> Ideal:
     """An ideal of the additive closure, restricted to the singleton pairs.
 

@@ -48,12 +48,17 @@ def check_vector_cap(count: int, what: str) -> None:
 
 _KNOWN_PRIMES = set()
 
+# trial division stays a few milliseconds below this bound
+MAX_MODULUS = 2 ** 31
+
 
 def check_prime(p: int) -> None:
     if p in _KNOWN_PRIMES:
         return
     if p < 2:
         raise ValueError(f"modulus {p} is not prime")
+    if p > MAX_MODULUS:
+        raise ValueError(f"modulus {p} is above the largest supported {MAX_MODULUS}")
     d = 2
     while d * d <= p:
         if p % d == 0:
@@ -70,15 +75,6 @@ def inv_mod(a: int, p: int) -> int:
 
 
 Vec = tuple  # tuple[int, ...]
-
-
-def vec_add(u: Vec, v: Vec, p: int) -> Vec:
-    return tuple((x + y) % p for x, y in zip(u, v))
-
-
-def vec_scale(c: int, v: Vec, p: int) -> Vec:
-    c %= p
-    return tuple((c * x) % p for x in v)
 
 
 def zero_vec(n: int) -> Vec:
@@ -501,11 +497,6 @@ def apply_to_subspace(m: Mat, s: Subspace) -> Subspace:
     if s.ambient != m.cols:
         raise DimensionMismatch("subspace ambient must match matrix cols")
     return Subspace.from_vectors(m.p, m.rows, [m.apply(v) for v in s.basis_vectors()])
-
-
-def all_vectors(p: int, n: int):
-    """All of F_p^n in lexicographic order (first coordinate slowest)."""
-    return itertools.product(range(p), repeat=n)
 
 
 def enumerate_subspaces(n: int, p: int, cap: int | None = None) -> list:

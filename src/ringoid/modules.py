@@ -13,7 +13,16 @@ from __future__ import annotations
 import itertools
 import json
 
-from .category import FinCat, Morphism, cat_hash, derived
+from .category import (
+    FinCat,
+    Morphism,
+    cat_hash,
+    derived,
+    json_document,
+    json_ints,
+    json_key,
+    json_object,
+)
 from .linalg import (
     CapExceeded,
     Mat,
@@ -156,10 +165,6 @@ class ModuleMap:
 
     def __repr__(self):
         return f"ModuleMap({ {a: (m.rows, m.cols) for a, m in self.comps.items()} })"
-
-
-def identity_map(m: FinModule) -> ModuleMap:
-    return ModuleMap(m, m, {a: Mat.identity(m.p, m.dims[a]) for a in m.cat.objects})
 
 
 def check_naturality(phi: ModuleMap) -> bool:
@@ -406,13 +411,6 @@ def direct_sum(m: FinModule, n: FinModule) -> FinModule:
             rows.append((0,) * ma.cols + na.entries[r])
         action[key] = Mat(cat.p, dims[a], m.dims[b] + n.dims[b], rows)
     return FinModule(cat, dims, action)
-
-
-def _invertible(phi: ModuleMap) -> bool:
-    for a, mat in phi.comps.items():
-        if mat.rows != mat.cols or mat.rank() != mat.rows:
-            return False
-    return True
 
 
 def _total_rank(comps) -> int:
@@ -730,12 +728,34 @@ def module_to_json(m: FinModule) -> str:
 
 
 def module_from_json(cat: FinCat, text: str, verify_hash: bool = True) -> FinModule:
-    doc = json.loads(text)
+    """The module of a document written by module_to_json.
+
+    Raises ValueError, json.JSONDecodeError included, for text that is not
+    such a document: a field that is not the documented container, a
+    dimension or entry that is not a JSON integer, a negative dimension, an
+    action missing for a basis morphism whose source has a nonzero space, or
+    a hash of another category when verify_hash is set.
+    """
+    doc = json_document(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a module document must be a JSON object")
     if verify_hash and doc.get("category") != cat_hash(cat):
         raise ValueError("module document references a different category (hash mismatch)")
-    dims = {a: int(d) for a, d in doc["dims"].items()}
+    if not isinstance(doc.get("dims"), dict):
+        raise ValueError('"dims" must be a JSON object')
+    dims = {a: json_ints(d, 0, f"dims {a}") for a, d in doc["dims"].items()}
+    if any(d < 0 for d in dims.values()):
+        raise ValueError("module dimensions must be non-negative")
     action = {}
-    for key, entries in doc.get("action", {}).items():
-        a, b, i = key.split("|")
+    for key, entries in json_object(doc, "action").items():
+        a, b, i = json_key(key, 3)
+        entries = json_ints(entries, 2, f"action {key}")
         action[(a, b, int(i))] = Mat(cat.p, dims.get(a, 0), dims.get(b, 0), entries)
+    # the zero maps FinModule fills in would be sized by the dimensions
+    # alone, so the document itself must spell out every map with rows
+    for a in cat.objects:
+        for b in cat.objects:
+            for i in range(cat.hom_dim[(a, b)]):
+                if dims.get(a, 0) and (a, b, i) not in action:
+                    raise ValueError(f"action missing at {a}|{b}|{i}")
     return FinModule(cat, dims, action)

@@ -1,7 +1,12 @@
+import copy
+import json
+import random
+
 import pytest
 
 from ringoid.category import (
     CATALOG_NAMES,
+    FinCat,
     Morphism,
     cat_from_json,
     cat_to_json,
@@ -12,6 +17,82 @@ from ringoid.category import (
     opposite,
     validate,
 )
+from ringoid.completion import additive_closure, idempotent_completion
+
+
+def _validate_scalar(cat):
+    """Reference for validate: both identity laws, then associativity basis
+    triple by basis triple, with every coordinate reduced mod p."""
+    report = []
+    for a in cat.objects:
+        for b in cat.objects:
+            ida, idb = cat.identity(a), cat.identity(b)
+            for f in cat.basis(a, b):
+                if cat.compose(f, ida) != f:
+                    report.append({"kind": "right-identity", "at": (a, b), "basis": f.coords})
+                if cat.compose(idb, f) != f:
+                    report.append({"kind": "left-identity", "at": (a, b), "basis": f.coords})
+    p = cat.p
+    for a in cat.objects:
+        for b in cat.objects:
+            d_ab = cat.hom_dim[(a, b)]
+            if d_ab == 0:
+                continue
+            for c in cat.objects:
+                d_bc = cat.hom_dim[(b, c)]
+                if d_bc == 0:
+                    continue
+                t_abc = cat.comp.get((a, b, c))
+                for d in cat.objects:
+                    d_cd = cat.hom_dim[(c, d)]
+                    if d_cd == 0:
+                        continue
+                    d_ad = cat.hom_dim[(a, d)]
+                    t_acd = cat.comp.get((a, c, d))
+                    t_bcd = cat.comp.get((b, c, d))
+                    t_abd = cat.comp.get((a, b, d))
+                    for i in range(d_ab):
+                        for j in range(d_bc):
+                            gf = t_abc[i][j] if t_abc else None
+                            for k in range(d_cd):
+                                lhs = [0] * d_ad
+                                if gf is not None and t_acd:
+                                    for m, cf in enumerate(gf):
+                                        if cf:
+                                            for x, y in enumerate(t_acd[m][k]):
+                                                if y:
+                                                    lhs[x] = (lhs[x] + cf * y) % p
+                                rhs = [0] * d_ad
+                                hg = t_bcd[j][k] if t_bcd else None
+                                if hg is not None and t_abd:
+                                    for m, cf in enumerate(hg):
+                                        if cf:
+                                            for x, y in enumerate(t_abd[i][m]):
+                                                if y:
+                                                    rhs[x] = (rhs[x] + cf * y) % p
+                                if lhs != rhs:
+                                    report.append(
+                                        {
+                                            "kind": "associativity",
+                                            "objects": (a, b, c, d),
+                                            "basis": (i, j, k),
+                                        }
+                                    )
+    return report
+
+
+def _corrupted(cat, seed):
+    """cat with one composition coordinate moved to another residue."""
+    rng = random.Random(seed)
+    key = rng.choice(sorted(cat.comp))
+    table = [[list(vec) for vec in row] for row in cat.comp[key]]
+    i = rng.randrange(len(table))
+    j = rng.randrange(len(table[i]))
+    m = rng.randrange(len(table[i][j]))
+    table[i][j][m] = (table[i][j][m] + rng.randrange(1, cat.p)) % cat.p
+    comp = dict(cat.comp)
+    comp[key] = table
+    return FinCat(cat.p, cat.objects, cat.hom_dim, comp, cat.id_coords)
 
 
 def test_one_object_f2_is_valid():
@@ -49,10 +130,40 @@ def test_nonassociative_triple_reported():
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_catalog_categories_validate(name, p):
     cat = catalog(name, p)
-    assert validate(cat) == []
+    assert validate(cat) == _validate_scalar(cat) == []
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_validate_matches_scalar_on_closures(name, p):
+    cat = additive_closure(catalog(name, p), 2).cat
+    assert validate(cat) == _validate_scalar(cat) == []
+
+
+def test_validate_matches_scalar_on_karoubi_envelope():
+    cat = idempotent_completion(catalog("a2cat", 2), 2).cat
+    assert validate(cat) == _validate_scalar(cat) == []
+
+
+@pytest.mark.parametrize("name", ["mat2(2)", "a2cat(2)", "mat2(5)", "a2(7)", "a2cat(3)"])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_validate_matches_scalar_on_corrupted_closures(name, seed):
+    cat = _corrupted(additive_closure(catalog(name), 2).cat, seed)
+    report = validate(cat)
+    assert report == _validate_scalar(cat)
+    assert any(entry["kind"] == "associativity" for entry in report)
+
+
+def test_validate_at_the_largest_modulus():
+    # slots widen with p; coordinates near p/2 in size still compare exactly
+    p = 2 ** 31 - 1
+    cat = additive_closure(catalog("a2", p), 2).cat
+    assert validate(cat) == _validate_scalar(cat) == []
+    broken = _corrupted(cat, 5)
+    assert validate(broken) == _validate_scalar(broken) != []
 
 
 def test_catalog_name_with_embedded_prime():
@@ -143,3 +254,128 @@ def test_morphism_arithmetic():
     assert cat.compose(x, x).is_zero()
     assert cat.scale(2, x).coords == (0, 2)
     assert cat.sub(x, x).is_zero()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"p": 2, "objects": 5},
+        {"p": 2, "objects": ["a"], "hom": {"a|a": 1}, "comp": {"a|a|a": 5}, "id": {"a": [1]}},
+        {"p": 2, "objects": ["a"], "hom": {"a|a": 1}, "comp": {"a|a|a": [[[1.5]]]}, "id": {"a": [1]}},
+        {"p": 3.7, "objects": []},
+        {"p": True, "objects": []},
+        {"p": 2, "objects": ["a"], "hom": {"a|a": True}, "id": {"a": [1]}},
+        {"p": 2, "objects": ["a"], "hom": {"a|a": 1}, "comp": {"a|a|a": [[["1"]]]}, "id": {"a": [1]}},
+        {"p": 2, "objects": ["a"], "hom": {"a|a": 1}, "id": {"a": [1]}},
+        {"p": 2, "objects": ["a", "b"], "hom": {"a|b": 10 ** 9}},
+        {"p": 2, "objects": ["a"], "hom": [], "id": {}},
+        {"p": 2, "objects": ["a"], "hom": {"a": 1}},
+        {"p": 2 ** 61 - 1, "objects": []},
+        [],
+    ],
+)
+def test_malformed_category_documents_raise_value_error(doc):
+    with pytest.raises(ValueError):
+        cat_from_json(json.dumps(doc))
+
+
+def test_fincat_rejects_inexact_entries():
+    with pytest.raises(ValueError):
+        FinCat(3.0, ["x"], {("x", "x"): 1}, {("x", "x", "x"): (((1,),),)}, {"x": (1,)})
+    with pytest.raises(ValueError):
+        FinCat(2, ["x"], {("x", "x"): 1}, {("x", "x", "x"): (((1.0,),),)}, {"x": (1,)})
+    with pytest.raises(ValueError):
+        FinCat(2, ["x"], {("x", "x"): 1}, {("x", "x", "y"): (((1,),),)}, {"x": (1,)})
+
+
+def _json_values():
+    from hypothesis import strategies as st
+
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+def _mutations(doc):
+    """Copies of doc with one subtree, found by a random walk, replaced."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def mutate(draw):
+        out = copy.deepcopy(doc)
+        node, key = None, None
+        value = out
+        while isinstance(value, (dict, list)) and value and draw(st.booleans()):
+            keys = sorted(value) if isinstance(value, dict) else range(len(value))
+            node, key = value, draw(st.sampled_from(keys))
+            value = node[key]
+        new = draw(st.integers(-3, 9) | _json_values())
+        if node is None:
+            return new
+        node[key] = new
+        return out
+
+    return mutate()
+
+
+def _random_category_documents():
+    """Documents with the right shapes and random structure constants."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def document(draw):
+        p = draw(st.sampled_from([2, 3, 5]))
+        objects = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3, unique=True))
+        hom = {}
+        for a in objects:
+            for b in objects:
+                hom[(a, b)] = draw(st.integers(1, 2) if a == b else st.integers(0, 2))
+        coords = lambda n: st.lists(st.integers(-1, p), min_size=n, max_size=n)  # noqa: E731
+        comp = {}
+        for a in objects:
+            for b in objects:
+                for c in objects:
+                    if hom[(a, b)] and hom[(b, c)] and hom[(a, c)]:
+                        rows, cols = hom[(a, b)], hom[(b, c)]
+                        comp[f"{a}|{b}|{c}"] = [
+                            [draw(coords(hom[(a, c)])) for _ in range(cols)] for _ in range(rows)
+                        ]
+        ids = {a: draw(coords(hom[(a, a)])) for a in objects}
+        return {
+            "p": p,
+            "objects": objects,
+            "hom": {f"{a}|{b}": d for (a, b), d in hom.items()},
+            "comp": comp,
+            "id": ids,
+        }
+
+    return document()
+
+
+def test_cat_from_json_total_and_validate_matches_scalar():
+    # every document is either a category or a ValueError, and every
+    # category it yields validates exactly as the scalar reference does
+    from hypothesis import given, settings, strategies as st
+
+    valid = [json.loads(cat_to_json(catalog(name, p))) for name in CATALOG_NAMES for p in (2, 3, 5)]
+    documents = (
+        _random_category_documents()
+        | st.sampled_from(valid).flatmap(_mutations)
+        | _random_category_documents().flatmap(_mutations)
+        | _json_values()
+    )
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(documents)
+    def run(doc):
+        try:
+            cat = cat_from_json(json.dumps(doc))
+        except ValueError:
+            return
+        assert validate(cat) == _validate_scalar(cat)
+
+    run()

@@ -98,6 +98,27 @@ def test_validate_broken_category(tmp_path, capsys):
     assert "fail" in out
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"p": 2, "objects": 5},
+        {"p": 2, "objects": ["a"], "hom": {"a|a": 1}, "comp": {"a|a|a": 5}, "id": {"a": [1]}},
+        {"p": 2, "objects": ["a"], "hom": {"a|a": 1}, "comp": {"a|a|a": [[[1.5]]]}, "id": {"a": [1]}},
+        {"p": 3.7, "objects": ["a"], "hom": {"a|a": 1}, "comp": {"a|a|a": [[[1]]]}, "id": {"a": [1]}},
+    ],
+)
+def test_malformed_category_file_is_bad_input(tmp_path, capsys, doc):
+    # JSON that parses but is not a category document: exit 65, one line
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err.startswith("cannot load category:")
+    assert captured.err.count("\n") == 1
+
+
 def test_unreadable_file():
     assert cli.main(["validate", "/nonexistent/file.json"]) == 65
 

@@ -321,6 +321,60 @@ def test_module_json_roundtrip():
         module_from_json(catalog("pt(2)"), text)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: doc.update(dims=5),
+        lambda doc: doc["action"].update({"2|2|0": 7}),
+        lambda doc: doc["dims"].update({"2": 1.5}),
+        lambda doc: doc["dims"].update({"2": -1}),
+        lambda doc: doc["dims"].update({"1": True}),
+        lambda doc: doc["action"].update({"2|2": [[1]]}),
+        lambda doc: doc["action"].update({"2|2|x": [[1]]}),
+        lambda doc: doc["action"].pop("2|2|0"),
+        lambda doc: doc.update(action=[]),
+    ],
+)
+def test_malformed_module_documents_raise_value_error(change):
+    import json
+
+    cat = catalog("a2cat(2)")
+    doc = json.loads(module_to_json(representable(cat, "2")))
+    change(doc)
+    with pytest.raises(ValueError):
+        module_from_json(cat, json.dumps(doc))
+
+
+def test_module_from_json_total():
+    # every document is either a module or a ValueError, and nothing else
+    import json
+
+    from hypothesis import given, settings, strategies as st
+    from test_category import _json_values, _mutations
+
+    cases = []
+    for name in ["pt(2)", "dual(3)", "a2cat(2)", "prod(5)"]:
+        cat = catalog(name)
+        for m in enumerate_modules(cat, 2):
+            cases.append((cat, json.loads(module_to_json(m))))
+
+    def documents(case):
+        cat, doc = case
+        return st.tuples(st.just(cat), st.just(doc) | _mutations(doc) | _json_values())
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.sampled_from(cases).flatmap(documents), st.booleans())
+    def run(case, verify_hash):
+        cat, doc = case
+        try:
+            m = module_from_json(cat, json.dumps(doc), verify_hash=verify_hash)
+        except ValueError:
+            return
+        assert isinstance(m, FinModule)
+
+    run()
+
+
 def test_enumerated_modules_all_validate():
     for name in ["pt(2)", "dual(2)", "a2cat(2)", "prod(2)", "mat2(2)", "a2(2)"]:
         for m in enumerate_modules(catalog(name), 3):
