@@ -582,9 +582,9 @@ def list_idempotents(cat: FinCat, obj: str | None = None) -> list:
     return out
 
 
-def cat_to_json(cat: FinCat) -> str:
-    """Canonical interchange serialization: sorted keys, minimal separators."""
-    doc = {
+def cat_document(cat: FinCat) -> dict:
+    """The interchange document of a category, before serialization."""
+    return {
         "p": cat.p,
         "objects": list(cat.objects),
         "hom": {f"{a}|{b}": d for (a, b), d in sorted(cat.hom_dim.items()) if d > 0},
@@ -593,7 +593,11 @@ def cat_to_json(cat: FinCat) -> str:
         "comp": {f"{a}|{b}|{c}": table for (a, b, c), table in sorted(cat.comp.items())},
         "id": dict(sorted(cat.id_coords.items())),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def cat_to_json(cat: FinCat) -> str:
+    """Canonical interchange serialization: sorted keys, minimal separators."""
+    return json.dumps(cat_document(cat), sort_keys=True, separators=(",", ":"))
 
 
 def cat_from_json(text: str) -> FinCat:

@@ -12,7 +12,7 @@ import itertools
 
 from .category import FinCat, Morphism, derived
 from .ideals import Ideal, enumerate_ideals
-from .linalg import Mat, Subspace, check_vector_cap, kernel_basis
+from .linalg import Mat, Subspace, check_vector_cap, kernel_basis, matrix_kernel, subspace_intersect
 from .modules import FinModule, module_times_ideal
 
 
@@ -90,43 +90,25 @@ def compute_center(cat: FinCat) -> CenterAlgebra:
 
 def _build_center(cat: FinCat) -> CenterAlgebra:
     p = cat.p
-    offs = {}
-    total = 0
-    for a in cat.objects:
-        offs[a] = total
-        total += cat.hom_dim[(a, a)]
-    rows = []
+    # z_a is the row of its coordinates in A(a, a)
+    shapes = {a: (1, cat.hom_dim[(a, a)]) for a in cat.objects}
+    equations = []
     for a in cat.objects:
         for b in cat.objects:
             d = cat.hom_dim[(a, b)]
-            if d == 0:
-                continue
             for u in cat.basis(a, b):
-                # z_b . u - u . z_a = 0, one row per coordinate of A(a, b)
-                left = [cat.compose(z, u).coords for z in cat.basis(b, b)]
-                right = [cat.compose(u, z).coords for z in cat.basis(a, a)]
-                for c in range(d):
-                    row = [0] * total
-                    for i, vec in enumerate(left):
-                        row[offs[b] + i] = (row[offs[b] + i] + vec[c]) % p
-                    for i, vec in enumerate(right):
-                        row[offs[a] + i] = (row[offs[a] + i] - vec[c]) % p
-                    if any(row):
-                        rows.append(row)
-    ker = kernel_basis(Mat(p, len(rows), total, rows))
+                # z_b . u - u . z_a = 0 in the coordinates of A(a, b)
+                left = Mat(p, cat.hom_dim[(b, b)], d, [cat.compose(z, u).coords for z in cat.basis(b, b)])
+                right = Mat(p, cat.hom_dim[(a, a)], d, [cat.compose(u, z).coords for z in cat.basis(a, a)])
+                equations.append([(1, None, b, left), (-1, None, a, right)])
+    ker, pack, unpack = matrix_kernel(p, shapes, equations)
     basis = []
     for v in ker.basis_vectors():
-        comps = {
-            a: Morphism(a, a, v[offs[a]: offs[a] + cat.hom_dim[(a, a)]])
-            for a in cat.objects
-        }
-        basis.append(CenterElement(cat, comps))
+        comps = unpack(v)
+        basis.append(CenterElement(cat, {a: Morphism(a, a, comps[a].row(0)) for a in cat.objects}))
 
     def to_coords(elem: CenterElement):
-        flat = []
-        for a in cat.objects:
-            flat.extend(elem.components[a].coords)
-        coords = ker.coords(flat)
+        coords = ker.coords(pack({a: Mat.from_rows(p, [elem.components[a].coords]) for a in cat.objects}))
         if coords is None:
             raise RuntimeError("element is not central")
         return coords
@@ -214,8 +196,6 @@ def summand_bijection_check(cat: FinCat) -> dict:
 
 
 def _intersection_dim(u: Subspace, v: Subspace) -> int:
-    from .linalg import subspace_intersect
-
     return subspace_intersect(u, v).dim
 
 

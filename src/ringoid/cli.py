@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from .category import FinCat, cat_from_json, cat_hash, cat_to_json, catalog, validate
+from .category import FinCat, cat_document, cat_from_json, cat_hash, cat_to_json, catalog, validate
 from .center import center_idempotents, compute_center, summand_bijection_check
 from .completion import additive_closure, find_oplus_generator, idempotent_completion
 from .ideals import (
@@ -43,6 +43,7 @@ EXIT_FAIL = 1
 EXIT_REFUSED = 2
 EXIT_USAGE = 64
 EXIT_BAD_INPUT = 65
+EXIT_SOFTWARE = 70
 
 # anchor -> engine operation implementing the statement it verifies
 ANCHORS = {
@@ -71,6 +72,7 @@ class Report:
         self.category_hash = cat_hash(cat)
         self.parameters = parameters
         self.findings = []
+        self.emitted = None  # the category `complete` emits, if any
         self.started = time.monotonic()
 
     def add(self, statement_id: str, anchor: str, verdict: str, witness=None):
@@ -101,6 +103,8 @@ class Report:
             "findings": self.findings,
             "timing": None,
         }
+        if self.emitted is not None:
+            doc["emitted"] = cat_document(self.emitted)
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def human(self) -> str:
@@ -152,7 +156,7 @@ def cmd_complete(cat, args, report):
         "pass",
         {"generator": list(gen) if gen is not None else None},
     )
-    report.emitted_category = cat_to_json(out)
+    report.emitted = out
     return report
 
 
@@ -417,14 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--idempotents", action="store_true", help="complete/center: include idempotent data")
     parser.add_argument("--summands", action="store_true", help="center: check the summand bijection")
     parser.add_argument("--ideal", default="all", help="recollement: idempotent ideal index or 'all'")
-    parser.add_argument("--enumerate", action="store_true", help="gabriel: kept for symmetry; enumeration always runs")
-    parser.add_argument("--roundtrip", action="store_true", help="gabriel: kept for symmetry; roundtrip always runs")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         return _run(argv)
+    except Exception as e:
+        # a broken invariant is a bug in ringoid, reported in one line
+        message = " ".join(str(e).splitlines())
+        print(f"ringoid: internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return EXIT_SOFTWARE
     finally:
         # memo entries point back at their category, so only the cyclic
         # collector frees a finished command's derived structures
@@ -468,15 +475,11 @@ def _run(argv) -> int:
         report.add(args.command, "axioms:preadditive-category", f"refused(cap): {e}")
         print(report.to_json() if args.json else report.human())
         return EXIT_REFUSED
-    emitted = getattr(report, "emitted_category", None)
     if args.json:
-        doc = json.loads(report.to_json())
-        if emitted is not None:
-            doc["emitted"] = json.loads(emitted)
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        print(report.to_json())
     else:
-        if emitted is not None:
-            print(emitted)
+        if report.emitted is not None:
+            print(cat_to_json(report.emitted))
         print(report.human())
     return report.exit_code()
 

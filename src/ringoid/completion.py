@@ -9,18 +9,21 @@ morphisms and compose by row-by-column multiplication.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
-from .linalg import CapExceeded, Mat, Subspace, kernel_basis, vector_cap
+from .linalg import CapExceeded, Mat, Subspace, check_vector_cap, kernel_basis, vector_cap
 from .modules import (
     FinModule,
     ModuleMap,
     cyclic_submodule,
+    direct_sum,
     image,
     kernel,
     representable,
     submodule_module,
+    zero_module,
     zero_submodule,
 )
 
@@ -139,28 +142,15 @@ def additive_closure(base: FinCat, bound: int, cap_objects: int = MAX_CLOSURE_OB
 
 def induce_module(closure: AdditiveClosure, m: FinModule) -> FinModule:
     """The canonical extension of a base module: block sums on tuples."""
-    base = closure.base
-    dims = {}
-    offs_of = {}
-    for t_id, t in closure.tuples.items():
-        offs = []
-        total = 0
-        for comp_obj in t:
-            offs.append(total)
-            total += m.dims[comp_obj]
-        dims[t_id] = total
-        offs_of[t_id] = offs
+    sizes = {t_id: [m.dims[c] for c in t] for t_id, t in closure.tuples.items()}
     action = {}
-    for (s_id, t_id), (layout, _, total_dim) in closure._layout.items():
+    for (s_id, t_id), (layout, _, _) in closure._layout.items():
         s, t = closure.tuples[s_id], closure.tuples[t_id]
         for idx, (i, j, k) in enumerate(layout):
-            rows = [[0] * dims[t_id] for _ in range(dims[s_id])]
-            blk = m.action[(s[i], t[j], k)]
-            ro, co = offs_of[s_id][i], offs_of[t_id][j]
-            for r in range(blk.rows):
-                for c in range(blk.cols):
-                    rows[ro + r][co + c] = blk.entries[r][c]
-            action[(s_id, t_id, idx)] = Mat(base.p, dims[s_id], dims[t_id], rows)
+            action[(s_id, t_id, idx)] = Mat.from_blocks(
+                m.p, sizes[s_id], sizes[t_id], {(i, j): m.action[(s[i], t[j], k)]}
+            )
+    dims = {t_id: sum(sz) for t_id, sz in sizes.items()}
     return FinModule(closure.cat, dims, action, name=f"ind({m.name})" if m.name else "")
 
 
@@ -176,49 +166,25 @@ def restrict_module(closure: AdditiveClosure, n: FinModule) -> FinModule:
     return FinModule(base, dims, action, name=f"res({n.name})" if n.name else "")
 
 
-def coproduct_of_representables(cat: FinCat, components) -> tuple:
-    """(module, offsets): the direct sum of H_c over the given base objects."""
-    dims = {}
-    offs = []
-    total_at = {a: 0 for a in cat.objects}
-    for c in components:
-        offs.append({a: total_at[a] for a in cat.objects})
-        for a in cat.objects:
-            total_at[a] += cat.hom_dim[(a, c)]
-    for a in cat.objects:
-        dims[a] = total_at[a]
-    action = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            for i, f in enumerate(cat.basis(a, b)):
-                rows = [[0] * dims[b] for _ in range(dims[a])]
-                for idx, c in enumerate(components):
-                    blk = cat.precompose_matrix(f, c)
-                    ro, co = offs[idx][a], offs[idx][b]
-                    for r in range(blk.rows):
-                        for cc in range(blk.cols):
-                            rows[ro + r][co + cc] = blk.entries[r][cc]
-                action[(a, b, i)] = Mat(cat.p, dims[a], dims[b], rows)
-    return FinModule(cat, dims, action, name="+".join(f"H_{c}" for c in components) or "0"), offs
+def coproduct_of_representables(cat: FinCat, components) -> FinModule:
+    """The direct sum of H_c over the given base objects, in component order."""
+    out = functools.reduce(direct_sum, [representable(cat, c) for c in components], zero_module(cat))
+    out.name = "+".join(f"H_{c}" for c in components) or "0"
+    return out
 
 
 def blocks_map(cat: FinCat, src_tuple, tgt_tuple, blocks) -> ModuleMap:
     """The module map between coproducts of representables induced by a block
     matrix of base morphisms (blocks[i][j]: src_i -> tgt_j)."""
-    msrc, offs_s = coproduct_of_representables(cat, src_tuple)
-    mtgt, offs_t = coproduct_of_representables(cat, tgt_tuple)
-    comps = {}
-    for a in cat.objects:
-        rows = [[0] * msrc.dims[a] for _ in range(mtgt.dims[a])]
-        for i, si in enumerate(src_tuple):
-            for j, tj in enumerate(tgt_tuple):
-                blk = cat.postcompose_matrix(blocks[i][j], a)
-                ro, co = offs_t[j][a], offs_s[i][a]
-                for r in range(blk.rows):
-                    for c in range(blk.cols):
-                        rows[ro + r][co + c] = (rows[ro + r][co + c] + blk.entries[r][c]) % cat.p
-        comps[a] = Mat(cat.p, mtgt.dims[a], msrc.dims[a], rows)
-    return ModuleMap(msrc, mtgt, comps)
+    comps = {
+        a: Mat.from_blocks(cat.p, [cat.hom_dim[(a, t)] for t in tgt_tuple],
+                           [cat.hom_dim[(a, s)] for s in src_tuple],
+                           {(j, i): cat.postcompose_matrix(blocks[i][j], a)
+                            for i in range(len(src_tuple)) for j in range(len(tgt_tuple))})
+        for a in cat.objects
+    }
+    return ModuleMap(coproduct_of_representables(cat, src_tuple),
+                     coproduct_of_representables(cat, tgt_tuple), comps)
 
 
 def pseudo_kernel(cat: FinCat, src_tuple, tgt_tuple, blocks):
@@ -243,14 +209,15 @@ def pseudo_kernel(cat: FinCat, src_tuple, tgt_tuple, blocks):
         if acc.total_dim() == k.total_dim():
             break
     ker_tuple = tuple(c for c, _ in gens)
-    _, offs_s = coproduct_of_representables(cat, src_tuple)
     psi_blocks = []
     for c, v in gens:
+        # v lies in the sum of the A(c, s_i), one block per component
         row = []
-        for i, si in enumerate(src_tuple):
-            off = offs_s[i][c]
+        off = 0
+        for si in src_tuple:
             d = cat.hom_dim[(c, si)]
             row.append(Morphism(c, si, v[off: off + d]))
+            off += d
         psi_blocks.append(row)
     return ker_tuple, psi_blocks
 
@@ -357,8 +324,6 @@ def restrict_h(closure: AdditiveClosure, t_id: str) -> FinModule:
 
 def objects_isomorphic(cat: FinCat, a: str, b: str) -> bool:
     """Exhaustive mutually-inverse morphism search, behind a hom-dim prefilter."""
-    from .linalg import check_vector_cap
-
     if a == b:
         return True
     if (

@@ -115,6 +115,23 @@ class Mat:
         return cls(p, nrows, len(cols), tuple(zip(*cols)) if cols else ((),) * nrows)
 
     @classmethod
+    def from_blocks(cls, p: int, row_sizes, col_sizes, blocks) -> "Mat":
+        """The block matrix with blocks[(i, j)] in block row i and block column j.
+
+        Block (i, j) is row_sizes[i] x col_sizes[j]; absent blocks are zero.
+        """
+        nrows, ncols = sum(row_sizes), sum(col_sizes)
+        rows = [[0] * ncols for _ in range(nrows)]
+        for (i, j), blk in blocks.items():
+            if not (0 <= i < len(row_sizes) and 0 <= j < len(col_sizes)
+                    and (blk.rows, blk.cols) == (row_sizes[i], col_sizes[j])):
+                raise DimensionMismatch(f"a {blk.rows}x{blk.cols} block does not fit at ({i}, {j})")
+            c0 = sum(col_sizes[:j])
+            for r, row in enumerate(blk.entries, sum(row_sizes[:i])):
+                rows[r][c0:c0 + blk.cols] = row
+        return cls(p, nrows, ncols, rows)
+
+    @classmethod
     def zero(cls, p: int, rows: int, cols: int) -> "Mat":
         return cls(p, rows, cols, ((0,) * cols,) * rows)
 
@@ -188,17 +205,6 @@ class Mat:
 
     def row(self, i: int) -> Vec:
         return self.entries[i]
-
-    def hstack(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack row mismatch")
-        return Mat(self.p, self.rows, self.cols + other.cols,
-                   tuple(r + s for r, s in zip(self.entries, other.entries)))
-
-    def vstack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack col mismatch")
-        return Mat(self.p, self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.entries for x in r)
@@ -422,6 +428,77 @@ def kernel_basis(m: Mat) -> Subspace:
             v[c] = (-row[f]) % m.p
         basis.append(v)
     return Subspace.from_vectors(m.p, m.cols, basis)
+
+
+def matrix_kernel(p: int, shapes: dict, equations):
+    """Solve a homogeneous linear system whose unknowns are matrices.
+
+    shapes maps each unknown X[key] to its (rows, cols).  Each equation is a
+    list of terms (c, L, key, R) and states sum c * L @ X[key] @ R = 0, where
+    None stands for an identity factor.  The unknowns are flattened in the
+    order of `shapes`, each row-major, and only here.
+
+    Returns (solutions, pack, unpack): the solution Subspace of the flat
+    space, pack({key: Mat}) -> flat vector, and unpack(flat vector) ->
+    {key: Mat}.
+    """
+    offs = {}
+    total = 0
+    for key, (r, c) in shapes.items():
+        offs[key] = total
+        total += r * c
+    rows = []
+    for terms in equations:
+        # block[r * nc + c] is the row of entry (r, c) of the nr x nc equation
+        block = None
+        for coef, left, key, right in terms:
+            kr, kc = shapes[key]
+            if (left is not None and left.cols != kr) or (right is not None and right.rows != kc):
+                raise DimensionMismatch(f"a factor of {key} does not fit its {kr}x{kc} unknown")
+            nr = kr if left is None else left.rows
+            nc = kc if right is None else right.cols
+            if block is None:
+                shape = (nr, nc)
+                block = [[0] * total for _ in range(nr * nc)]
+            elif (nr, nc) != shape:
+                raise DimensionMismatch(f"term of {key} does not fit the equation's {shape[0]}x{shape[1]}")
+            # the nonzero entries (r, u, L[r][u]) and (v, c, R[v][c])
+            if left is None:
+                lnz = [(u, u, 1) for u in range(kr)]
+            else:
+                lnz = [(r, u, x) for r, row in enumerate(left.entries) for u, x in enumerate(row) if x]
+            if right is None:
+                rnz = [(v, v, 1) for v in range(kc)]
+            else:
+                rnz = [(v, c, y) for v, row in enumerate(right.entries) for c, y in enumerate(row) if y]
+            off = offs[key]
+            for r, u, x in lnz:
+                base = off + u * kc
+                cx = coef * x
+                for v, c, y in rnz:
+                    row = block[r * nc + c]
+                    row[base + v] = (row[base + v] + cx * y) % p
+        if block:
+            rows.extend(row for row in block if any(row))
+    solutions = kernel_basis(Mat(p, len(rows), total, rows))
+
+    def pack(mats) -> Vec:
+        flat = []
+        for key, shape in shapes.items():
+            m = mats[key]
+            if (m.rows, m.cols) != shape:
+                raise DimensionMismatch(f"{key} is {m.rows}x{m.cols}, expected {shape[0]}x{shape[1]}")
+            for row in m.entries:
+                flat.extend(row)
+        return tuple(flat)
+
+    def unpack(vec) -> dict:
+        return {
+            key: Mat(p, r, c, [vec[offs[key] + i * c: offs[key] + i * c + c] for i in range(r)])
+            for key, (r, c) in shapes.items()
+        }
+
+    return solutions, pack, unpack
 
 
 def image_basis(m: Mat) -> Subspace:

@@ -30,6 +30,8 @@ from .linalg import (
     complement_data,
     image_basis,
     kernel_basis,
+    matrix_kernel,
+    subspace_intersect,
     subspace_sum,
     vector_cap,
 )
@@ -184,41 +186,14 @@ def hom_space(m: FinModule, n: FinModule) -> list:
     cat = m.cat
     if cat is not n.cat and cat.objects != n.cat.objects:
         raise ValueError("modules live over different categories")
-    p = cat.p
-    offs = {}
-    total = 0
-    for a in cat.objects:
-        offs[a] = total
-        total += n.dims[a] * m.dims[a]
-    rows = []
-    for (a, b, i), ma in m.action.items():
-        na = n.action[(a, b, i)]
-        n_a, m_a = n.dims[a], m.dims[a]
-        n_b, m_b = n.dims[b], m.dims[b]
-        for r in range(n_a):
-            for c in range(m_b):
-                row = [0] * total
-                for k in range(m_a):
-                    coef = ma.entries[k][c]
-                    if coef:
-                        row[offs[a] + r * m_a + k] = (row[offs[a] + r * m_a + k] + coef) % p
-                for k in range(n_b):
-                    coef = na.entries[r][k]
-                    if coef:
-                        idx = offs[b] + k * m_b + c
-                        row[idx] = (row[idx] - coef) % p
-                if any(row):
-                    rows.append(row)
-    ker = kernel_basis(Mat(p, len(rows), total, rows))
-    out = []
-    for v in ker.basis_vectors():
-        comps = {}
-        for a in cat.objects:
-            n_a, m_a = n.dims[a], m.dims[a]
-            block = v[offs[a]: offs[a] + n_a * m_a]
-            comps[a] = Mat(p, n_a, m_a, tuple(tuple(block[r * m_a: (r + 1) * m_a]) for r in range(n_a)))
-        out.append(ModuleMap(m, n, comps))
-    return out
+    shapes = {a: (n.dims[a], m.dims[a]) for a in cat.objects}
+    # phi_a . M(alpha) = N(alpha) . phi_b for every basis alpha of A(a, b)
+    equations = [
+        [(1, None, a, m.action[(a, b, i)]), (-1, n.action[(a, b, i)], b, None)]
+        for a, b, i in m.action
+    ]
+    solutions, _, unpack = matrix_kernel(cat.p, shapes, equations)
+    return [ModuleMap(m, n, unpack(v)) for v in solutions.basis_vectors()]
 
 
 def hom_dim(m: FinModule, n: FinModule) -> int:
@@ -267,7 +242,6 @@ class Submodule:
                          {a: subspace_sum(self.spaces[a], other.spaces[a]) for a in self.spaces})
 
     def intersect(self, other: "Submodule") -> "Submodule":
-        from .linalg import subspace_intersect
         return Submodule(self.module,
                          {a: subspace_intersect(self.spaces[a], other.spaces[a]) for a in self.spaces})
 
@@ -400,16 +374,11 @@ def quotient_module(m: FinModule, s: Submodule):
 def direct_sum(m: FinModule, n: FinModule) -> FinModule:
     cat = m.cat
     dims = {a: m.dims[a] + n.dims[a] for a in cat.objects}
-    action = {}
-    for key in m.action:
-        a, b, _ = key
-        ma, na = m.action[key], n.action[key]
-        rows = []
-        for r in range(ma.rows):
-            rows.append(ma.entries[r] + (0,) * na.cols)
-        for r in range(na.rows):
-            rows.append((0,) * ma.cols + na.entries[r])
-        action[key] = Mat(cat.p, dims[a], m.dims[b] + n.dims[b], rows)
+    action = {
+        (a, b, i): Mat.from_blocks(cat.p, (m.dims[a], n.dims[a]), (m.dims[b], n.dims[b]),
+                                   {(0, 0): ma, (1, 1): n.action[(a, b, i)]})
+        for (a, b, i), ma in m.action.items()
+    }
     return FinModule(cat, dims, action)
 
 
@@ -500,70 +469,32 @@ def simple_modules(cat: FinCat) -> list:
 def _extensions(s: FinModule, q: FinModule, cap: int) -> list:
     """All modules with submodule block s and quotient block q.
 
-    The off-diagonal blocks form the solution space of a linear system
+    The off-diagonal blocks C form the solution space of a linear system
     (functoriality and identity constraints); each solution is one candidate.
     """
     cat = s.cat
     p = cat.p
-    keys = sorted(s.action)
-    offs = {}
-    total = 0
-    for key in keys:
-        a, b, _ = key
-        offs[key] = total
-        total += s.dims[a] * q.dims[b]
-    rows = []
-
-    def add_rows(terms, shape):
-        """One block equation sum_t left_t @ c_{key_t} @ right_t = 0.
-
-        terms: list of (key, left or None, right or None, sign); None stands
-        for an identity factor of the fitting size.
-        """
-        ra, cb = shape
-        for r in range(ra):
-            for c in range(cb):
-                row = [0] * total
-                for key, left, right, sign in terms:
-                    a, b, _ = key
-                    sa, qb = s.dims[a], q.dims[b]
-                    for u in range(sa):
-                        lv = left.entries[r][u] if left is not None else (1 if r == u else 0)
-                        if lv == 0:
-                            continue
-                        for v in range(qb):
-                            rv = right.entries[v][c] if right is not None else (1 if v == c else 0)
-                            if rv == 0:
-                                continue
-                            idx = offs[key] + u * qb + v
-                            row[idx] = (row[idx] + sign * lv * rv) % p
-                if any(row):
-                    rows.append(row)
-
+    shapes = {(a, b, i): (s.dims[a], q.dims[b]) for a, b, i in sorted(s.action)}
+    equations = []
     for a in cat.objects:
-        if cat.hom_dim[(a, a)] == 0:
-            continue
-        terms = [
-            ((a, a, i), Mat.identity(p, s.dims[a]).scale(cf), None, 1)
-            for i, cf in enumerate(cat.id_coords[a])
-            if cf
-        ]
-        add_rows(terms, (s.dims[a], q.dims[a]))
+        if cat.hom_dim[(a, a)]:
+            # the identity acts as the identity: C(id_a) = 0
+            equations.append([(cf, None, (a, a, i), None) for i, cf in enumerate(cat.id_coords[a]) if cf])
     for a in cat.objects:
         for b in cat.objects:
             for i in range(cat.hom_dim[(a, b)]):
                 for c in cat.objects:
                     for j in range(cat.hom_dim[(b, c)]):
-                        comp_vec = cat.compose_basis(a, b, c, i, j)
+                        # C(beta . alpha) = S(alpha) C(beta) + C(alpha) Q(beta)
                         terms = [
-                            ((a, c, k), Mat.identity(p, s.dims[a]).scale(cf), None, 1)
-                            for k, cf in enumerate(comp_vec)
+                            (cf, None, (a, c, k), None)
+                            for k, cf in enumerate(cat.compose_basis(a, b, c, i, j))
                             if cf
                         ]
-                        terms.append(((b, c, j), s.action[(a, b, i)], None, -1))
-                        terms.append(((a, b, i), None, q.action[(b, c, j)], -1))
-                        add_rows(terms, (s.dims[a], q.dims[c]))
-    sol = kernel_basis(Mat(p, len(rows), total, rows))
+                        terms.append((-1, s.action[(a, b, i)], (b, c, j), None))
+                        terms.append((-1, None, (a, b, i), q.action[(b, c, j)]))
+                        equations.append(terms)
+    sol, pack, unpack = matrix_kernel(p, shapes, equations)
     if p ** sol.dim > cap:
         raise CapExceeded(
             f"extension enumeration needs {p ** sol.dim} cocycles, over cap {cap}"
@@ -571,42 +502,29 @@ def _extensions(s: FinModule, q: FinModule, cap: int) -> list:
     # a basis change [[I, h], [0, I]] shifts the off-diagonal blocks by a
     # coboundary, so only one representative per coset yields a new module
     cob_vecs = []
-    for c_obj in cat.objects:
-        for r in range(q.dims[c_obj]):
-            for cidx in range(s.dims[c_obj]):
-                h = {
-                    o: Mat.zero(p, s.dims[o], q.dims[o]) for o in cat.objects
-                }
-                ent = [[0] * q.dims[c_obj] for _ in range(s.dims[c_obj])]
-                ent[cidx][r] = 1
-                h[c_obj] = Mat(p, s.dims[c_obj], q.dims[c_obj], ent)
-                vec = [0] * total
-                for key in keys:
-                    a, b, _ = key
-                    block = s.action[key] @ h[b] - h[a] @ q.action[key]
-                    qb = q.dims[b]
-                    for u in range(s.dims[a]):
-                        for v in range(qb):
-                            vec[offs[key] + u * qb + v] = block.entries[u][v]
-                cob_vecs.append(vec)
-    cob = Subspace.from_vectors(p, total, cob_vecs)
+    zero_h = {o: Mat.zero(p, s.dims[o], q.dims[o]) for o in cat.objects}
+    for o in cat.objects:
+        for u in range(s.dims[o]):
+            for v in range(q.dims[o]):
+                unit = [[0] * q.dims[o] for _ in range(s.dims[o])]
+                unit[u][v] = 1
+                h = {**zero_h, o: Mat(p, s.dims[o], q.dims[o], unit)}
+                cob_vecs.append(pack({
+                    (a, b, i): s.action[(a, b, i)] @ h[b] - h[a] @ q.action[(a, b, i)]
+                    for a, b, i in shapes
+                }))
+    cob = Subspace.from_vectors(p, sol.ambient, cob_vecs)
     reps = sorted({cob.reduce(vec) for vec in sol.vectors()})
+    dims = {a: s.dims[a] + q.dims[a] for a in cat.objects}
     out = []
     for vec in reps:
-        action = {}
-        for key in keys:
-            a, b, _ = key
-            sa, qb = s.dims[a], q.dims[b]
-            block = vec[offs[key]: offs[key] + sa * qb]
-            cmat = tuple(tuple(block[r * qb: (r + 1) * qb]) for r in range(sa))
-            top = tuple(
-                s.action[key].entries[r] + cmat[r] for r in range(sa)
-            )
-            bottom = tuple(
-                (0,) * s.dims[b] + q.action[key].entries[r] for r in range(q.dims[a])
-            )
-            action[key] = Mat(p, sa + q.dims[a], s.dims[b] + qb, top + bottom)
-        dims = {a: s.dims[a] + q.dims[a] for a in cat.objects}
+        blocks = unpack(vec)
+        action = {
+            (a, b, i): Mat.from_blocks(p, (s.dims[a], q.dims[a]), (s.dims[b], q.dims[b]),
+                                       {(0, 0): s.action[(a, b, i)], (0, 1): blk,
+                                        (1, 1): q.action[(a, b, i)]})
+            for (a, b, i), blk in blocks.items()
+        }
         out.append(FinModule(cat, dims, action))
     return out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .category import FinCat, Morphism, derived
-from .linalg import CapExceeded, Mat, Subspace, preimage, vector_cap
+from .linalg import CapExceeded, Mat, Subspace, kernel_basis, preimage, vector_cap
 from .modules import (
     FinModule,
     Submodule,
@@ -132,10 +132,7 @@ def yoneda_kernel(cat: FinCat, m: FinModule, a: str, v) -> Submodule:
     for b in cat.objects:
         d = cat.hom_dim[(b, a)]
         cols = [m.action[(b, a, i)].apply(v) for i in range(d)]
-        mat = Mat.from_cols(cat.p, m.dims[b], cols)
-        from .linalg import kernel_basis
-
-        spaces[b] = kernel_basis(mat)
+        spaces[b] = kernel_basis(Mat.from_cols(cat.p, m.dims[b], cols))
     return Submodule(h, spaces)
 
 

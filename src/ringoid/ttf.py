@@ -238,30 +238,15 @@ def corner_restriction_map(corner: CornerCategory, phi: ModuleMap) -> ModuleMap:
     tgt_mod, tgt_images = corner.restriction_data(phi.tgt)
     comps = {}
     for o, eps in corner.carrier.items():
-        moved = _induced_component(corner.closure, phi, eps.src) @ src_images[o].basis_matrix()
+        t = corner.closure.tuples[eps.src]
+        induced = Mat.from_blocks(phi.src.p, [phi.tgt.dims[c] for c in t], [phi.src.dims[c] for c in t],
+                                  {(k, k): phi.comps[c] for k, c in enumerate(t)})
+        moved = induced @ src_images[o].basis_matrix()
         cols = [tgt_images[o].coords(moved.col(j)) for j in range(moved.cols)]
         if None in cols:
             raise RuntimeError("induced map does not preserve idempotent images")
         comps[o] = Mat.from_cols(moved.p, tgt_mod.dims[o], cols)
     return ModuleMap(src_mod, tgt_mod, comps)
-
-
-def _induced_component(closure: AdditiveClosure, phi: ModuleMap, t_id: str) -> Mat:
-    """The block diagonal component of the induced map at a tuple object."""
-    t = closure.tuples[t_id]
-    p = phi.src.p
-    rows_total = sum(phi.tgt.dims[c] for c in t)
-    cols_total = sum(phi.src.dims[c] for c in t)
-    rows = [[0] * cols_total for _ in range(rows_total)]
-    ro = co = 0
-    for c in t:
-        blk = phi.comps[c]
-        for r in range(blk.rows):
-            for cc in range(blk.cols):
-                rows[ro + r][co + cc] = blk.entries[r][cc]
-        ro += blk.rows
-        co += blk.cols
-    return Mat(p, rows_total, cols_total, rows)
 
 
 class RecollementData:

@@ -23,7 +23,7 @@ def test_jans_on_catalog(capsys):
 
 
 def test_gabriel_json_counts(capsys):
-    code, out = run_cli(["gabriel", "catalog:dual", "--p", "2", "--enumerate", "--json"], capsys)
+    code, out = run_cli(["gabriel", "catalog:dual", "--p", "2", "--json"], capsys)
     assert code == 0
     doc = json.loads(out)
     topo = next(f for f in doc["findings"] if f["statement_id"] == "topology-axioms")
@@ -346,3 +346,54 @@ def test_census_json_matches_recorded_hash(capsys, name):
     code, out = run_cli(["census", f"catalog:{name}", "--p", "3", "--json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == CENSUS_P3_SHA256[name]
+
+
+# sha256 prefixes of two more reports recorded in CHANGES.md: the first runs
+# induce_module and the corner restriction of maps, the second the center
+REPORT_SHA256 = {
+    "recollement-a2cat-p2": (["recollement", "catalog:a2cat", "--p", "2"], "6419481e3789b1f6"),
+    "center-mat2-p3": (["center", "catalog:mat2", "--p", "3"], "0c703b5037d7e045"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_json_report_matches_recorded_hash(capsys, name):
+    argv, expected = REPORT_SHA256[name]
+    code, out = run_cli([*argv, "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected
+
+
+def test_complete_json_embeds_the_interchange_document(capsys):
+    from ringoid.completion import additive_closure
+
+    code, out = run_cli(["complete", "catalog:dual", "--p", "2", "--bound", "2", "--json"], capsys)
+    assert code == 0
+    emitted = json.loads(out)["emitted"]
+    assert emitted == json.loads(cat_to_json(additive_closure(catalog("dual(2)"), 2).cat))
+
+
+@pytest.mark.parametrize("flag", ["--enumerate", "--roundtrip"])
+def test_removed_gabriel_flags_are_usage_errors(flag):
+    assert cli.main(["gabriel", "catalog:pt", "--p", "2", flag]) == 64
+
+
+def test_internal_error_exits_70_with_one_line(monkeypatch, capsys):
+    def broken(cat, args, report):
+        raise RuntimeError("invariant broken\nsecond line")
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", broken)
+    code = cli.main(["validate", "catalog:pt", "--p", "2"])
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert captured.err == "ringoid: internal error: RuntimeError: invariant broken second line\n"
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    def interrupted(cat, args, report):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["validate", "catalog:pt", "--p", "2"])

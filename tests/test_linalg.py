@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import itertools
+
 from ringoid.linalg import (
     CapExceeded,
     DimensionMismatch,
@@ -11,6 +13,7 @@ from ringoid.linalg import (
     enumerate_subspaces,
     image_basis,
     kernel_basis,
+    matrix_kernel,
     preimage,
     rref,
     row_space,
@@ -227,3 +230,113 @@ def test_coords_agree_with_solve(data):
     expected = solve(Mat.from_cols(p, 4, s.basis_vectors()), tuple(v))
     assert s.coords(v) == expected
     assert (s.coords(v) is None) == (not s.contains(v))
+
+
+def test_from_blocks_places_blocks_and_zero_fills():
+    a = Mat.from_rows(3, [(1, 2)])
+    b = Mat.from_rows(3, [(2,), (1,)])
+    m = Mat.from_blocks(3, (1, 2), (2, 1), {(0, 0): a, (1, 1): b})
+    assert m == Mat.from_rows(3, [(1, 2, 0), (0, 0, 2), (0, 0, 1)])
+
+
+def test_from_blocks_off_diagonal_block():
+    c = Mat.from_rows(2, [(1, 1)])
+    m = Mat.from_blocks(2, (1, 1), (1, 2), {(0, 1): c, (1, 0): Mat.identity(2, 1)})
+    assert m == Mat.from_rows(2, [(0, 1, 1), (1, 0, 0)])
+
+
+def test_from_blocks_zero_size_rows_and_columns():
+    # a 0-row block row and a 0-column block column take no space
+    b = Mat.from_rows(5, [(4,), (3,)])
+    m = Mat.from_blocks(5, (0, 2), (1, 0), {(1, 0): b, (0, 1): Mat.zero(5, 0, 0)})
+    assert m == b
+    assert Mat.from_blocks(5, (2,), (), {}) == Mat.zero(5, 2, 0)
+    assert Mat.from_blocks(5, (), (3,), {}) == Mat.zero(5, 0, 3)
+
+
+def test_from_blocks_absent_blocks_are_zero():
+    assert Mat.from_blocks(3, (1, 2), (2, 2), {}) == Mat.zero(3, 3, 4)
+
+
+@pytest.mark.parametrize("blocks", [
+    {(0, 0): Mat.identity(2, 2)},   # wrong shape
+    {(1, 0): Mat.identity(2, 1)},   # block row outside the grid
+    {(0, -1): Mat.identity(2, 1)},  # negative index
+])
+def test_from_blocks_rejects_misfit_blocks(blocks):
+    with pytest.raises(DimensionMismatch):
+        Mat.from_blocks(2, (1,), (1,), blocks)
+
+
+def draw_mat(data, p, rows, cols):
+    entries = data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return Mat(p, rows, cols, entries)
+
+
+def evaluate(terms, xs):
+    """sum c * L @ X[key] @ R in plain Mat arithmetic, None meaning identity."""
+    total = None
+    for c, left, key, right in terms:
+        t = xs[key]
+        if left is not None:
+            t = left @ t
+        if right is not None:
+            t = t @ right
+        t = t.scale(c)
+        total = t if total is None else total + t
+    return total
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_matrix_kernel_matches_brute_force(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    # at most 8 unknown entries, and at most 256 assignments to enumerate
+    budget = max(n for n in range(9) if p ** n <= 256)
+    shapes = {}
+    for k in range(data.draw(st.integers(1, 3))):
+        r = data.draw(st.integers(0, 3))
+        c = data.draw(st.integers(0, min(3, budget // r) if r else 3))
+        budget -= r * c
+        shapes[("x", k)] = (r, c)
+    keys = list(shapes)
+    equations = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        nr, nc = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        terms = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            key = data.draw(st.sampled_from(keys))
+            kr, kc = shapes[key]
+            left = None if kr == nr and data.draw(st.booleans()) else draw_mat(data, p, nr, kr)
+            right = None if kc == nc and data.draw(st.booleans()) else draw_mat(data, p, kc, nc)
+            terms.append((data.draw(st.integers(-p, p)), left, key, right))
+        equations.append(terms)
+
+    solutions, pack, unpack = matrix_kernel(p, shapes, equations)
+
+    n = sum(r * c for r, c in shapes.values())
+    expected = set()
+    for flat in itertools.product(range(p), repeat=n):
+        xs, rest = {}, list(flat)
+        for key, (r, c) in shapes.items():
+            xs[key] = Mat(p, r, c, [[rest.pop(0) for _ in range(c)] for _ in range(r)])
+        if all(evaluate(terms, xs).is_zero() for terms in equations):
+            expected.add(tuple(xs[key].entries for key in keys))
+    assert solutions.ambient == n
+    found = {tuple(unpack(v)[key].entries for key in keys) for v in solutions.vectors()}
+    assert found == expected
+
+    xs = {key: draw_mat(data, p, r, c) for key, (r, c) in shapes.items()}
+    # unknowns in the order of `shapes`, each row-major
+    assert pack(xs) == tuple(x for key in keys for row in xs[key].entries for x in row)
+    assert unpack(pack(xs)) == xs
+
+
+def test_matrix_kernel_rejects_misfit_factors():
+    shapes = {"x": (2, 1)}
+    with pytest.raises(DimensionMismatch):
+        matrix_kernel(2, shapes, [[(1, Mat.identity(2, 3), "x", None)]])
+    with pytest.raises(DimensionMismatch):
+        # the two terms give a 2x1 and a 1x1 result
+        matrix_kernel(2, shapes, [[(1, None, "x", None), (1, Mat.zero(2, 1, 2), "x", None)]])

@@ -6,7 +6,9 @@ from ringoid.category import catalog, Morphism
 from ringoid.linalg import Mat
 from ringoid.modules import (
     FinModule,
+    ModuleMap,
     all_submodules,
+    check_naturality,
     cyclic_submodule,
     direct_sum,
     enumerate_modules,
@@ -397,3 +399,34 @@ def test_enumeration_feasible_at_dim_six():
         dims[m.total_dim()] = dims.get(m.total_dim(), 0) + 1
     # one class per triple (x, y, z) with x + y + 2z = n
     assert dims == {0: 1, 1: 2, 2: 4, 3: 6, 4: 9, 5: 12}
+
+
+@pytest.mark.parametrize("name", ["dual(2)", "a2cat(2)", "prod(3)"])
+def test_hom_space_against_all_component_tuples(name):
+    # independent oracle: every tuple of component matrices, filtered by
+    # the naturality squares, is exactly the span of the solved basis
+    cat = catalog(name)
+    p = cat.p
+    census = enumerate_modules(cat, 2)
+    for m in census:
+        for n in census:
+            shapes = [(n.dims[a], m.dims[a]) for a in cat.objects]
+            natural = set()
+            for flat in itertools.product(range(p), repeat=sum(r * c for r, c in shapes)):
+                comps, rest = {}, list(flat)
+                for a, (r, c) in zip(cat.objects, shapes):
+                    comps[a] = Mat(p, r, c, [[rest.pop(0) for _ in range(c)] for _ in range(r)])
+                if check_naturality(ModuleMap(m, n, comps)):
+                    natural.add(tuple(comps[a] for a in cat.objects))
+            basis = hom_space(m, n)
+            span = set()
+            for coeffs in itertools.product(range(p), repeat=len(basis)):
+                comps = []
+                for a in cat.objects:
+                    acc = Mat.zero(p, n.dims[a], m.dims[a])
+                    for c, phi in zip(coeffs, basis):
+                        acc = acc + phi.comps[a].scale(c)
+                    comps.append(acc)
+                span.add(tuple(comps))
+            assert len(span) == p ** len(basis)
+            assert span == natural
