@@ -13,7 +13,7 @@ import functools
 import itertools
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
-from .linalg import CapExceeded, Mat, Subspace, check_vector_cap, kernel_basis, vector_cap
+from .linalg import CapExceeded, Mat, Subspace, check_vector_cap, vector_cap
 from .modules import (
     FinModule,
     ModuleMap,
@@ -135,6 +135,14 @@ class AdditiveClosure:
                 v[off + k] = cf
         return Morphism(s_id, t_id, v)
 
+    def act(self, m: FinModule, f: Morphism) -> Mat:
+        """The matrix of the induced module at f, without inducing it: block
+        (i, j) is m at the component s_i -> t_j."""
+        s, t = self.tuples[f.src], self.tuples[f.tgt]
+        return Mat.from_blocks(m.p, [m.dims[c] for c in s], [m.dims[c] for c in t], {
+            (i, j): m.act(self.block(f, i, j)) for i in range(len(s)) for j in range(len(t))
+        })
+
 
 def additive_closure(base: FinCat, bound: int, cap_objects: int = MAX_CLOSURE_OBJECTS) -> AdditiveClosure:
     return derived(base, ("additive-closure", bound, cap_objects), lambda: AdditiveClosure(base, bound, cap_objects))
@@ -237,6 +245,37 @@ def compose_block_matrices(cat: FinCat, f_blocks, g_blocks):
     return out
 
 
+def idempotent_subcategory(closure: AdditiveClosure, idempotents, name: str):
+    """The full subcategory of the Karoubi envelope on named idempotents of
+    closure objects, as (category, lift).
+
+    The hom space eps1 -> eps2 is the sandwich image eps2 . A . eps1, which
+    for idempotents is the subspace of morphisms f with eps2 f eps1 = f, and
+    the identity of eps is eps itself.  lift[(o1, o2)] holds the RREF basis of
+    that subspace as columns of closure coordinates.
+    """
+    ccat = closure.cat
+    lift = {}
+    encode = {}
+    for o1, e1 in idempotents.items():
+        for o2, e2 in idempotents.items():
+            sub = Subspace.from_vectors(ccat.p, ccat.hom_dim[(e1.src, e2.src)], [
+                ccat.compose(ccat.compose(e2, f), e1).coords for f in ccat.basis(e1.src, e2.src)
+            ])
+            lift[(o1, o2)] = sub.basis_matrix()
+            encode[(o1, o2)] = sub.coords
+    cat = transfer_category(
+        ccat,
+        list(idempotents),
+        {o: e.src for o, e in idempotents.items()},
+        lift,
+        encode,
+        {o: e.coords for o, e in idempotents.items()},
+        name=name,
+    )
+    return cat, lift
+
+
 class IdemObject:
     def __init__(self, carrier_id: str, carrier, idem: Morphism):
         self.carrier_id = carrier_id
@@ -259,7 +298,6 @@ class IdempotentCompletion:
         if cap is None:
             cap = vector_cap()
         self.objects_meta = {}
-        objects = []
         for t_id in ccat.objects:
             d = ccat.hom_dim[(t_id, t_id)]
             if ccat.p ** d > cap:
@@ -268,32 +306,11 @@ class IdempotentCompletion:
                     f" {ccat.p ** d} vectors, over cap {cap}"
                 )
             for n, eps in enumerate(list_idempotents(ccat, t_id)):
-                obj = f"{t_id}#{n}"
-                objects.append(obj)
-                self.objects_meta[obj] = IdemObject(t_id, self.closure.tuples[t_id], eps)
-        lift = {}
-        encode = {}
-        p = ccat.p
-        for o1 in objects:
-            m1 = self.objects_meta[o1]
-            for o2 in objects:
-                m2 = self.objects_meta[o2]
-                amb = ccat.hom_dim[(m1.carrier_id, m2.carrier_id)]
-                sandwich_cols = []
-                for f in ccat.basis(m1.carrier_id, m2.carrier_id):
-                    g = ccat.compose(ccat.compose(m2.idem, f), m1.idem)
-                    sandwich_cols.append(tuple((x - y) % p for x, y in zip(g.coords, f.coords)))
-                sub = kernel_basis(Mat.from_cols(p, amb, sandwich_cols))
-                lift[(o1, o2)] = sub.basis_matrix()
-                encode[(o1, o2)] = sub.coords
-        self.cat = transfer_category(
-            ccat,
-            objects,
-            {o: m.carrier_id for o, m in self.objects_meta.items()},
-            lift,
-            encode,
-            {o: m.idem.coords for o, m in self.objects_meta.items()},
-            name=f"karoubi({base.name},{bound})" if base.name else "karoubi",
+                self.objects_meta[f"{t_id}#{n}"] = IdemObject(t_id, self.closure.tuples[t_id], eps)
+        self.cat, _ = idempotent_subcategory(
+            self.closure,
+            {o: m.idem for o, m in self.objects_meta.items()},
+            f"karoubi({base.name},{bound})" if base.name else "karoubi",
         )
 
 
@@ -423,7 +440,6 @@ def find_oplus_generator(base: FinCat, bound: int):
         ok = True
         for a in base.objects:
             a_id = closure.embed_object(a)
-            span = Subspace.zero(base.p, base.hom_dim[(a, a)])
             vecs = []
             for u in ccat.basis(a_id, g_id):
                 for v in ccat.basis(g_id, a_id):

@@ -16,7 +16,7 @@ from .linalg import (
     subspace_sum,
     vector_cap,
 )
-from .modules import FinModule, representable, trace
+from .modules import FinModule, join_closure, representable, trace
 
 
 class Ideal:
@@ -172,20 +172,8 @@ def principal_ideals(cat: FinCat, cap: int | None = None) -> list:
 
 def enumerate_ideals(cat: FinCat, cap: int | None = None) -> list:
     """Every two-sided ideal: sum-closure of the principal ideals."""
-    gens = principal_ideals(cat, cap)
-    found = {zero_ideal(cat).key(): zero_ideal(cat)}
-    frontier = [zero_ideal(cat)]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g in gens:
-                u = ideal_sum(i, g)
-                k = u.key()
-                if k not in found:
-                    found[k] = u
-                    nxt.append(u)
-        frontier = nxt
-    return sorted(found.values(), key=lambda i: (i.total_dim(), i.key()))
+    found = join_closure(zero_ideal(cat), principal_ideals(cat, cap), ideal_sum, Ideal.key)
+    return sorted(found, key=lambda i: (i.total_dim(), i.key()))
 
 
 def enumerate_idempotent_ideals(cat: FinCat, cap: int | None = None) -> list:

@@ -307,20 +307,35 @@ def all_submodules(m: FinModule, cap: int | None = None) -> list:
             if s.key() not in seen:
                 seen.add(s.key())
                 gens.append(s)
-    subs = {zero_submodule(m).key(): zero_submodule(m)}
-    frontier = [zero_submodule(m)]
+    subs = join_closure(zero_submodule(m), gens, Submodule.sum, Submodule.key)
+    return sorted(subs, key=lambda s: (s.total_dim(), s.key()))
+
+
+def join_closure(bottom, gens, join, key) -> list:
+    """Every join of bottom with finitely many gens, deduplicated by key, in
+    discovery order: each new element is joined with every generator until
+    no new key appears."""
+    found = {key(bottom): bottom}
+    frontier = [bottom]
     while frontier:
         nxt = []
-        for s in frontier:
+        for x in frontier:
             for g in gens:
-                u = s.sum(g)
-                k = u.key()
-                if k not in subs:
-                    subs[k] = u
+                u = join(x, g)
+                k = key(u)
+                if k not in found:
+                    found[k] = u
                     nxt.append(u)
         frontier = nxt
-    out = sorted(subs.values(), key=lambda s: (s.total_dim(), s.key()))
-    return out
+    return list(found.values())
+
+
+def short_exact_sequences(m: FinModule) -> list:
+    """[(incl, proj)]: the inclusion S -> M and the projection M -> M/S of
+    every submodule S, in all_submodules order, built once per module."""
+    return derived(m.cat, ("sequences", m.key()), lambda: [
+        (submodule_module(s)[1], quotient_module(m, s)[1]) for s in all_submodules(m)
+    ])
 
 
 def maximal_proper_submodules(m: FinModule, subs=None) -> list:

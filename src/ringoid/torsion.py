@@ -22,6 +22,7 @@ from .modules import (
     enumerate_modules,
     full_submodule,
     is_iso,
+    join_closure,
     killed_by,
     quotient_module,
     representable,
@@ -432,15 +433,10 @@ def hereditary_class_sweep(cat: FinCat, bound: int):
             q, _ = quotient_module(h, sub)
             seeds.append(q)
     seed_indices = sorted(_seed_indices(census, seeds, bound))
-    start = census.close({census.zero_index})
-    fingerprints = {start}
-    worklist = [start]
-    while worklist:
-        closed = worklist.pop()
-        for s in seed_indices:
-            if s not in closed:
-                joined = census.close(closed | {s})
-                if joined not in fingerprints:
-                    fingerprints.add(joined)
-                    worklist.append(joined)
+    fingerprints = join_closure(
+        census.close({census.zero_index}),
+        seed_indices,
+        lambda closed, s: closed if s in closed else census.close(closed | {s}),
+        lambda closed: closed,
+    )
     return sorted(fingerprints, key=sorted)

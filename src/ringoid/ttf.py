@@ -9,9 +9,9 @@ the finite intersection computes the honest infinite one.
 
 from __future__ import annotations
 
-from .category import FinCat, Morphism, derived, transfer_category
+from .category import FinCat, Morphism, derived
 from .center import center_idempotents, compute_center, ideal_of_idempotent
-from .completion import AdditiveClosure, additive_closure, induce_module, proj_module_of_idempotent
+from .completion import AdditiveClosure, additive_closure, idempotent_subcategory, proj_module_of_idempotent
 from .ideals import (
     Ideal,
     enumerate_idempotent_ideals,
@@ -25,13 +25,13 @@ from .linalg import Mat, image_basis, kernel_basis
 from .modules import (
     FinModule,
     ModuleMap,
-    all_submodules,
     annihilator,
     enumerate_modules,
     hom_space,
     killed_by,
     module_times_ideal,
     quotient_module,
+    short_exact_sequences,
     submodule_module,
 )
 
@@ -170,40 +170,16 @@ class CornerCategory:
 
     def __init__(self, closure: AdditiveClosure, idempotents):
         self.closure = closure
-        ccat = closure.cat
-        p = ccat.p
-        self.idempotents = list(idempotents)
-        objects = [f"e{i}" for i in range(len(self.idempotents))]
-        self.carrier = {f"e{i}": eps for i, eps in enumerate(self.idempotents)}
-        self._lift = {}
-        encode = {}
-        for o1, e1 in self.carrier.items():
-            for o2, e2 in self.carrier.items():
-                amb = ccat.hom_dim[(e1.src, e2.src)]
-                sandwiched = [
-                    ccat.compose(ccat.compose(e2, f), e1).coords
-                    for f in ccat.basis(e1.src, e2.src)
-                ]
-                img = image_basis(Mat.from_cols(p, amb, sandwiched))
-                self._lift[(o1, o2)] = img.basis_matrix()
-                encode[(o1, o2)] = img.coords
-        self.cat = transfer_category(
-            ccat,
-            objects,
-            {o: e.src for o, e in self.carrier.items()},
-            self._lift,
-            encode,
-            {o: e.coords for o, e in self.carrier.items()},
-            name="corner",
-        )
+        self.carrier = {f"e{i}": eps for i, eps in enumerate(idempotents)}
+        self.cat, self._lift = idempotent_subcategory(closure, self.carrier, "corner")
 
     def restriction_data(self, m: FinModule):
         """(j* module, per-object image subspaces), built once per module."""
         return derived(self.cat, ("j*", m.key()), lambda: self._restrict(m))
 
     def _restrict(self, m: FinModule):
-        mhat = induce_module(self.closure, m)
-        images = {o: image_basis(mhat.act(eps)) for o, eps in self.carrier.items()}
+        act = self.closure.act
+        images = {o: image_basis(act(m, eps)) for o, eps in self.carrier.items()}
         lifts = {o: img.basis_matrix() for o, img in images.items()}
         dims = {o: img.dim for o, img in images.items()}
         action = {}
@@ -211,7 +187,7 @@ class CornerCategory:
             for o2, e2 in self.carrier.items():
                 for i in range(self.cat.hom_dim[(o1, o2)]):
                     gamma = Morphism(e1.src, e2.src, self._lift[(o1, o2)].col(i))
-                    moved = mhat.act(gamma) @ lifts[o2]
+                    moved = act(m, gamma) @ lifts[o2]
                     cols = [images[o1].coords(moved.col(j)) for j in range(moved.cols)]
                     if None in cols:
                         raise RuntimeError("corner action does not preserve the images")
@@ -330,9 +306,7 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
 
     exactness = True
     for m in census:
-        for sub in all_submodules(m):
-            n, incl = submodule_module(sub)
-            q, proj = quotient_module(m, sub)
+        for incl, proj in short_exact_sequences(m):
             j_incl = corner_restriction_map(data.corner, incl)
             j_proj = corner_restriction_map(data.corner, proj)
             for o in data.corner.cat.objects:

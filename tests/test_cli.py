@@ -348,10 +348,16 @@ def test_census_json_matches_recorded_hash(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == CENSUS_P3_SHA256[name]
 
 
-# sha256 prefixes of two more reports recorded in CHANGES.md: the first runs
-# induce_module and the corner restriction of maps, the second the center
+# sha256 prefixes of more reports recorded in CHANGES.md: the recollement
+# reports run the corner categories and the corner restriction of modules and
+# maps, the idempotent completion the shared idempotent-subcategory builder,
+# and the center report the center
 REPORT_SHA256 = {
     "recollement-a2cat-p2": (["recollement", "catalog:a2cat", "--p", "2"], "6419481e3789b1f6"),
+    "recollement-prod-p3": (["recollement", "catalog:prod", "--p", "3", "--ideal", "all"], "6c0792e5355651c0"),
+    "complete-idempotents-a2cat-p2": (
+        ["complete", "catalog:a2cat", "--p", "2", "--bound", "1", "--idempotents"], "aaee8a690ddf3e23"
+    ),
     "center-mat2-p3": (["center", "catalog:mat2", "--p", "3"], "0c703b5037d7e045"),
 }
 

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from ringoid.category import Morphism, catalog, list_idempotents, validate
@@ -241,6 +243,21 @@ def test_induce_restrict_roundtrip():
         mhat = induce_module(closure, m)
         assert validate_module(mhat) == []
         assert restrict_module(closure, mhat).key() == m.key()
+
+
+@pytest.mark.parametrize("name", ["a2cat(2)", "dual(2)", "prod(3)"])
+def test_block_action_is_the_induced_module_action(name):
+    cat = catalog(name)
+    closure = additive_closure(cat, 2)
+    ccat = closure.cat
+    for m in enumerate_modules(cat, 2):
+        mhat = induce_module(closure, m)
+        for s in ccat.objects:
+            for t in ccat.objects:
+                basis = list(ccat.basis(s, t))
+                # the sum of the basis has every block nonzero where the hom space is
+                for f in basis + [functools.reduce(ccat.add, basis, ccat.zero(s, t))]:
+                    assert closure.act(m, f) == mhat.act(f), (s, t, f.coords)
 
 
 def test_proj_module_of_identity_is_representable():

@@ -77,6 +77,7 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
     assert set(per_key.values()) == {1}
     kinds = Counter(key[0] for _, key in builds)
     assert kinds["center"] == 1
+    assert kinds["sequences"] > 0
     module_lists = Counter((id(cat), key[1]) for cat, key in builds if key[0] == "modules")
     assert module_lists and set(module_lists.values()) == {1}
     for kind in ("closure", "census"):
@@ -84,3 +85,13 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
         assert per_bound and set(per_bound.values()) == {1}, kind
     assert kinds["additive-closure"] == len(constructed["closure"])
     assert kinds["census"] == len(constructed["census"])
+
+
+def test_the_module_census_keeps_no_submodule_lists():
+    # the census walks every submodule once; holding them all for the whole
+    # sweep would raise the peak memory of the torsion sweep
+    cat = catalog("a2cat(2)")
+    module_census(cat, 3)
+    kinds = {key[0] for key, _cap in cat._derived}
+    assert "census" in kinds
+    assert not kinds & {"sequences", "submodules"}

@@ -1,18 +1,23 @@
 import pytest
 
-from ringoid.category import Morphism, catalog, validate
-from ringoid.completion import additive_closure
+from ringoid.category import CATALOG_NAMES, Morphism, catalog, list_idempotents, validate
+from ringoid.completion import additive_closure, idempotent_subcategory, induce_module
 from ringoid.ideals import (
     enumerate_idempotent_ideals,
     generated_by,
+    is_trace_of_projectives,
     unit_ideal,
     zero_ideal,
 )
+from ringoid.linalg import Mat, image_basis, kernel_basis
 from ringoid.modules import (
+    FinModule,
+    ModuleMap,
     Submodule,
     enumerate_modules,
     hom_space,
     is_iso,
+    short_exact_sequences,
     simple_modules,
     submodule_module,
 )
@@ -20,6 +25,7 @@ from ringoid.torsion import check_topology, topology_from_class, torsion_members
 from ringoid.ttf import (
     corner_category,
     corner_restriction,
+    corner_restriction_map,
     ideal_from_ttf,
     is_split,
     jans_roundtrip,
@@ -244,6 +250,99 @@ def test_corner_agrees_with_karoubi_homs():
                 corner.cat.hom_dim[(f"e{i}", f"e{j}")]
                 == comp.cat.hom_dim[(obj_i, obj_j)]
             )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_idempotent_subcategory_homs_are_the_sandwich_fixed_spaces(name, p):
+    # the Karoubi formula: the hom space e1 -> e2 is the kernel of f -> e2 f e1 - f
+    closure = additive_closure(catalog(name, p), 1)
+    ccat = closure.cat
+    idems = {f"{t}#{n}": eps for t in ccat.objects for n, eps in enumerate(list_idempotents(ccat, t))}
+    _, lift = idempotent_subcategory(closure, idems, "probe")
+    for o1, e1 in idems.items():
+        for o2, e2 in idems.items():
+            moved = [
+                tuple((x - y) % p for x, y in zip(ccat.compose(ccat.compose(e2, f), e1).coords, f.coords))
+                for f in ccat.basis(e1.src, e2.src)
+            ]
+            fixed = kernel_basis(Mat.from_cols(p, ccat.hom_dim[(e1.src, e2.src)], moved))
+            assert lift[(o1, o2)] == fixed.basis_matrix(), (o1, o2)
+
+
+def induced_restriction(corner, m):
+    """j*(m) through the induced module: induce m over the whole closure,
+    take the images of the corner idempotents, restrict the action."""
+    mhat = induce_module(corner.closure, m)
+    images = {o: image_basis(mhat.act(eps)) for o, eps in corner.carrier.items()}
+    action = {}
+    for o1, e1 in corner.carrier.items():
+        for o2, e2 in corner.carrier.items():
+            for i in range(corner.cat.hom_dim[(o1, o2)]):
+                gamma = Morphism(e1.src, e2.src, corner._lift[(o1, o2)].col(i))
+                moved = mhat.act(gamma) @ images[o2].basis_matrix()
+                cols = [images[o1].coords(moved.col(j)) for j in range(moved.cols)]
+                action[(o1, o2, i)] = Mat.from_cols(m.p, images[o1].dim, cols)
+    return FinModule(corner.cat, {o: img.dim for o, img in images.items()}, action), images
+
+
+def induced_restriction_map(corner, phi, restrict):
+    """j*(phi) from the induced block-diagonal map on the reference images."""
+    src_mod, src_images = restrict(phi.src)
+    tgt_mod, tgt_images = restrict(phi.tgt)
+    comps = {}
+    for o, eps in corner.carrier.items():
+        t = corner.closure.tuples[eps.src]
+        induced = Mat.from_blocks(phi.src.p, [phi.tgt.dims[c] for c in t], [phi.src.dims[c] for c in t],
+                                  {(k, k): phi.comps[c] for k, c in enumerate(t)})
+        moved = induced @ src_images[o].basis_matrix()
+        comps[o] = Mat.from_cols(moved.p, tgt_mod.dims[o], [tgt_images[o].coords(moved.col(j)) for j in range(moved.cols)])
+    return ModuleMap(src_mod, tgt_mod, comps)
+
+
+def assert_restriction_matches_the_induced_module(corner, census):
+    reference = {}
+
+    def restrict(m):
+        if m.key() not in reference:
+            reference[m.key()] = induced_restriction(corner, m)
+        return reference[m.key()]
+
+    for m in census:
+        mod, images = corner._restrict(m)
+        ref_mod, ref_images = restrict(m)
+        assert mod.key() == ref_mod.key() and images == ref_images
+        for phi in (map_ for pair in short_exact_sequences(m) for map_ in pair):
+            got = corner_restriction_map(corner, phi)
+            want = induced_restriction_map(corner, phi, restrict)
+            assert got.src.key() == want.src.key() and got.tgt.key() == want.tgt.key()
+            assert got.comps == want.comps
+
+
+@pytest.mark.parametrize("name", ["a2cat(2)", "a2cat(3)", "prod(3)"])
+def test_corner_restriction_matches_the_induced_module(name):
+    cat = catalog(name)
+    census = enumerate_modules(cat, 4)
+    witnessed = [i for i in enumerate_idempotent_ideals(cat) if is_trace_of_projectives(cat, i, 3) is not None]
+    assert witnessed
+    for ideal in witnessed:
+        assert_restriction_matches_the_induced_module(recollement_data(cat, ideal, 3).corner, census)
+
+
+@pytest.mark.parametrize("name", ["a2cat(2)", "a2cat(3)", "dual(2)", "prod(2)"])
+def test_corner_on_tuple_idempotents_matches_the_induced_module(name):
+    # the trace witnesses sit on one-object tuples; these idempotents of
+    # two-object tuples have nonzero off-diagonal blocks
+    cat = catalog(name)
+    closure = additive_closure(cat, 2)
+    mixed = [
+        eps for t_id, t in closure.tuples.items() if len(t) == 2
+        for eps in list_idempotents(closure.cat, t_id)
+        if not (closure.block(eps, 0, 1).is_zero() and closure.block(eps, 1, 0).is_zero())
+    ]
+    assert mixed
+    corner = corner_category(closure, mixed[:3])
+    assert_restriction_matches_the_induced_module(corner, enumerate_modules(cat, 3))
 
 
 def test_corner_restriction_of_representable():
