@@ -214,9 +214,9 @@ class FinCat:
 
 def derived(cat: FinCat, key, build):
     """build(), kept in cat's memo for every later call with the same key,
-    which shares it unmutated; nothing is kept when build raises.  The key
-    holds the arguments with their caps resolved, and the global vector cap
-    is added, so a lower cap still refuses after a cached success."""
+    which shares it unmutated; nothing is kept when build raises.  The
+    global vector cap is added to the key, so a lower cap still refuses after
+    a cached success."""
     key = (key, vector_cap())
     if key not in cat._derived:
         cat._derived[key] = build()
@@ -575,7 +575,7 @@ def list_idempotents(cat: FinCat, obj: str | None = None) -> list:
     out = []
     for a in objs:
         d = cat.hom_dim[(a, a)]
-        check_vector_cap(cat.p ** d, f"idempotent scan on A({a},{a})")
+        check_vector_cap(cat.p ** d, f"list_idempotents: p^dim A({a},{a})")
         for f in cat.elements(a, a):
             if cat.compose(f, f) == f:
                 out.append(f)

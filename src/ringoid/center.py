@@ -129,7 +129,7 @@ def _build_center(cat: FinCat) -> CenterAlgebra:
 
 def center_idempotents(z: CenterAlgebra) -> list:
     """All solutions of e * e = e in the center, by exhaustive scan."""
-    check_vector_cap(z.cat.p ** z.dim, "center idempotent scan")
+    check_vector_cap(z.cat.p ** z.dim, "center_idempotents: p^dim Z")
     out = []
     for coords in itertools.product(range(z.cat.p), repeat=z.dim):
         if z.multiply(coords, coords) == coords:

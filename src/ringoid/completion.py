@@ -13,12 +13,13 @@ import functools
 import itertools
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
-from .linalg import CapExceeded, Mat, Subspace, check_vector_cap, vector_cap
+from .linalg import CapExceeded, Mat, Subspace, check_vector_cap
 from .modules import (
     FinModule,
     ModuleMap,
     cyclic_submodule,
     direct_sum,
+    enumerate_modules,
     image,
     kernel,
     representable,
@@ -37,7 +38,7 @@ def tuple_id(components) -> str:
 class AdditiveClosure:
     """The bounded additive closure: tuple objects and matrix morphisms."""
 
-    def __init__(self, base: FinCat, bound: int, cap_objects: int = MAX_CLOSURE_OBJECTS):
+    def __init__(self, base: FinCat, bound: int):
         if bound < 1:
             raise ValueError("tuple bound must be at least 1")
         self.base = base
@@ -45,9 +46,9 @@ class AdditiveClosure:
         tuples = [()]
         for l in range(1, bound + 1):
             tuples.extend(itertools.product(base.objects, repeat=l))
-        if len(tuples) > cap_objects:
+        if len(tuples) > MAX_CLOSURE_OBJECTS:
             raise CapExceeded(
-                f"additive closure would have {len(tuples)} objects, over cap {cap_objects}"
+                f"additive closure would have {len(tuples)} objects, over cap {MAX_CLOSURE_OBJECTS}"
             )
         self.tuples = {tuple_id(t): t for t in tuples}
         objects = [tuple_id(t) for t in tuples]
@@ -144,8 +145,8 @@ class AdditiveClosure:
         })
 
 
-def additive_closure(base: FinCat, bound: int, cap_objects: int = MAX_CLOSURE_OBJECTS) -> AdditiveClosure:
-    return derived(base, ("additive-closure", bound, cap_objects), lambda: AdditiveClosure(base, bound, cap_objects))
+def additive_closure(base: FinCat, bound: int) -> AdditiveClosure:
+    return derived(base, ("additive-closure", bound), lambda: AdditiveClosure(base, bound))
 
 
 def induce_module(closure: AdditiveClosure, m: FinModule) -> FinModule:
@@ -291,20 +292,12 @@ class IdempotentCompletion:
     two-sided sandwich with s and r, and the identity of (t, r) is r itself.
     """
 
-    def __init__(self, base: FinCat, bound: int, cap: int | None = None):
+    def __init__(self, base: FinCat, bound: int):
         self.base = base
         self.closure = additive_closure(base, bound)
         ccat = self.closure.cat
-        if cap is None:
-            cap = vector_cap()
         self.objects_meta = {}
         for t_id in ccat.objects:
-            d = ccat.hom_dim[(t_id, t_id)]
-            if ccat.p ** d > cap:
-                raise CapExceeded(
-                    f"idempotent scan on closure endo space of {t_id} needs"
-                    f" {ccat.p ** d} vectors, over cap {cap}"
-                )
             for n, eps in enumerate(list_idempotents(ccat, t_id)):
                 self.objects_meta[f"{t_id}#{n}"] = IdemObject(t_id, self.closure.tuples[t_id], eps)
         self.cat, _ = idempotent_subcategory(
@@ -314,8 +307,8 @@ class IdempotentCompletion:
         )
 
 
-def idempotent_completion(base: FinCat, bound: int, cap: int | None = None) -> IdempotentCompletion:
-    return IdempotentCompletion(base, bound, cap)
+def idempotent_completion(base: FinCat, bound: int) -> IdempotentCompletion:
+    return IdempotentCompletion(base, bound)
 
 
 def proj_module_of_idempotent(closure: AdditiveClosure, eps: Morphism):
@@ -348,7 +341,7 @@ def objects_isomorphic(cat: FinCat, a: str, b: str) -> bool:
         or cat.hom_dim[(a, a)] != cat.hom_dim[(b, b)]
     ):
         return False
-    check_vector_cap(cat.p ** cat.hom_dim[(a, b)], f"inverse scan on A({a},{b})")
+    check_vector_cap(cat.p ** cat.hom_dim[(a, b)], f"objects_isomorphic: p^dim A({a},{b})")
     ida, idb = cat.identity(a), cat.identity(b)
     for f in cat.elements(a, b):
         gf_candidates = [g for g in cat.elements(b, a) if cat.compose(g, f) == ida]
@@ -365,8 +358,7 @@ def morita_invariants(cat: FinCat, census_bound: int = 4) -> dict:
     candidate equivalence can be checked explicitly with
     check_equivalence_candidate.
     """
-    from .center import compute_center
-    from .modules import enumerate_modules
+    from .center import compute_center  # local: center imports ideals, which imports this module
 
     idem_counts = sorted(len(list_idempotents(cat, a)) for a in cat.objects)
     census = enumerate_modules(cat, census_bound)

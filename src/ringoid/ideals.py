@@ -8,15 +8,10 @@ sum-closure of the finitely many principal ideals is the whole ideal lattice.
 
 from __future__ import annotations
 
-from .category import FinCat, Morphism, derived, transfer_category
-from .linalg import (
-    CapExceeded,
-    Subspace,
-    complement_data,
-    subspace_sum,
-    vector_cap,
-)
-from .modules import FinModule, join_closure, representable, trace
+from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
+from .completion import additive_closure, proj_module_of_idempotent
+from .linalg import Subspace, check_vector_cap, complement_data, subspace_sum, vector_cap
+from .modules import FinModule, join_closure, module_times_ideal, representable, trace
 
 
 class Ideal:
@@ -149,16 +144,10 @@ def is_idempotent(i: Ideal) -> bool:
     return product(i, i) == i
 
 
-def principal_ideals(cat: FinCat, cap: int | None = None) -> list:
+def principal_ideals(cat: FinCat) -> list:
     """The distinct principal ideals of the nonzero morphisms, in key order:
     every ideal is a sum of these."""
-    if cap is None:
-        cap = vector_cap()
-    count = sum(cat.p ** d - 1 for d in cat.hom_dim.values() if d)
-    if count > cap:
-        raise CapExceeded(
-            f"enumerate_ideals: {count} principal generators exceed cap {cap}"
-        )
+    check_vector_cap(sum(cat.p ** d - 1 for d in cat.hom_dim.values()), "principal_ideals: nonzero morphisms")
     principals = {}
     for a in cat.objects:
         for b in cat.objects:
@@ -170,14 +159,14 @@ def principal_ideals(cat: FinCat, cap: int | None = None) -> list:
     return [principals[k] for k in sorted(principals)]
 
 
-def enumerate_ideals(cat: FinCat, cap: int | None = None) -> list:
+def enumerate_ideals(cat: FinCat) -> list:
     """Every two-sided ideal: sum-closure of the principal ideals."""
-    found = join_closure(zero_ideal(cat), principal_ideals(cat, cap), ideal_sum, Ideal.key)
+    found = join_closure(zero_ideal(cat), principal_ideals(cat), ideal_sum, Ideal.key)
     return sorted(found, key=lambda i: (i.total_dim(), i.key()))
 
 
-def enumerate_idempotent_ideals(cat: FinCat, cap: int | None = None) -> list:
-    return [i for i in enumerate_ideals(cat, cap) if is_idempotent(i)]
+def enumerate_idempotent_ideals(cat: FinCat) -> list:
+    return [i for i in enumerate_ideals(cat) if is_idempotent(i)]
 
 
 class QuotientCategory:
@@ -227,8 +216,6 @@ def restrict_along_quotient(qdata: QuotientCategory, n: FinModule) -> FinModule:
 
 def extend_to_quotient(qdata: QuotientCategory, m: FinModule) -> FinModule:
     """M / M.I as a module over A/I, with the induced well-defined action."""
-    from .modules import module_times_ideal
-
     cat = qdata.base
     mi = module_times_ideal(m, qdata.ideal)
     proj = {}
@@ -298,22 +285,20 @@ def closure_idempotent_base_ideal(closure, eps: Morphism) -> Ideal:
     return Ideal(base, spaces)
 
 
-def _closure_idempotent_ideals(closure, cap: int) -> list:
+def _closure_idempotent_ideals(closure) -> list:
     """(eps, induced base ideal) for the first nonzero closure idempotent of
     each induced base ideal, in scan order.  The list does not depend on the
     ideal a witness is sought for, so it is kept in the closure's memo.
 
-    Endo spaces whose element count exceeds the cap are skipped; that is the
-    documented bounded-search caveat.
+    Endo spaces whose element count exceeds the vector cap are skipped; that
+    is the documented bounded-search caveat.
     """
-    from .category import list_idempotents
-
     ccat = closure.cat
+    cap = vector_cap()
     out = []
     seen = set()
     for t_id in ccat.objects:
-        d = ccat.hom_dim[(t_id, t_id)]
-        if ccat.p ** d > cap:
+        if ccat.p ** ccat.hom_dim[(t_id, t_id)] > cap:
             continue
         for eps in list_idempotents(ccat, t_id):
             if eps.is_zero():
@@ -325,19 +310,15 @@ def _closure_idempotent_ideals(closure, cap: int) -> list:
     return out
 
 
-def is_trace_of_projectives(cat: FinCat, ideal: Ideal, bound: int = 3, cap: int | None = None):
+def is_trace_of_projectives(cat: FinCat, ideal: Ideal, bound: int = 3):
     """A witness set of idempotent endomorphisms in the bounded additive
     closure whose generated ideal is the given one, or None within the bound."""
-    if cap is None:
-        cap = vector_cap()
-    return derived(cat, ("witness", ideal.key(), bound, cap), lambda: _trace_witness(cat, ideal, bound, cap))
+    return derived(cat, ("witness", ideal.key(), bound), lambda: _trace_witness(cat, ideal, bound))
 
 
-def _trace_witness(cat: FinCat, ideal: Ideal, bound: int, cap: int):
-    from .completion import additive_closure
-
+def _trace_witness(cat: FinCat, ideal: Ideal, bound: int):
     closure = additive_closure(cat, bound)
-    scan = derived(closure.cat, ("idempotent ideals", cap), lambda: _closure_idempotent_ideals(closure, cap))
+    scan = derived(closure.cat, ("idempotent ideals",), lambda: _closure_idempotent_ideals(closure))
     candidates = [(eps, j) for eps, j in scan if ideal.contains(j)]
     total = zero_ideal(cat)
     for _, j in candidates:
@@ -355,11 +336,9 @@ def _trace_witness(cat: FinCat, ideal: Ideal, bound: int, cap: int):
     return witness
 
 
-def subcategory_from_ideal(cat: FinCat, ideal: Ideal, bound: int = 3, cap: int | None = None):
+def subcategory_from_ideal(cat: FinCat, ideal: Ideal, bound: int = 3):
     """The projective modules cut out by a witness set of idempotents, or None."""
-    from .completion import additive_closure, proj_module_of_idempotent
-
-    witness = is_trace_of_projectives(cat, ideal, bound, cap)
+    witness = is_trace_of_projectives(cat, ideal, bound)
     if witness is None:
         return None
     closure = additive_closure(cat, bound)

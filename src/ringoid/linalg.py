@@ -38,12 +38,12 @@ def vector_cap() -> int:
 
 
 def check_vector_cap(count: int, what: str) -> None:
+    """Refuse a scan of `count` items before it starts; the one place that
+    raises for the vector cap.  `what` names the operation and the quantity
+    counted, e.g. "enumerate_subspaces: p^n"."""
     cap = vector_cap()
     if count > cap:
-        raise CapExceeded(
-            f"{what} needs {count} vectors, over the cap {cap}"
-            f" (raise {_ENV_CAP} to override)"
-        )
+        raise CapExceeded(f"{what} = {count} exceeds cap {cap} (raise {_ENV_CAP} to override)")
 
 
 _KNOWN_PRIMES = set()
@@ -576,19 +576,13 @@ def apply_to_subspace(m: Mat, s: Subspace) -> Subspace:
     return Subspace.from_vectors(m.p, m.rows, [m.apply(v) for v in s.basis_vectors()])
 
 
-def enumerate_subspaces(n: int, p: int, cap: int | None = None) -> list:
+def enumerate_subspaces(n: int, p: int) -> list:
     """Every subspace of F_p^n exactly once, via direct RREF-shape generation.
 
     Refuses when p^n exceeds the cap, since callers downstream scan vectors
     of the ambient space at comparable cost.
     """
-    if cap is None:
-        cap = vector_cap()
-    if p ** n > cap:
-        raise CapExceeded(
-            f"enumerate_subspaces: p^n = {p ** n} exceeds cap {cap}"
-            f" (raise {_ENV_CAP} to override)"
-        )
+    check_vector_cap(p ** n, "enumerate_subspaces: p^n")
     out = []
     for k in range(n + 1):
         for pivots in itertools.combinations(range(n), k):

@@ -24,16 +24,15 @@ from .category import (
     json_object,
 )
 from .linalg import (
-    CapExceeded,
     Mat,
     Subspace,
+    check_vector_cap,
     complement_data,
     image_basis,
     kernel_basis,
     matrix_kernel,
     subspace_intersect,
     subspace_sum,
-    vector_cap,
 )
 
 
@@ -129,7 +128,12 @@ def validate_module(m: FinModule) -> list:
 
 
 def representable(cat: FinCat, t: str) -> FinModule:
-    """H_t = A(-, t): dims are hom dims into t, actions are precomposition."""
+    """H_t = A(-, t): dims are hom dims into t, actions are precomposition.
+    Built once per category and object; callers share it unmutated."""
+    return derived(cat, ("representable", t), lambda: _build_representable(cat, t))
+
+
+def _build_representable(cat: FinCat, t: str) -> FinModule:
     dims = {a: cat.hom_dim[(a, t)] for a in cat.objects}
     action = {}
     for a in cat.objects:
@@ -194,10 +198,6 @@ def hom_space(m: FinModule, n: FinModule) -> list:
     ]
     solutions, _, unpack = matrix_kernel(cat.p, shapes, equations)
     return [ModuleMap(m, n, unpack(v)) for v in solutions.basis_vectors()]
-
-
-def hom_dim(m: FinModule, n: FinModule) -> int:
-    return len(hom_space(m, n))
 
 
 class Submodule:
@@ -283,20 +283,13 @@ def image(phi: ModuleMap) -> Submodule:
     return Submodule(phi.tgt, {a: image_basis(phi.comps[a]) for a in phi.comps})
 
 
-def all_submodules(m: FinModule, cap: int | None = None) -> list:
+def all_submodules(m: FinModule) -> list:
     """Every submodule: close the cyclic submodules under pairwise sum.
 
     Complete because a submodule is the sum of the cyclic submodules of its
     elements.  Output is deduplicated and sorted by (total dim, canonical key).
     """
-    if cap is None:
-        cap = vector_cap()
-    scan = sum(m.p ** m.dims[a] for a in m.cat.objects)
-    if scan > cap:
-        raise CapExceeded(
-            f"all_submodules: {scan} generator vectors exceed cap {cap}"
-            " (raise RINGOID_CAP_VECTORS to override)"
-        )
+    check_vector_cap(sum(m.p ** m.dims[a] for a in m.cat.objects), "all_submodules: sum of p^dim M(a)")
     gens = []
     seen = set()
     for a in m.cat.objects:
@@ -433,6 +426,7 @@ def _search_invertible(maps: list, p: int) -> bool:
                 return True
     if cur_rank == target:
         return True
+    check_vector_cap(p ** n, "is_iso coefficient scan: p^dim Hom")
     for coeffs in itertools.product(range(p), repeat=n):
         comps = {}
         ok = True
@@ -481,7 +475,7 @@ def simple_modules(cat: FinCat) -> list:
     return out
 
 
-def _extensions(s: FinModule, q: FinModule, cap: int) -> list:
+def _extensions(s: FinModule, q: FinModule) -> list:
     """All modules with submodule block s and quotient block q.
 
     The off-diagonal blocks C form the solution space of a linear system
@@ -510,10 +504,7 @@ def _extensions(s: FinModule, q: FinModule, cap: int) -> list:
                         terms.append((-1, None, (a, b, i), q.action[(b, c, j)]))
                         equations.append(terms)
     sol, pack, unpack = matrix_kernel(p, shapes, equations)
-    if p ** sol.dim > cap:
-        raise CapExceeded(
-            f"extension enumeration needs {p ** sol.dim} cocycles, over cap {cap}"
-        )
+    check_vector_cap(p ** sol.dim, "extension scan: p^dim cocycles")
     # a basis change [[I, h], [0, I]] shifts the off-diagonal blocks by a
     # coboundary, so only one representative per coset yields a new module
     cob_vecs = []
@@ -544,19 +535,17 @@ def _extensions(s: FinModule, q: FinModule, cap: int) -> list:
     return out
 
 
-def enumerate_modules(cat: FinCat, total_dim_bound: int, cap: int | None = None) -> list:
+def enumerate_modules(cat: FinCat, total_dim_bound: int) -> list:
     """All modules of total dimension <= bound, one per isomorphism class.
 
     Crawl: every nonzero module is an extension of a smaller module by a
     simple submodule, so level n is assembled from extensions of level
     (n - dim S) classes by each simple S, then deduplicated up to iso.
     """
-    if cap is None:
-        cap = vector_cap()
-    return derived(cat, ("modules", total_dim_bound, cap), lambda: _crawl_modules(cat, total_dim_bound, cap))
+    return derived(cat, ("modules", total_dim_bound), lambda: _crawl_modules(cat, total_dim_bound))
 
 
-def _crawl_modules(cat: FinCat, total_dim_bound: int, cap: int) -> list:
+def _crawl_modules(cat: FinCat, total_dim_bound: int) -> list:
     simples = simple_modules(cat)
     levels = {0: [zero_module(cat)]}
     for n in range(1, total_dim_bound + 1):
@@ -567,7 +556,7 @@ def _crawl_modules(cat: FinCat, total_dim_bound: int, cap: int) -> list:
             if ds > n or (n - ds) not in levels:
                 continue
             for q in levels[n - ds]:
-                for cand in _extensions(s, q, cap):
+                for cand in _extensions(s, q):
                     if cand.key() in found_keys:
                         continue
                     if not any(is_iso(cand, seen) for seen in found):

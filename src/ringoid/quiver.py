@@ -23,7 +23,7 @@ Groebner basis: the truncation bound is explicit and part of the input.
 from __future__ import annotations
 
 from .category import FinCat
-from .linalg import Subspace, check_prime, vector_cap, CapExceeded
+from .linalg import Subspace, check_prime, check_vector_cap
 
 
 class QuiverSyntaxError(ValueError):
@@ -265,22 +265,15 @@ def _enumerate_paths(spec: QuiverSpec):
     return by_pair
 
 
-def path_category(spec: QuiverSpec, cap: int | None = None) -> FinCat:
+def path_category(spec: QuiverSpec) -> FinCat:
     """The truncated path category of a quiver presentation.
 
     Objects are the vertices; A(a, b) is the span of paths a -> b of length
     at most maxlen, modulo the subspace cut out by the relations (padded on
     both sides by arbitrary paths, with overlong terms dropped).
     """
-    if cap is None:
-        cap = vector_cap()
     paths = _enumerate_paths(spec)
-    total = sum(len(v) for v in paths.values())
-    if total > cap:
-        raise CapExceeded(
-            f"path_category: {total} paths exceed cap {cap}"
-            " (raise maxlen bound or RINGOID_CAP_VECTORS)"
-        )
+    check_vector_cap(sum(len(v) for v in paths.values()), "path_category: paths of length <= maxlen")
     index = {}
     for pair, plist in paths.items():
         index[pair] = {w: i for i, w in enumerate(plist)}

@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 
 from .category import FinCat, Morphism, derived
-from .linalg import CapExceeded, Mat, Subspace, kernel_basis, preimage, vector_cap
+from .linalg import Mat, Subspace, check_vector_cap, kernel_basis, preimage
 from .modules import (
     FinModule,
     Submodule,
     all_submodules,
+    cyclic_submodule,
     direct_sum,
     enumerate_modules,
     full_submodule,
@@ -36,7 +37,6 @@ class Topology:
 
     def __init__(self, cat: FinCat, families):
         self.cat = cat
-        self.representables = {a: representable(cat, a) for a in cat.objects}
         self.families = {}
         self._keys = {}
         for a in cat.objects:
@@ -86,10 +86,14 @@ def check_topology(cat: FinCat, topo: Topology, submodule_lists=None) -> list:
     """Violations of the identity, pullback, and glueing axioms.
 
     Glueing quantifies over every submodule of every representable, so the
-    full submodule lists are computed (or supplied by the caller)."""
+    full submodule lists are computed first (or supplied by the caller).
+    The pullback and glueing loops need no cap of their own: they run over
+    vectors of H_a, and `all_submodules(H_a)` has capped those vectors."""
+    if submodule_lists is None:
+        submodule_lists = {a: all_submodules(representable(cat, a)) for a in cat.objects}
     report = []
     for a in cat.objects:
-        h = topo.representables[a]
+        h = representable(cat, a)
         if not topo.covers(a, full_submodule(h)):
             report.append({"axiom": "identity", "object": a})
     for a in cat.objects:
@@ -101,8 +105,6 @@ def check_topology(cat: FinCat, topo: Topology, submodule_lists=None) -> list:
                         report.append(
                             {"axiom": "pullback", "object": a, "along": (a2, r.coords)}
                         )
-    if submodule_lists is None:
-        submodule_lists = {a: all_submodules(topo.representables[a]) for a in cat.objects}
     for a in cat.objects:
         for rsub in submodule_lists[a]:
             if topo.covers(a, rsub):
@@ -142,6 +144,7 @@ def torsion_membership(topo: Topology, m: FinModule) -> bool:
     classifies a map out of a representable with covering kernel."""
     cat = topo.cat
     for a in cat.objects:
+        check_vector_cap(cat.p ** m.dims[a], f"torsion_membership: p^dim M({a})")
         for v in itertools.product(range(cat.p), repeat=m.dims[a]):
             if not topo.covers(a, yoneda_kernel(cat, m, a, v)):
                 return False
@@ -153,6 +156,7 @@ def torsion_radical(topo: Topology, m: FinModule) -> Submodule:
     cat = topo.cat
     spaces = {}
     for a in cat.objects:
+        check_vector_cap(cat.p ** m.dims[a], f"torsion_radical: p^dim M({a})")
         good = [
             v
             for v in itertools.product(range(cat.p), repeat=m.dims[a])
@@ -237,20 +241,15 @@ def _upclosed_intersection_closed_families(subs):
     return out
 
 
-def enumerate_topologies(cat: FinCat, cap: int | None = None) -> list:
+def enumerate_topologies(cat: FinCat) -> list:
     """Every Grothendieck topology: filter the up-closed intersection-closed
     candidate families through the pullback and glueing axioms."""
-    if cap is None:
-        cap = vector_cap()
     submodule_lists = {}
     candidates_per_object = []
     for a in cat.objects:
         subs = all_submodules(representable(cat, a))
         submodule_lists[a] = subs
-        if 2 ** max(len(subs) - 1, 0) > cap:
-            raise CapExceeded(
-                f"enumerate_topologies: {len(subs)} submodules of H_{a} exceed cap {cap}"
-            )
+        check_vector_cap(2 ** max(len(subs) - 1, 0), f"enumerate_topologies: candidate families on H_{a}")
         candidates_per_object.append(_upclosed_intersection_closed_families(subs))
     out = []
     for combo in itertools.product(*candidates_per_object):
@@ -267,10 +266,8 @@ def has_fg_basis(topo: Topology) -> bool:
     In this finite-dimensional setting every submodule is generated by its
     finitely many elements, so the submodule itself qualifies; the check is
     performed literally all the same."""
-    from .modules import cyclic_submodule
-
     for a in topo.cat.objects:
-        h = topo.representables[a]
+        h = representable(topo.cat, a)
         for rsub in topo.families[a]:
             found = False
             for cand in topo.families[a]:
@@ -366,7 +363,7 @@ def topology_seeds(topo: Topology) -> list:
     torsion class."""
     seeds = []
     for a in topo.cat.objects:
-        h = topo.representables[a]
+        h = representable(topo.cat, a)
         for sub in topo.families[a]:
             q, _ = quotient_module(h, sub)
             seeds.append(q)
@@ -401,9 +398,7 @@ def hereditary_closure_oracle(cat: FinCat, seeds, bound: int) -> TorsionOracle:
 
     def membership(m: FinModule) -> bool:
         if m.total_dim() > bound:
-            raise CapExceeded(
-                f"closure oracle is only total up to dimension {bound}"
-            )
+            raise ValueError(f"closure oracle is only total up to dimension {bound}")
         return census.class_index(m) in member
 
     oracle = TorsionOracle(membership, f"closure(bound={bound})")

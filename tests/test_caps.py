@@ -1,0 +1,107 @@
+"""One cap mechanism: RINGOID_CAP_VECTORS is read where each scan refuses,
+and no function takes a cap of its own."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import ringoid
+from ringoid.category import catalog, list_idempotents
+from ringoid.center import center_idempotents, compute_center
+from ringoid.completion import idempotent_completion, objects_isomorphic
+from ringoid.ideals import principal_ideals
+from ringoid.linalg import CapExceeded, Mat, enumerate_subspaces
+from ringoid.modules import (
+    ModuleMap,
+    _search_invertible,
+    all_submodules,
+    enumerate_modules,
+    representable,
+    simple_modules,
+)
+from ringoid.quiver import parse_quiver_dsl, path_category
+from ringoid.torsion import enumerate_topologies, maximal_topology, torsion_membership, torsion_radical
+
+KRONECKER = "vertices 1 2 ; arrow a: 1 -> 2 ; arrow b: 1 -> 2 ; field 2 ; maxlen 1 ;"
+
+
+def _callables():
+    for info in pkgutil.iter_modules(ringoid.__path__):
+        mod = importlib.import_module(f"ringoid.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{mod.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member):
+                        yield f"{mod.__name__}.{name}.{attr}", member
+
+
+def test_no_function_takes_a_cap_parameter():
+    names = [name for name, _ in _callables()]
+    assert "ringoid.modules.all_submodules" in names
+    assert "ringoid.completion.AdditiveClosure.__init__" in names
+    offenders = [
+        name for name, fn in _callables()
+        if {"cap", "cap_objects"} & set(inspect.signature(fn).parameters)
+    ]
+    assert offenders == []
+
+
+def _zero_endomorphism():
+    s = next(m for m in simple_modules(catalog("pt(2)")) if m.total_dim() == 1)
+    return [ModuleMap(s, s, {a: Mat.zero(2, s.dims[a], s.dims[a]) for a in s.cat.objects})]
+
+
+def _rank_one_objects():
+    comp = idempotent_completion(catalog("mat2(2)"), 1)
+    ones = [o for o in comp.cat.objects if comp.cat.hom_dim[(o, o)] == 1]
+    return comp.cat, ones[0], ones[1]
+
+
+# (entry point, cap, what, count): each call is set up under the default
+# cap, then run with RINGOID_CAP_VECTORS = cap
+REFUSALS = [
+    (lambda: (all_submodules, representable(catalog("dual(2)"), "x")),
+     3, "all_submodules: sum of p^dim M(a)", 4),
+    (lambda: (enumerate_modules, catalog("a2cat(2)"), 4),
+     7, "extension scan: p^dim cocycles", 8),
+    (lambda: (principal_ideals, catalog("dual(2)")),
+     2, "principal_ideals: nonzero morphisms", 3),
+    # prod(2) has 4 submodules of H_x (scanned at 4 <= cap) and 2^3 families
+    (lambda: (enumerate_topologies, catalog("prod(2)")),
+     7, "enumerate_topologies: candidate families on H_x", 8),
+    (lambda: (enumerate_subspaces, 3, 2),
+     7, "enumerate_subspaces: p^n", 8),
+    (lambda: (path_category, parse_quiver_dsl(KRONECKER)),
+     3, "path_category: paths of length <= maxlen", 4),
+    (lambda: (list_idempotents, catalog("dual(2)"), "x"),
+     3, "list_idempotents: p^dim A(x,x)", 4),
+    (lambda: (center_idempotents, compute_center(catalog("prod(2)"))),
+     3, "center_idempotents: p^dim Z", 4),
+    (lambda: (objects_isomorphic, *_rank_one_objects()),
+     1, "objects_isomorphic: p^dim A(", 2),
+    (lambda: (torsion_membership, maximal_topology(catalog("dual(2)")), representable(catalog("dual(2)"), "x")),
+     3, "torsion_membership: p^dim M(x)", 4),
+    (lambda: (torsion_radical, maximal_topology(catalog("dual(2)")), representable(catalog("dual(2)"), "x")),
+     3, "torsion_radical: p^dim M(x)", 4),
+    (lambda: (_search_invertible, _zero_endomorphism(), 2),
+     1, "is_iso coefficient scan: p^dim Hom", 2),
+]
+
+
+@pytest.mark.parametrize("setup,cap,what,count", REFUSALS, ids=[r[2].split(":")[0] for r in REFUSALS])
+def test_each_capped_scan_refuses_in_one_format(monkeypatch, setup, cap, what, count):
+    fn, *args = setup()
+    monkeypatch.setenv("RINGOID_CAP_VECTORS", str(cap))
+    with pytest.raises(CapExceeded) as info:
+        fn(*args)
+    message = str(info.value)
+    assert message.startswith(what)
+    assert message.endswith(f" = {count} exceeds cap {cap} (raise RINGOID_CAP_VECTORS to override)")
+    monkeypatch.setenv("RINGOID_CAP_VECTORS", str(count))
+    fn(*args)

@@ -83,8 +83,9 @@ def test_biproduct_equations():
 
 
 def test_closure_object_cap():
-    with pytest.raises(CapExceeded):
-        additive_closure(catalog("a2cat(2)"), 2, cap_objects=3)
+    # 2^0 + ... + 2^7 = 255 tuples of length <= 7 over two objects
+    with pytest.raises(CapExceeded, match="255 objects, over cap 130"):
+        additive_closure(catalog("a2cat(2)"), 7)
 
 
 def test_maxlen_one_recovers_base():
@@ -112,11 +113,12 @@ def test_karoubi_bound_two_validates_and_keeps_center():
         assert compute_center(comp.cat).dim == compute_center(cat).dim
 
 
-def test_extension_enumeration_cap_refusal():
-    from ringoid.modules import enumerate_modules
-
-    with pytest.raises(CapExceeded, match="cap"):
-        enumerate_modules(catalog("a2cat(2)"), 4, cap=1)
+def test_extension_enumeration_cap_refusal(monkeypatch):
+    # at cap 7 the submodule scans of the crawl fit, and a cocycle space of
+    # dimension 3 (8 elements) is the first scan to refuse
+    monkeypatch.setenv("RINGOID_CAP_VECTORS", "7")
+    with pytest.raises(CapExceeded, match=r"^extension scan: p\^dim cocycles = 8 exceeds cap 7"):
+        enumerate_modules(catalog("a2cat(2)"), 4)
 
 
 def test_identity_object_keeps_endo_algebra():

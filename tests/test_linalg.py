@@ -184,7 +184,7 @@ def test_enumerate_subspaces_counts(n, p, expected):
 
 def test_enumerate_subspaces_cap_refusal():
     with pytest.raises(CapExceeded, match="4096"):
-        enumerate_subspaces(13, 2, cap=4096)
+        enumerate_subspaces(13, 2)
 
 
 def test_complement_data_projection():

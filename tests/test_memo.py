@@ -42,6 +42,14 @@ def test_nothing_is_kept_when_the_build_raises():
     assert derived(cat, ("probe",), refuse) == 7
 
 
+def test_representables_are_shared():
+    cat = catalog("a2cat(2)")
+    h = modules.representable(cat, "2")
+    assert modules.representable(cat, "2") is h
+    assert modules.representable(cat, "1") is not h
+    assert torsion.maximal_topology(cat).families["2"][0].module is h
+
+
 def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
     builds = []  # (category, key); holding the category keeps its id unique
     real_derived = category.derived
@@ -78,6 +86,7 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
     kinds = Counter(key[0] for _, key in builds)
     assert kinds["center"] == 1
     assert kinds["sequences"] > 0
+    assert kinds["representable"] > 0
     module_lists = Counter((id(cat), key[1]) for cat, key in builds if key[0] == "modules")
     assert module_lists and set(module_lists.values()) == {1}
     for kind in ("closure", "census"):

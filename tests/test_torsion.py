@@ -183,7 +183,7 @@ def test_valid_topologies_are_upclosed_and_meet_closed():
         cat = catalog(name)
         for topo in enumerate_topologies(cat):
             for a in cat.objects:
-                subs = all_submodules(topo.representables[a])
+                subs = all_submodules(representable(cat, a))
                 fam = topo.families[a]
                 for s in fam:
                     for t in subs:
@@ -401,3 +401,12 @@ def test_oracle_provenance_strings():
     assert oracle_from_topology(topo).provenance == "from_topology"
     oracle = hereditary_closure_oracle(cat, [], 2)
     assert oracle.provenance.startswith("closure")
+
+
+def test_closure_oracle_refuses_modules_beyond_its_bound():
+    cat = catalog("pt(2)")
+    h = representable(cat, "x")
+    oracle = hereditary_closure_oracle(cat, [h], 2)
+    assert oracle(direct_sum(h, h))
+    with pytest.raises(ValueError, match="only total up to dimension 2"):
+        oracle(direct_sum(h, direct_sum(h, h)))
