@@ -17,7 +17,7 @@ import time
 
 from .category import FinCat, cat_document, cat_from_json, cat_hash, cat_to_json, catalog, validate
 from .center import center_idempotents, compute_center, summand_bijection_check
-from .completion import additive_closure, find_oplus_generator, idempotent_completion
+from .completion import CLOSURE_OBJECTS, additive_closure, find_oplus_generator, idempotent_completion
 from .ideals import (
     enumerate_ideals,
     enumerate_idempotent_ideals,
@@ -63,6 +63,8 @@ ANCHORS = {
     "construction:additive-closure": "completion.additive_closure",
     "construction:idempotent-completion": "completion.idempotent_completion",
     "construction:oplus-generator": "completion.find_oplus_generator",
+    "refusal:vector-cap": "linalg.check_vector_cap",
+    "refusal:closure-object-cap": "completion.AdditiveClosure",
 }
 
 
@@ -472,7 +474,9 @@ def _run(argv) -> int:
     try:
         report = COMMANDS[args.command](cat, args, report)
     except CapExceeded as e:
-        report.add(args.command, "axioms:preadditive-category", f"refused(cap): {e}")
+        anchor = "refusal:closure-object-cap" if e.operation == CLOSURE_OBJECTS else "refusal:vector-cap"
+        report.add(args.command, anchor, f"refused(cap): {e}",
+                   {"operation": e.operation, "needed": e.needed, "cap": e.cap})
         print(report.to_json() if args.json else report.human())
         return EXIT_REFUSED
     if args.json:

@@ -29,6 +29,7 @@ from .modules import (
 )
 
 MAX_CLOSURE_OBJECTS = 130
+CLOSURE_OBJECTS = "additive_closure: tuple objects"
 
 
 def tuple_id(components) -> str:
@@ -48,7 +49,8 @@ class AdditiveClosure:
             tuples.extend(itertools.product(base.objects, repeat=l))
         if len(tuples) > MAX_CLOSURE_OBJECTS:
             raise CapExceeded(
-                f"additive closure would have {len(tuples)} objects, over cap {MAX_CLOSURE_OBJECTS}"
+                f"additive closure would have {len(tuples)} objects, over cap {MAX_CLOSURE_OBJECTS}",
+                CLOSURE_OBJECTS, len(tuples), MAX_CLOSURE_OBJECTS,
             )
         self.tuples = {tuple_id(t): t for t in tuples}
         objects = [tuple_id(t) for t in tuples]

@@ -17,7 +17,14 @@ _ENV_CAP = "RINGOID_CAP_VECTORS"
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration would exceed the configured cap; names the cap."""
+    """A scan or construction refused before it started: `operation` names
+    what it counted, `needed` the count and `cap` the limit it passed."""
+
+    def __init__(self, message: str, operation: str, needed: int, limit: int):
+        super().__init__(message)
+        self.operation = operation
+        self.needed = needed
+        self.cap = limit
 
 
 class DimensionMismatch(ValueError):
@@ -43,7 +50,8 @@ def check_vector_cap(count: int, what: str) -> None:
     counted, e.g. "enumerate_subspaces: p^n"."""
     cap = vector_cap()
     if count > cap:
-        raise CapExceeded(f"{what} = {count} exceeds cap {cap} (raise {_ENV_CAP} to override)")
+        raise CapExceeded(f"{what} = {count} exceeds cap {cap} (raise {_ENV_CAP} to override)",
+                          what, count, cap)
 
 
 _KNOWN_PRIMES = set()
@@ -101,6 +109,20 @@ class Mat:
         self.entries = ent
         self._hash = None
         self._rank = None
+
+    @classmethod
+    def _new(cls, p: int, rows: int, cols: int, entries) -> "Mat":
+        """Trusted constructor for results linalg itself produced: `entries` is
+        already a tuple of `rows` tuples of `cols` ints in [0, p), and p is a
+        checked prime, so nothing is reduced, rebuilt or checked."""
+        m = object.__new__(cls)
+        m.p = p
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        m._hash = None
+        m._rank = None
+        return m
 
     @classmethod
     def from_rows(cls, p: int, rows) -> "Mat":
@@ -171,28 +193,28 @@ class Mat:
                     s += ai[k] * b[k][j]
                 row.append(s % p)
             out.append(tuple(row))
-        return Mat(self.p, self.rows, other.cols, out)
+        return Mat._new(p, self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in add")
         p = self.p
-        return Mat(p, self.rows, self.cols,
-                   tuple(tuple((x + y) % p for x, y in zip(r, s))
-                         for r, s in zip(self.entries, other.entries)))
+        return Mat._new(p, self.rows, self.cols,
+                        tuple(tuple((x + y) % p for x, y in zip(r, s))
+                              for r, s in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "Mat":
-        c %= self.p
-        return Mat(self.p, self.rows, self.cols,
-                   tuple(tuple((c * x) % self.p for x in r) for r in self.entries))
+        p = self.p
+        c %= p
+        return Mat._new(p, self.rows, self.cols,
+                        tuple(tuple((c * x) % p for x in r) for r in self.entries))
 
     def transpose(self) -> "Mat":
-        return Mat(self.p, self.cols, self.rows,
-                   tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                         for j in range(self.cols)))
+        return Mat._new(self.p, self.cols, self.rows,
+                        tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.cols:
@@ -254,28 +276,33 @@ def rref_rows(p: int, rows, ncols: int):
     """In-place Gauss-Jordan on a list of row lists; returns (rows, pivot cols).
 
     The result is the unique reduced row echelon form: pivot entries 1, zeros
-    above and below each pivot, zero rows sunk to the bottom.
+    above and below each pivot, zero rows sunk to the bottom, every entry an
+    int in [0, p).  The input may hold any ints, negative ones included.
     """
     if p == 2:
         return _rref_rows_f2(rows, ncols)
     nrows = len(rows)
+    for i in range(nrows):
+        rows[i] = [x % p for x in rows[i]]
     pivots = []
     r = 0
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
-            if rows[i][c] % p != 0:
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = inv_mod(rows[r][c], p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
+        prow = rows[r]
+        if prow[c] != 1:
+            inv = inv_mod(prow[c], p)
+            prow = rows[r] = [(x * inv) % p for x in prow]
         for i in range(nrows):
-            if i != r and rows[i][c] % p != 0:
-                f = rows[i][c] % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -308,9 +335,10 @@ class Subspace:
         for v in rows:
             if len(v) != ambient:
                 raise DimensionMismatch(f"vector length {len(v)} != ambient {ambient}")
+        check_prime(p)
         rows, pivots = rref_rows(p, rows, ambient)
-        basis = rows[: len(pivots)]
-        return cls(p, ambient, Mat(p, len(basis), ambient, basis))
+        basis = tuple(map(tuple, rows[: len(pivots)]))
+        return cls(p, ambient, Mat._new(p, len(basis), ambient, basis))
 
     @classmethod
     def zero(cls, p: int, ambient: int) -> "Subspace":
@@ -397,6 +425,10 @@ class Subspace:
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient != v.ambient or u.p != v.p:
         raise DimensionMismatch("ambient mismatch in sum")
+    if v.dim == 0 or u.dim == u.ambient:
+        return u
+    if u.dim == 0 or v.dim == v.ambient:
+        return v
     return Subspace.from_vectors(u.p, u.ambient, u.basis_vectors() + v.basis_vectors())
 
 
@@ -540,24 +572,24 @@ def complement_data(s: Subspace):
 
     proj is (n - dim S) x n with kernel exactly S; lift is n x (n - dim S)
     picking the non-pivot standard vectors, and proj @ lift = identity.
+
+    Both are read off the RREF basis: proj sends a non-pivot e_j to its own
+    unit vector and the pivot e_c of basis row k to -row_k on the non-pivots,
+    which is what reducing e_c modulo S leaves.
     """
-    n = s.ambient
-    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in s.mat.entries]
+    n, p = s.ambient, s.p
+    basis = s.mat.entries
+    pivots = [row.index(1) for row in basis]
     nonpiv = [j for j in range(n) if j not in pivots]
-    q = len(nonpiv)
-    lift_cols = []
-    for j in nonpiv:
-        e = [0] * n
-        e[j] = 1
-        lift_cols.append(tuple(e))
-    lift = Mat.from_cols(s.p, n, lift_cols)
     proj_rows = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        r = s.reduce(tuple(e))
-        proj_rows.append(tuple(r[j] for j in nonpiv))
-    proj = Mat.from_cols(s.p, q, proj_rows)
+    for j in nonpiv:
+        r = [0] * n
+        r[j] = 1
+        for row, c in zip(basis, pivots):
+            r[c] = -row[j] % p
+        proj_rows.append(tuple(r))
+    proj = Mat._new(p, len(nonpiv), n, tuple(proj_rows))
+    lift = Mat._new(p, n, len(nonpiv), tuple(tuple(int(i == j) for j in nonpiv) for i in range(n)))
     return proj, lift
 
 

@@ -246,10 +246,15 @@ def print_quiver_dsl(spec: QuiverSpec) -> str:
 
 
 def _enumerate_paths(spec: QuiverSpec):
-    """Paths grouped by endpoints, ordered by (length, lexicographic arrows)."""
+    """Paths grouped by endpoints, ordered by (length, lexicographic arrows).
+
+    Refuses as soon as the number of paths listed passes the vector cap.
+    """
     by_pair = {(a, b): [] for a in spec.vertices for b in spec.vertices}
     for v in spec.vertices:
         by_pair[(v, v)].append(())
+    count = len(spec.vertices)
+    check_vector_cap(count, "path_category: paths of length <= maxlen")
     frontier = [((), v, v) for v in spec.vertices]
     arrow_names = sorted(spec.arrows)
     for _ in range(spec.maxlen):
@@ -261,6 +266,10 @@ def _enumerate_paths(spec: QuiverSpec):
                     w = word + (name,)
                     by_pair[(src, t)].append(w)
                     nxt.append((w, src, t))
+                    count += 1
+                    check_vector_cap(count, "path_category: paths of length <= maxlen")
+        if not nxt:
+            break
         frontier = nxt
     return by_pair
 
@@ -273,7 +282,6 @@ def path_category(spec: QuiverSpec) -> FinCat:
     both sides by arbitrary paths, with overlong terms dropped).
     """
     paths = _enumerate_paths(spec)
-    check_vector_cap(sum(len(v) for v in paths.values()), "path_category: paths of length <= maxlen")
     index = {}
     for pair, plist in paths.items():
         index[pair] = {w: i for i, w in enumerate(plist)}
@@ -318,6 +326,9 @@ def path_category(spec: QuiverSpec) -> FinCat:
         proj[pair] = project
 
     hom = {pair: len(bp) for pair, bp in basis_paths.items()}
+    vs = spec.vertices
+    largest = max((hom[(a, b)] * hom[(b, c)] * hom[(a, c)] for a in vs for b in vs for c in vs), default=0)
+    check_vector_cap(largest, "path_category: entries of the largest composition table")
     comp = {}
     for a in spec.vertices:
         for b in spec.vertices:

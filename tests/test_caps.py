@@ -4,6 +4,7 @@ and no function takes a cap of its own."""
 import importlib
 import inspect
 import pkgutil
+import time
 
 import pytest
 
@@ -105,3 +106,43 @@ def test_each_capped_scan_refuses_in_one_format(monkeypatch, setup, cap, what, c
     assert message.endswith(f" = {count} exceeds cap {cap} (raise RINGOID_CAP_VECTORS to override)")
     monkeypatch.setenv("RINGOID_CAP_VECTORS", str(count))
     fn(*args)
+
+
+def test_path_category_refuses_a_composition_table_over_the_cap(monkeypatch):
+    # two loops at one vertex: 2^11 - 1 = 2047 paths fit the default cap, but
+    # the composition table of (1, 1, 1) would hold 2047^3 entries
+    monkeypatch.delenv("RINGOID_CAP_VECTORS", raising=False)
+    spec = parse_quiver_dsl("vertices 1 ; arrow a: 1 -> 1 ; arrow b: 1 -> 1 ; field 2 ; maxlen 10 ;")
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as info:
+        path_category(spec)
+    assert time.perf_counter() - start < 5
+    assert str(info.value) == ("path_category: entries of the largest composition table = 8577357823"
+                               " exceeds cap 4096 (raise RINGOID_CAP_VECTORS to override)")
+    assert (info.value.operation, info.value.needed, info.value.cap) == (
+        "path_category: entries of the largest composition table", 2047 ** 3, 4096)
+
+
+def test_path_category_caps_the_table_after_the_paths(monkeypatch):
+    # one loop with maxlen 2: 3 paths, and a 3 x 3 table of 3-vectors
+    spec = parse_quiver_dsl("vertices 1 ; arrow a: 1 -> 1 ; field 2 ; maxlen 2 ;")
+    monkeypatch.setenv("RINGOID_CAP_VECTORS", "26")
+    with pytest.raises(CapExceeded, match=r"^path_category: entries of the largest composition table = 27 exceeds"):
+        path_category(spec)
+    monkeypatch.setenv("RINGOID_CAP_VECTORS", "27")
+    assert path_category(spec).hom_dim[("1", "1")] == 3
+
+
+def test_path_listing_stops_at_the_first_path_over_the_cap(monkeypatch):
+    # one loop and a huge maxlen: listing stops at path cap + 1, not at maxlen
+    monkeypatch.setenv("RINGOID_CAP_VECTORS", "5")
+    spec = parse_quiver_dsl("vertices 1 ; arrow a: 1 -> 1 ; field 2 ; maxlen 1000000000 ;")
+    with pytest.raises(CapExceeded, match=r"^path_category: paths of length <= maxlen = 6 exceeds cap 5 "):
+        path_category(spec)
+
+
+def test_path_listing_ends_when_no_path_extends(monkeypatch):
+    # an acyclic quiver with a huge maxlen builds at once
+    monkeypatch.delenv("RINGOID_CAP_VECTORS", raising=False)
+    cat = path_category(parse_quiver_dsl(KRONECKER.replace("maxlen 1", "maxlen 1000000000")))
+    assert cat.hom_dim[("1", "2")] == 2

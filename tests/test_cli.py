@@ -139,6 +139,30 @@ def test_refusal_on_tiny_cap(monkeypatch, capsys):
     assert "cap 2" in out
 
 
+@pytest.mark.parametrize("argv,env_cap,anchor,engine,message,witness", [
+    (["gabriel", "catalog:dual", "--p", "2"], "2", "refusal:vector-cap", "linalg.check_vector_cap",
+     "all_submodules: sum of p^dim M(a) = 4 exceeds cap 2 (raise RINGOID_CAP_VECTORS to override)",
+     {"operation": "all_submodules: sum of p^dim M(a)", "needed": 4, "cap": 2}),
+    (["complete", "catalog:a2cat", "--p", "2", "--bound", "7"], None, "refusal:closure-object-cap",
+     "completion.AdditiveClosure", "additive closure would have 255 objects, over cap 130",
+     {"operation": "additive_closure: tuple objects", "needed": 255, "cap": 130}),
+])
+def test_refusal_json_names_its_cap(monkeypatch, capsys, argv, env_cap, anchor, engine, message, witness):
+    if env_cap is None:
+        monkeypatch.delenv("RINGOID_CAP_VECTORS", raising=False)
+    else:
+        monkeypatch.setenv("RINGOID_CAP_VECTORS", env_cap)
+    code, out = run_cli(argv + ["--json"], capsys)
+    assert code == 2
+    assert json.loads(out)["findings"] == [{
+        "statement_id": argv[0],
+        "paper_anchor": anchor,
+        "verdict": f"refused(cap): {message}",
+        "witness": witness,
+    }]
+    assert cli.ANCHORS[anchor] == engine
+
+
 def test_complete_emits_interchange_category(capsys):
     code, out = run_cli(["complete", "catalog:pt", "--p", "2", "--bound", "2"], capsys)
     assert code == 0

@@ -34,7 +34,7 @@ def test_nothing_is_kept_when_the_build_raises():
     cat = catalog("pt(2)")
 
     def refuse():
-        raise CapExceeded("refused")
+        raise CapExceeded("refused", "probe", 1, 0)
 
     with pytest.raises(CapExceeded):
         derived(cat, ("probe",), refuse)
