@@ -13,7 +13,6 @@ import itertools
 from .category import FinCat, Morphism, derived
 from .ideals import Ideal, enumerate_ideals
 from .linalg import Mat, Subspace, check_vector_cap, kernel_basis, matrix_kernel, subspace_intersect
-from .modules import FinModule, module_times_ideal
 
 
 class CenterElement:
@@ -197,26 +196,3 @@ def summand_bijection_check(cat: FinCat) -> dict:
 
 def _intersection_dim(u: Subspace, v: Subspace) -> int:
     return subspace_intersect(u, v).dim
-
-
-def module_idempotent_action(m: FinModule, cat: FinCat, eps: CenterElement, i_eps: Ideal, i_comp: Ideal) -> dict:
-    """How a central idempotent acts on a module, cross-checked against the
-    ideal action: full action means every component is an isomorphism, zero
-    action means every component vanishes."""
-    mats = {a: m.act(eps.components[a]) for a in cat.objects}
-    all_iso = all(mat.rank() == m.dims[a] for a, mat in mats.items())
-    all_zero = all(mat.is_zero() for mat in mats.values())
-    mi = module_times_ideal(m, i_eps)
-    mi_comp = module_times_ideal(m, i_comp)
-    report = {
-        "acts_invertibly": all_iso,
-        "acts_by_zero": all_zero,
-        "module_times_ideal_full": mi.is_full(),
-        "module_times_ideal_zero": mi.is_zero(),
-        "consistent": (all_iso == mi.is_full()) and (all_zero == mi.is_zero()),
-        "direct_sum_decomposition": (
-            mi.sum(mi_comp).is_full()
-            and mi.intersect(mi_comp).is_zero()
-        ),
-    }
-    return report

@@ -185,6 +185,16 @@ def cmd_ideals(cat, args, report):
     return report
 
 
+def torsion_fingerprint_count(cat, topos, census_bound) -> int:
+    """The number of distinct census fingerprints of the hereditary torsion
+    classes closed from each topology's seeds; it equals the number of
+    topologies exactly when no two of them give the same class."""
+    return len({
+        hereditary_closure_oracle(cat, topology_seeds(topo), census_bound).census_fingerprint
+        for topo in topos
+    })
+
+
 def cmd_gabriel(cat, args, report):
     topos = enumerate_topologies(cat)
     report.add(
@@ -206,18 +216,12 @@ def cmd_gabriel(cat, args, report):
         "pass" if all(has_fg_basis(t) for t in topos) else "fail",
     )
     if args.census:
-        fps = set()
-        collisions = False
-        for topo in topos:
-            oracle = hereditary_closure_oracle(cat, topology_seeds(topo), args.census)
-            if oracle.census_fingerprint in fps:
-                collisions = True
-            fps.add(oracle.census_fingerprint)
+        n_fps = torsion_fingerprint_count(cat, topos, args.census)
         report.add(
             "topology-census-equality",
             "census:topologies-vs-hereditary-classes",
-            "pass" if len(fps) == len(topos) else "fail",
-            {"topologies": len(topos), "torsion_fingerprints": len(fps), "collisions": collisions},
+            "pass" if n_fps == len(topos) else "fail",
+            {"topologies": len(topos), "torsion_fingerprints": n_fps, "collisions": n_fps != len(topos)},
         )
     return report
 
@@ -291,11 +295,20 @@ def _select_ideals(cat, selector: str):
     return [ideals[idx]]
 
 
+def recollement_check(cat, ideal, bound, census_bound):
+    """The recollement shadows of an idempotent ideal on the census up to
+    census_bound, or None when no idempotent witnesses the ideal as a trace
+    of projectives within the tuple bound."""
+    if is_trace_of_projectives(cat, ideal, bound) is None:
+        return None
+    return recollement_shadows(recollement_data(cat, ideal, bound), census_bound)
+
+
 def cmd_recollement(cat, args, report):
     ideals = _select_ideals(cat, args.ideal)
     for n, ideal in enumerate(ideals):
-        witness = is_trace_of_projectives(cat, ideal, args.bound)
-        if witness is None:
+        rep = recollement_check(cat, ideal, args.bound, args.dim)
+        if rep is None:
             report.add(
                 f"recollement-{n}",
                 "structure:recollement-shadows",
@@ -304,8 +317,6 @@ def cmd_recollement(cat, args, report):
                 " trace of finitely generated projective modules",
             )
             continue
-        data = recollement_data(cat, ideal, args.bound)
-        rep = recollement_shadows(data, args.dim)
         report.add(
             f"recollement-{n}",
             "structure:recollement-shadows",
@@ -349,14 +360,12 @@ def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
         "pass" if all(roundtrips) else "fail",
         {"count": len(topos)},
     )
-    fps = set()
-    for topo in topos:
-        fps.add(hereditary_closure_oracle(cat, topology_seeds(topo), dim).census_fingerprint)
+    n_fps = torsion_fingerprint_count(cat, topos, dim)
     report.add(
         "torsion-fingerprints",
         "census:topologies-vs-hereditary-classes",
-        "pass" if len(fps) == len(topos) else "fail",
-        {"count": len(fps)},
+        "pass" if n_fps == len(topos) else "fail",
+        {"count": n_fps},
     )
     jrep = jans_roundtrip(cat, dim)
     report.add(
@@ -375,11 +384,11 @@ def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
     shadows_pass = True
     witnessed = 0
     for ideal in idem:
-        if is_trace_of_projectives(cat, ideal, bound) is None:
+        rep = recollement_check(cat, ideal, bound, dim)
+        if rep is None:
             continue
         witnessed += 1
-        data = recollement_data(cat, ideal, bound)
-        shadows_pass = shadows_pass and recollement_shadows(data, dim)["pass"]
+        shadows_pass = shadows_pass and rep["pass"]
     report.add(
         "recollement-shadows",
         "structure:recollement-shadows",

@@ -9,24 +9,11 @@ morphisms and compose by row-by-column multiplication.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
-from .linalg import CapExceeded, Mat, Subspace, check_vector_cap
-from .modules import (
-    FinModule,
-    ModuleMap,
-    cyclic_submodule,
-    direct_sum,
-    enumerate_modules,
-    image,
-    kernel,
-    representable,
-    submodule_module,
-    zero_module,
-    zero_submodule,
-)
+from .linalg import CapExceeded, Mat, Subspace
+from .modules import FinModule, ModuleMap, image, representable, submodule_module
 
 MAX_CLOSURE_OBJECTS = 130
 CLOSURE_OBJECTS = "additive_closure: tuple objects"
@@ -177,77 +164,6 @@ def restrict_module(closure: AdditiveClosure, n: FinModule) -> FinModule:
     return FinModule(base, dims, action, name=f"res({n.name})" if n.name else "")
 
 
-def coproduct_of_representables(cat: FinCat, components) -> FinModule:
-    """The direct sum of H_c over the given base objects, in component order."""
-    out = functools.reduce(direct_sum, [representable(cat, c) for c in components], zero_module(cat))
-    out.name = "+".join(f"H_{c}" for c in components) or "0"
-    return out
-
-
-def blocks_map(cat: FinCat, src_tuple, tgt_tuple, blocks) -> ModuleMap:
-    """The module map between coproducts of representables induced by a block
-    matrix of base morphisms (blocks[i][j]: src_i -> tgt_j)."""
-    comps = {
-        a: Mat.from_blocks(cat.p, [cat.hom_dim[(a, t)] for t in tgt_tuple],
-                           [cat.hom_dim[(a, s)] for s in src_tuple],
-                           {(j, i): cat.postcompose_matrix(blocks[i][j], a)
-                            for i in range(len(src_tuple)) for j in range(len(tgt_tuple))})
-        for a in cat.objects
-    }
-    return ModuleMap(coproduct_of_representables(cat, src_tuple),
-                     coproduct_of_representables(cat, tgt_tuple), comps)
-
-
-def pseudo_kernel(cat: FinCat, src_tuple, tgt_tuple, blocks):
-    """A pseudo-kernel of a map between coproducts of representables.
-
-    Returns (ker_tuple, psi_blocks): a tuple of base objects and a block
-    matrix psi with phi . psi = 0, through which every map from a
-    representable into the kernel factors.  Construction: take the module
-    kernel, pick generators, and read the corresponding matrix off Yoneda.
-    """
-    phi = blocks_map(cat, src_tuple, tgt_tuple, blocks)
-    k = kernel(phi)
-    msrc = phi.src
-    gens = []
-    acc = zero_submodule(msrc)
-    for c in cat.objects:
-        for v in k.spaces[c].basis_vectors():
-            grown = acc.sum(cyclic_submodule(msrc, c, v))
-            if grown.total_dim() > acc.total_dim():
-                acc = grown
-                gens.append((c, v))
-        if acc.total_dim() == k.total_dim():
-            break
-    ker_tuple = tuple(c for c, _ in gens)
-    psi_blocks = []
-    for c, v in gens:
-        # v lies in the sum of the A(c, s_i), one block per component
-        row = []
-        off = 0
-        for si in src_tuple:
-            d = cat.hom_dim[(c, si)]
-            row.append(Morphism(c, si, v[off: off + d]))
-            off += d
-        psi_blocks.append(row)
-    return ker_tuple, psi_blocks
-
-
-def compose_block_matrices(cat: FinCat, f_blocks, g_blocks):
-    """(g . f) for block matrices f: s -> t, g: t -> u of base morphisms."""
-    out = []
-    for i, frow in enumerate(f_blocks):
-        row = []
-        for l in range(len(g_blocks[0]) if g_blocks else 0):
-            acc = None
-            for j, fij in enumerate(frow):
-                term = cat.compose(g_blocks[j][l], fij)
-                acc = term if acc is None else cat.add(acc, term)
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def idempotent_subcategory(closure: AdditiveClosure, idempotents, name: str):
     """The full subcategory of the Karoubi envelope on named idempotents of
     closure objects, as (category, lift).
@@ -332,93 +248,6 @@ def proj_module_of_idempotent(closure: AdditiveClosure, eps: Morphism):
 def restrict_h(closure: AdditiveClosure, t_id: str) -> FinModule:
     """The base module c -> closure(c, t), the coproduct of representables."""
     return restrict_module(closure, representable(closure.cat, t_id))
-
-
-def objects_isomorphic(cat: FinCat, a: str, b: str) -> bool:
-    """Exhaustive mutually-inverse morphism search, behind a hom-dim prefilter."""
-    if a == b:
-        return True
-    if (
-        cat.hom_dim[(a, b)] != cat.hom_dim[(b, a)]
-        or cat.hom_dim[(a, a)] != cat.hom_dim[(b, b)]
-    ):
-        return False
-    check_vector_cap(cat.p ** cat.hom_dim[(a, b)], f"objects_isomorphic: p^dim A({a},{b})")
-    ida, idb = cat.identity(a), cat.identity(b)
-    for f in cat.elements(a, b):
-        gf_candidates = [g for g in cat.elements(b, a) if cat.compose(g, f) == ida]
-        if any(cat.compose(f, g) == idb for g in gf_candidates):
-            return True
-    return False
-
-
-def morita_invariants(cat: FinCat, census_bound: int = 4) -> dict:
-    """The completion-stable fingerprint: center dimension, idempotent counts
-    per endo algebra, and the module census profile by total dimension.
-
-    Equality of these invariants never certifies a Morita equivalence; a
-    candidate equivalence can be checked explicitly with
-    check_equivalence_candidate.
-    """
-    from .center import compute_center  # local: center imports ideals, which imports this module
-
-    idem_counts = sorted(len(list_idempotents(cat, a)) for a in cat.objects)
-    census = enumerate_modules(cat, census_bound)
-    profile = [0] * (census_bound + 1)
-    for m in census:
-        profile[m.total_dim()] += 1
-    return {
-        "center_dim": compute_center(cat).dim,
-        "idempotent_counts": idem_counts,
-        "census_profile": profile,
-    }
-
-
-def check_equivalence_candidate(src: FinCat, tgt: FinCat, object_map, coord_maps) -> dict:
-    """Verify a user-supplied functor as an equivalence.
-
-    object_map sends source objects to target objects; coord_maps[(a, b)] is
-    the matrix taking coordinates in src(a, b) to coordinates in
-    tgt(object_map[a], object_map[b]).  Checks: identities and composition are
-    preserved, every hom matrix is invertible (full faithfulness), and every
-    target object is isomorphic to an image object (essential surjectivity,
-    decided by exhaustive inverse search).
-    """
-    functorial = True
-    for a in src.objects:
-        fa = object_map[a]
-        mapped = coord_maps[(a, a)].apply(src.id_coords[a])
-        if mapped != tgt.id_coords[fa]:
-            functorial = False
-    for a in src.objects:
-        for b in src.objects:
-            for f in src.basis(a, b):
-                for c in src.objects:
-                    for g in src.basis(b, c):
-                        lhs = coord_maps[(a, c)].apply(src.compose(g, f).coords)
-                        rhs = tgt.compose(
-                            Morphism(object_map[b], object_map[c], coord_maps[(b, c)].apply(g.coords)),
-                            Morphism(object_map[a], object_map[b], coord_maps[(a, b)].apply(f.coords)),
-                        ).coords
-                        if lhs != rhs:
-                            functorial = False
-    fully_faithful = all(
-        coord_maps[(a, b)].rows == coord_maps[(a, b)].cols == src.hom_dim[(a, b)]
-        and tgt.hom_dim[(object_map[a], object_map[b])] == src.hom_dim[(a, b)]
-        and coord_maps[(a, b)].rank() == src.hom_dim[(a, b)]
-        for a in src.objects
-        for b in src.objects
-    )
-    hit = set(object_map[a] for a in src.objects)
-    essentially_surjective = all(
-        any(objects_isomorphic(tgt, t, h) for h in hit) for t in tgt.objects
-    )
-    return {
-        "functorial": functorial,
-        "fully_faithful": fully_faithful,
-        "essentially_surjective": essentially_surjective,
-        "equivalence": functorial and fully_faithful and essentially_surjective,
-    }
 
 
 def find_oplus_generator(base: FinCat, bound: int):

@@ -9,7 +9,7 @@ sum-closure of the finitely many principal ideals is the whole ideal lattice.
 from __future__ import annotations
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
-from .completion import additive_closure, proj_module_of_idempotent
+from .completion import additive_closure
 from .linalg import Subspace, check_vector_cap, complement_data, subspace_sum, vector_cap
 from .modules import FinModule, join_closure, module_times_ideal, representable, trace
 
@@ -247,21 +247,6 @@ def trace_ideal(cat: FinCat, modules) -> Ideal:
     return Ideal(cat, spaces)
 
 
-def restrict_closure_ideal(closure, j: "Ideal") -> Ideal:
-    """An ideal of the additive closure, restricted to the singleton pairs.
-
-    The singleton hom spaces carry the same coordinates as the base category,
-    so the restriction is a plain re-indexing.
-    """
-    base = closure.base
-    spaces = {}
-    for a in base.objects:
-        for b in base.objects:
-            s = j.spaces[(closure.embed_object(a), closure.embed_object(b))]
-            spaces[(a, b)] = Subspace(base.p, s.ambient, s.mat)
-    return Ideal(base, spaces)
-
-
 def closure_idempotent_base_ideal(closure, eps: Morphism) -> Ideal:
     """The ideal of the base category induced by a closure idempotent: the
     restriction to singleton pairs of the closure ideal it generates.
@@ -334,12 +319,3 @@ def _trace_witness(cat: FinCat, ideal: Ideal, bound: int):
         if acc == ideal:
             break
     return witness
-
-
-def subcategory_from_ideal(cat: FinCat, ideal: Ideal, bound: int = 3):
-    """The projective modules cut out by a witness set of idempotents, or None."""
-    witness = is_trace_of_projectives(cat, ideal, bound)
-    if witness is None:
-        return None
-    closure = additive_closure(cat, bound)
-    return [proj_module_of_idempotent(closure, eps)[0] for eps in witness]

@@ -155,11 +155,13 @@ class Mat:
 
     @classmethod
     def zero(cls, p: int, rows: int, cols: int) -> "Mat":
-        return cls(p, rows, cols, ((0,) * cols,) * rows)
+        check_prime(p)
+        return cls._new(p, rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, p: int, n: int) -> "Mat":
-        return cls(p, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        check_prime(p)
+        return cls._new(p, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def __eq__(self, other):
         return (
@@ -308,11 +310,6 @@ def rref_rows(p: int, rows, ncols: int):
         if r == nrows:
             break
     return rows, pivots
-
-
-def rref(m: Mat) -> Mat:
-    rows, _ = rref_rows(m.p, [list(r) for r in m.entries], m.cols)
-    return Mat(m.p, m.rows, m.cols, rows)
 
 
 class Subspace:
@@ -525,8 +522,9 @@ def matrix_kernel(p: int, shapes: dict, equations):
         return tuple(flat)
 
     def unpack(vec) -> dict:
+        """vec is a vector of the solution space: a tuple of ints in [0, p)."""
         return {
-            key: Mat(p, r, c, [vec[offs[key] + i * c: offs[key] + i * c + c] for i in range(r)])
+            key: Mat._new(p, r, c, tuple(vec[offs[key] + i * c: offs[key] + i * c + c] for i in range(r)))
             for key, (r, c) in shapes.items()
         }
 
@@ -536,10 +534,6 @@ def matrix_kernel(p: int, shapes: dict, equations):
 def image_basis(m: Mat) -> Subspace:
     """The column space of m, a subspace of F_p^rows."""
     return Subspace.from_vectors(m.p, m.rows, m.transpose().entries)
-
-
-def row_space(m: Mat) -> Subspace:
-    return Subspace.from_vectors(m.p, m.cols, m.entries)
 
 
 def solve(m: Mat, v: Vec):
@@ -599,13 +593,6 @@ def preimage(m: Mat, s: Subspace) -> Subspace:
         raise DimensionMismatch("subspace ambient must match matrix rows")
     proj, _ = complement_data(s)
     return kernel_basis(proj @ m)
-
-
-def apply_to_subspace(m: Mat, s: Subspace) -> Subspace:
-    """The image m(S) for S a subspace of the domain F_p^cols."""
-    if s.ambient != m.cols:
-        raise DimensionMismatch("subspace ambient must match matrix cols")
-    return Subspace.from_vectors(m.p, m.rows, [m.apply(v) for v in s.basis_vectors()])
 
 
 def enumerate_subspaces(n: int, p: int) -> list:

@@ -11,18 +11,8 @@ simple-plus-extension crawl, traces, ideal action, and annihilators.
 from __future__ import annotations
 
 import itertools
-import json
 
-from .category import (
-    FinCat,
-    Morphism,
-    cat_hash,
-    derived,
-    json_document,
-    json_ints,
-    json_key,
-    json_object,
-)
+from .category import FinCat, Morphism, derived
 from .linalg import (
     Mat,
     Subspace,
@@ -636,48 +626,3 @@ def gen_witness(generators, m: FinModule):
                 return witness
     return witness if t.is_full() else None
 
-
-def module_to_json(m: FinModule) -> str:
-    doc = {
-        "category": cat_hash(m.cat),
-        "dims": {a: m.dims[a] for a in m.cat.objects},
-        "action": {
-            f"{a}|{b}|{i}": [list(r) for r in mat.entries]
-            for (a, b, i), mat in sorted(m.action.items())
-        },
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def module_from_json(cat: FinCat, text: str, verify_hash: bool = True) -> FinModule:
-    """The module of a document written by module_to_json.
-
-    Raises ValueError, json.JSONDecodeError included, for text that is not
-    such a document: a field that is not the documented container, a
-    dimension or entry that is not a JSON integer, a negative dimension, an
-    action missing for a basis morphism whose source has a nonzero space, or
-    a hash of another category when verify_hash is set.
-    """
-    doc = json_document(text)
-    if not isinstance(doc, dict):
-        raise ValueError("a module document must be a JSON object")
-    if verify_hash and doc.get("category") != cat_hash(cat):
-        raise ValueError("module document references a different category (hash mismatch)")
-    if not isinstance(doc.get("dims"), dict):
-        raise ValueError('"dims" must be a JSON object')
-    dims = {a: json_ints(d, 0, f"dims {a}") for a, d in doc["dims"].items()}
-    if any(d < 0 for d in dims.values()):
-        raise ValueError("module dimensions must be non-negative")
-    action = {}
-    for key, entries in json_object(doc, "action").items():
-        a, b, i = json_key(key, 3)
-        entries = json_ints(entries, 2, f"action {key}")
-        action[(a, b, int(i))] = Mat(cat.p, dims.get(a, 0), dims.get(b, 0), entries)
-    # the zero maps FinModule fills in would be sized by the dimensions
-    # alone, so the document itself must spell out every map with rows
-    for a in cat.objects:
-        for b in cat.objects:
-            for i in range(cat.hom_dim[(a, b)]):
-                if dims.get(a, 0) and (a, b, i) not in action:
-                    raise ValueError(f"action missing at {a}|{b}|{i}")
-    return FinModule(cat, dims, action)

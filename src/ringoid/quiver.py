@@ -228,23 +228,6 @@ def parse_quiver_dsl(text: str) -> QuiverSpec:
         raise QuiverSyntaxError(str(e), 1, 1)
 
 
-def print_quiver_dsl(spec: QuiverSpec) -> str:
-    lines = []
-    if spec.vertices:
-        lines.append("vertices " + " ".join(spec.vertices) + " ;")
-    for name, (s, t) in spec.arrows.items():
-        lines.append(f"arrow {name}: {s} -> {t} ;")
-    for rel in spec.relations:
-        terms = []
-        for c, w in rel:
-            body = "*".join(w)
-            terms.append(body if c == 1 else f"{c}*{body}")
-        lines.append("relation " + " + ".join(terms) + " ;")
-    lines.append(f"field {spec.p} ;")
-    lines.append(f"maxlen {spec.maxlen} ;")
-    return "\n".join(lines) + "\n"
-
-
 def _enumerate_paths(spec: QuiverSpec):
     """Paths grouped by endpoints, ordered by (length, lexicographic arrows).
 
@@ -274,6 +257,27 @@ def _enumerate_paths(spec: QuiverSpec):
     return by_pair
 
 
+def _padded_relations(spec: QuiverSpec, paths):
+    """(endpoints, terms) for every relation padded on both sides by paths.
+
+    A padding that leaves every term longer than maxlen truncates to the zero
+    vector, so it is skipped; paths are listed by length, so each loop stops
+    at its first such path.
+    """
+    for rel in spec.relations:
+        x, y = spec.word_endpoints(rel[0][1])
+        room = spec.maxlen - min(len(w) for _, w in rel)
+        for c_src in spec.vertices:
+            for left in paths[(c_src, x)]:
+                if len(left) > room:
+                    break
+                for d_tgt in spec.vertices:
+                    for right in paths[(y, d_tgt)]:
+                        if len(left) + len(right) > room:
+                            break
+                        yield (c_src, d_tgt), [(c, left + w + right) for c, w in rel]
+
+
 def path_category(spec: QuiverSpec) -> FinCat:
     """The truncated path category of a quiver presentation.
 
@@ -297,16 +301,10 @@ def path_category(spec: QuiverSpec) -> FinCat:
         return vec
 
     rel_vectors = {pair: [] for pair in paths}
-    for rel in spec.relations:
-        x, y = spec.word_endpoints(rel[0][1])
-        for c_src in spec.vertices:
-            for left in paths[(c_src, x)]:
-                for d_tgt in spec.vertices:
-                    for right in paths[(y, d_tgt)]:
-                        terms = [(c, left + w + right) for c, w in rel]
-                        vec = truncated_vector((c_src, d_tgt), terms)
-                        if any(vec):
-                            rel_vectors[(c_src, d_tgt)].append(vec)
+    for pair, terms in _padded_relations(spec, paths):
+        vec = truncated_vector(pair, terms)
+        if any(vec):
+            rel_vectors[pair].append(vec)
 
     rel_space = {}
     proj = {}

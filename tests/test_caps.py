@@ -11,7 +11,6 @@ import pytest
 import ringoid
 from ringoid.category import catalog, list_idempotents
 from ringoid.center import center_idempotents, compute_center
-from ringoid.completion import idempotent_completion, objects_isomorphic
 from ringoid.ideals import principal_ideals
 from ringoid.linalg import CapExceeded, Mat, enumerate_subspaces
 from ringoid.modules import (
@@ -58,12 +57,6 @@ def _zero_endomorphism():
     return [ModuleMap(s, s, {a: Mat.zero(2, s.dims[a], s.dims[a]) for a in s.cat.objects})]
 
 
-def _rank_one_objects():
-    comp = idempotent_completion(catalog("mat2(2)"), 1)
-    ones = [o for o in comp.cat.objects if comp.cat.hom_dim[(o, o)] == 1]
-    return comp.cat, ones[0], ones[1]
-
-
 # (entry point, cap, what, count): each call is set up under the default
 # cap, then run with RINGOID_CAP_VECTORS = cap
 REFUSALS = [
@@ -84,8 +77,6 @@ REFUSALS = [
      3, "list_idempotents: p^dim A(x,x)", 4),
     (lambda: (center_idempotents, compute_center(catalog("prod(2)"))),
      3, "center_idempotents: p^dim Z", 4),
-    (lambda: (objects_isomorphic, *_rank_one_objects()),
-     1, "objects_isomorphic: p^dim A(", 2),
     (lambda: (torsion_membership, maximal_topology(catalog("dual(2)")), representable(catalog("dual(2)"), "x")),
      3, "torsion_membership: p^dim M(x)", 4),
     (lambda: (torsion_radical, maximal_topology(catalog("dual(2)")), representable(catalog("dual(2)"), "x")),
@@ -121,6 +112,19 @@ def test_path_category_refuses_a_composition_table_over_the_cap(monkeypatch):
                                " exceeds cap 4096 (raise RINGOID_CAP_VECTORS to override)")
     assert (info.value.operation, info.value.needed, info.value.cap) == (
         "path_category: entries of the largest composition table", 2047 ** 3, 4096)
+
+
+def test_path_category_refuses_a_relation_quiver_by_the_table_cap(monkeypatch):
+    # with relation a*b only the paddings within maxlen are built, so the
+    # table of 66^3 entries (hom dimension 1 + 2 + ... + 11, the words
+    # b^i a^j) is refused after the relation space, not after padding every
+    # pair of the 2047 paths
+    monkeypatch.delenv("RINGOID_CAP_VECTORS", raising=False)
+    spec = parse_quiver_dsl("vertices 1 ; arrow a: 1 -> 1 ; arrow b: 1 -> 1 ; relation a*b ; field 2 ; maxlen 10 ;")
+    with pytest.raises(CapExceeded) as info:
+        path_category(spec)
+    assert (info.value.operation, info.value.needed, info.value.cap) == (
+        "path_category: entries of the largest composition table", 66 ** 3, 4096)
 
 
 def test_path_category_caps_the_table_after_the_paths(monkeypatch):

@@ -7,7 +7,6 @@ from ringoid.center import (
     center_idempotents,
     compute_center,
     ideal_of_idempotent,
-    module_idempotent_action,
     summand_bijection_check,
 )
 from ringoid.completion import additive_closure, idempotent_completion
@@ -112,6 +111,29 @@ def test_injectivity_of_idempotent_to_ideal():
             i, _ = ideal_of_idempotent(cat, eps)
             assert i.key() not in seen
             seen.add(i.key())
+
+
+def module_idempotent_action(m, cat, eps, i_eps, i_comp):
+    """How a central idempotent acts on a module, cross-checked against the
+    ideal action: full action means every component is an isomorphism, zero
+    action means every component vanishes."""
+    mats = {a: m.act(eps.components[a]) for a in cat.objects}
+    all_iso = all(mat.rank() == m.dims[a] for a, mat in mats.items())
+    all_zero = all(mat.is_zero() for mat in mats.values())
+    mi = module_times_ideal(m, i_eps)
+    mi_comp = module_times_ideal(m, i_comp)
+    report = {
+        "acts_invertibly": all_iso,
+        "acts_by_zero": all_zero,
+        "module_times_ideal_full": mi.is_full(),
+        "module_times_ideal_zero": mi.is_zero(),
+        "consistent": (all_iso == mi.is_full()) and (all_zero == mi.is_zero()),
+        "direct_sum_decomposition": (
+            mi.sum(mi_comp).is_full()
+            and mi.intersect(mi_comp).is_zero()
+        ),
+    }
+    return report
 
 
 def test_module_action_of_trivial_idempotents():

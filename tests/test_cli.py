@@ -383,6 +383,13 @@ REPORT_SHA256 = {
         ["complete", "catalog:a2cat", "--p", "2", "--bound", "1", "--idempotents"], "aaee8a690ddf3e23"
     ),
     "center-mat2-p3": (["center", "catalog:mat2", "--p", "3"], "0c703b5037d7e045"),
+    "gabriel-census-a2cat-p2": (["gabriel", "catalog:a2cat", "--p", "2", "--census", "3"], "559db1580046a9de"),
+    "gabriel-census-dual-p3": (["gabriel", "catalog:dual", "--p", "3", "--census", "3"], "c405bc7a3942b8fa"),
+    "census-prod-p3": (["census", "catalog:prod", "--p", "3"], "b13f10a0f47ac8de"),
+    "census-pt-p2": (["census", "catalog:pt", "--p", "2"], "65cbd5a12d05845d"),
+    "jans-a2cat-p3": (["jans", "catalog:a2cat", "--p", "3"], "bc9f05c80aec7c0e"),
+    "split-prod-p2": (["split", "catalog:prod", "--p", "2"], "e9d187d7f2e8e15c"),
+    "ideals-idempotent-mat2-p2": (["ideals", "catalog:mat2", "--p", "2", "--idempotent"], "f65b44bc9aa86b2e"),
 }
 
 

@@ -17,8 +17,6 @@ from ringoid.ideals import (
     product,
     quotient_category,
     restrict_along_quotient,
-    restrict_closure_ideal,
-    subcategory_from_ideal,
     trace_ideal,
     unit_ideal,
     zero_ideal,
@@ -334,6 +332,28 @@ def test_extension_of_representable_is_quotient_by_ideal_values():
             sub = Submodule(h, {b: ideal.spaces[(b, a)] for b in cat.objects})
             expected, _ = quotient_module(h, sub)
             assert is_iso(back, expected)
+
+
+def restrict_closure_ideal(closure, j):
+    """An ideal of the additive closure, restricted to the singleton pairs.
+
+    The singleton hom spaces carry the same coordinates as the base category,
+    so the restriction is a plain re-indexing.
+    """
+    base = closure.base
+    return Ideal(base, {
+        (a, b): j.spaces[(closure.embed_object(a), closure.embed_object(b))]
+        for a in base.objects for b in base.objects
+    })
+
+
+def subcategory_from_ideal(cat, ideal, bound=3):
+    """The projective modules cut out by a witness set of idempotents, or None."""
+    witness = is_trace_of_projectives(cat, ideal, bound)
+    if witness is None:
+        return None
+    closure = additive_closure(cat, bound)
+    return [proj_module_of_idempotent(closure, eps)[0] for eps in witness]
 
 
 def test_witnesses_for_trivial_ideals():

@@ -1,0 +1,115 @@
+"""Layout guards for `src/ringoid`, read with the stdlib `ast` module.
+
+(a) Every top-level function and class has a reader: code in `src/ringoid`
+outside its own definition, `ringoid.__all__`, the benchmark (`TRACED` in
+`bench/tracing.py`, or `bench/run.py`), or the one test module that
+`TEST_READERS` names.  (b) No module imports a name it does not use.
+(c) Every traced name still resolves, so removing a traced function fails
+here and not first in the benchmark's `Tracer.install`.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import ringoid
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ringoid"
+BENCH = ROOT / "bench"
+TESTS = ROOT / "tests"
+
+# Names nothing in src/ringoid reads, kept as reference oracles and
+# fixtures for the test module named.
+TEST_READERS = {
+    "cats_equal": "test_category.py",
+    "check_naturality": "test_modules.py",
+    "enumerate_subspaces": "test_linalg.py",
+    "full_topology": "test_torsion.py",
+    "gen_witness": "test_modules.py",
+    "kernel": "test_properties.py",
+    "maximal_topology": "test_torsion.py",
+    "oracle_from_ideal": "test_torsion.py",
+    "solve_matrix": "test_modules.py",
+    "torsion_radical": "test_torsion.py",
+    "trace_ideal": "test_ideals.py",
+    "validate_module": "test_modules.py",
+}
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def names_read(node) -> set:
+    """Identifiers a piece of code mentions: names, attributes, imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def traced() -> tuple:
+    for node in parse(BENCH / "tracing.py").body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no TRACED")
+
+
+MODULES = {path.stem: parse(path) for path in sorted(SRC.glob("*.py"))}
+
+
+def top_level_definitions():
+    for mod, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield mod, node
+
+
+def test_every_top_level_definition_has_a_reader():
+    bench_names = {name.split(".")[1] for name in traced()} | names_read(parse(BENCH / "run.py"))
+    reads = [(node, names_read(node)) for tree in MODULES.values() for node in tree.body]
+    unread = []
+    for mod, definition in top_level_definitions():
+        read_in_src = any(definition.name in names for node, names in reads if node is not definition)
+        if not (read_in_src or definition.name in ringoid.__all__
+                or definition.name in bench_names or definition.name in TEST_READERS):
+            unread.append(f"{mod}.{definition.name}")
+    assert not unread, f"no reader: {unread}"
+
+
+@pytest.mark.parametrize("name", sorted(TEST_READERS))
+def test_test_readers_are_current(name):
+    defined = {d.name for _, d in top_level_definitions()}
+    assert name in defined
+    assert name in names_read(parse(TESTS / TEST_READERS[name]))
+
+
+@pytest.mark.parametrize("mod", sorted(MODULES))
+def test_no_unused_imports(mod):
+    tree = MODULES[mod]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(bound)
+    assert not unused, f"unused imports in {mod}: {unused}"
+
+
+@pytest.mark.parametrize("name", traced())
+def test_traced_names_resolve(name):
+    mod, attr = name.split(".")
+    assert hasattr(importlib.import_module(f"ringoid.{mod}"), attr)

@@ -2,11 +2,12 @@
 each equals the validating `Mat(p, rows, cols, entries)` and holds tuples of
 ints in [0, p)."""
 
+import itertools
 import random
 
 import pytest
 
-from ringoid.linalg import Mat, Subspace, complement_data, enumerate_subspaces, kernel_basis
+from ringoid.linalg import Mat, Subspace, complement_data, enumerate_subspaces, kernel_basis, matrix_kernel
 
 
 def assert_canonical(m):
@@ -76,3 +77,32 @@ def test_complement_data_matches_elimination(n, p):
         assert (proj, lift) == reference_complement_data(s)
         assert proj @ lift == Mat.identity(p, n - s.dim)
         assert kernel_basis(proj) == s
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_zero_and_identity_are_canonical(p):
+    for r in range(4):
+        for c in range(4):
+            assert_canonical(Mat.zero(p, r, c))
+        assert_canonical(Mat.identity(p, r))
+    with pytest.raises(ValueError):
+        Mat.zero(4, 1, 1)
+    with pytest.raises(ValueError):
+        Mat.identity(6, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_matrix_kernel_unpack_is_canonical(p):
+    # unknowns X (2 x 3) and Y (1 x 1) with A @ X - Y @ B = 0 for A 1 x 2, B 1 x 3
+    rng = random.Random(200 + p)
+    for _ in range(20):
+        a, b = random_mat(rng, p, 1, 2), random_mat(rng, p, 1, 3)
+        solutions, pack, unpack = matrix_kernel(p, {"x": (2, 3), "y": (1, 1)}, [
+            [(1, a, "x", None), (-1, None, "y", b)],
+        ])
+        for v in itertools.islice(solutions.vectors(), 16):
+            mats = unpack(v)
+            for m in mats.values():
+                assert_canonical(m)
+            assert pack(mats) == v
+            assert a @ mats["x"] == mats["y"] @ b

@@ -18,8 +18,6 @@ from ringoid.modules import (
     image,
     is_iso,
     kernel,
-    module_from_json,
-    module_to_json,
     quotient_module,
     representable,
     simple_modules,
@@ -310,71 +308,6 @@ def test_gen_witness():
     w = gen_witness([h], m)
     assert w is not None and len(w) == 2
     assert gen_witness([zero_module(cat)], h) is None
-
-
-def test_module_json_roundtrip():
-    cat = catalog("a2cat(2)")
-    h2 = representable(cat, "2")
-    text = module_to_json(h2)
-    back = module_from_json(cat, text)
-    assert back.key() == h2.key()
-    assert module_to_json(back) == text
-    with pytest.raises(ValueError, match="hash"):
-        module_from_json(catalog("pt(2)"), text)
-
-
-@pytest.mark.parametrize(
-    "change",
-    [
-        lambda doc: doc.update(dims=5),
-        lambda doc: doc["action"].update({"2|2|0": 7}),
-        lambda doc: doc["dims"].update({"2": 1.5}),
-        lambda doc: doc["dims"].update({"2": -1}),
-        lambda doc: doc["dims"].update({"1": True}),
-        lambda doc: doc["action"].update({"2|2": [[1]]}),
-        lambda doc: doc["action"].update({"2|2|x": [[1]]}),
-        lambda doc: doc["action"].pop("2|2|0"),
-        lambda doc: doc.update(action=[]),
-    ],
-)
-def test_malformed_module_documents_raise_value_error(change):
-    import json
-
-    cat = catalog("a2cat(2)")
-    doc = json.loads(module_to_json(representable(cat, "2")))
-    change(doc)
-    with pytest.raises(ValueError):
-        module_from_json(cat, json.dumps(doc))
-
-
-def test_module_from_json_total():
-    # every document is either a module or a ValueError, and nothing else
-    import json
-
-    from hypothesis import given, settings, strategies as st
-    from test_category import _json_values, _mutations
-
-    cases = []
-    for name in ["pt(2)", "dual(3)", "a2cat(2)", "prod(5)"]:
-        cat = catalog(name)
-        for m in enumerate_modules(cat, 2):
-            cases.append((cat, json.loads(module_to_json(m))))
-
-    def documents(case):
-        cat, doc = case
-        return st.tuples(st.just(cat), st.just(doc) | _mutations(doc) | _json_values())
-
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(st.sampled_from(cases).flatmap(documents), st.booleans())
-    def run(case, verify_hash):
-        cat, doc = case
-        try:
-            m = module_from_json(cat, json.dumps(doc), verify_hash=verify_hash)
-        except ValueError:
-            return
-        assert isinstance(m, FinModule)
-
-    run()
 
 
 def test_enumerated_modules_all_validate():

@@ -1,11 +1,11 @@
 import pytest
 
-from ringoid.category import cats_equal, catalog, validate
+from ringoid import quiver
+from ringoid.category import cat_hash, cats_equal, catalog, validate
 from ringoid.quiver import (
     QuiverSyntaxError,
     parse_quiver_dsl,
     path_category,
-    print_quiver_dsl,
 )
 
 A2_TEXT = """
@@ -15,6 +15,39 @@ field 2 ;
 maxlen 3 ;
 """
 
+SQUARE_ZERO = """
+vertices v ;
+arrow x: v -> v ;
+relation x*x ;
+field 2 ;
+maxlen 2 ;
+"""
+
+CUBE_ZERO = """
+vertices v ;
+arrow x: v -> v ;
+relation x*x*x ;
+field 2 ;
+maxlen 3 ;
+"""
+
+COEFFICIENT = """
+vertices 1 ;
+arrow s: 1 -> 1 ;
+arrow t: 1 -> 1 ;
+relation s + 2*t ;
+field 3 ;
+maxlen 1 ;
+"""
+
+KILL_IDENTITY = """
+vertices 1 ;
+arrow s: 1 -> 1 ;
+relation s ;
+field 2 ;
+maxlen 2 ;
+"""
+
 
 def test_parse_a2():
     spec = parse_quiver_dsl(A2_TEXT)
@@ -22,16 +55,6 @@ def test_parse_a2():
     assert spec.arrows == {"a": ("1", "2")}
     assert spec.p == 2
     assert spec.maxlen == 3
-
-
-def test_parser_roundtrip_through_printer():
-    spec = parse_quiver_dsl(A2_TEXT)
-    text = print_quiver_dsl(spec)
-    spec2 = parse_quiver_dsl(text)
-    assert spec2.vertices == spec.vertices
-    assert spec2.arrows == spec.arrows
-    assert spec2.relations == spec.relations
-    assert (spec2.p, spec2.maxlen) == (spec.p, spec.maxlen)
 
 
 def test_undeclared_vertex_is_an_error():
@@ -82,14 +105,7 @@ def test_a2_path_category_dims():
 
 
 def test_loop_quiver_with_square_zero_is_dual_numbers():
-    text = """
-    vertices v ;
-    arrow x: v -> v ;
-    relation x*x ;
-    field 2 ;
-    maxlen 2 ;
-    """
-    cat = path_category(parse_quiver_dsl(text))
+    cat = path_category(parse_quiver_dsl(SQUARE_ZERO))
     assert validate(cat) == []
     assert cat.hom_dim[("v", "v")] == 2
     ref = catalog("dual", 2)
@@ -114,14 +130,7 @@ def test_loop_quiver_xn_matches_truncated_polynomial_ring():
 def test_loop_quiver_cube_zero_matches_hand_built_table():
     from ringoid.category import from_ring_table
 
-    text = """
-    vertices v ;
-    arrow x: v -> v ;
-    relation x*x*x ;
-    field 2 ;
-    maxlen 3 ;
-    """
-    cat = path_category(parse_quiver_dsl(text))
+    cat = path_category(parse_quiver_dsl(CUBE_ZERO))
     # F_2[x]/(x^3) in the basis 1, x, x^2
     def mult(i, j):
         v = [0, 0, 0]
@@ -143,15 +152,7 @@ def test_empty_quiver():
 
 
 def test_relation_with_coefficient():
-    text = """
-    vertices 1 ;
-    arrow s: 1 -> 1 ;
-    arrow t: 1 -> 1 ;
-    relation s + 2*t ;
-    field 3 ;
-    maxlen 1 ;
-    """
-    cat = path_category(parse_quiver_dsl(text))
+    cat = path_category(parse_quiver_dsl(COEFFICIENT))
     assert validate(cat) == []
     # basis: empty path and one of s, t (s = -2t = t modulo the relation)
     assert cat.hom_dim[("1", "1")] == 2
@@ -178,14 +179,7 @@ def test_parser_total_on_arbitrary_text():
 def test_relation_killing_identity_collapses_object():
     # a relation equal to the empty path makes the identity zero, which in a
     # truncated path category empties the hom spaces at that vertex
-    text = """
-    vertices 1 ;
-    arrow s: 1 -> 1 ;
-    relation s ;
-    field 2 ;
-    maxlen 2 ;
-    """
-    cat = path_category(parse_quiver_dsl(text))
+    cat = path_category(parse_quiver_dsl(KILL_IDENTITY))
     assert validate(cat) == []
     assert cat.hom_dim[("1", "1")] == 1  # only the empty path survives
 
@@ -202,3 +196,40 @@ def test_kronecker_quiver_dims():
     assert validate(cat) == []
     assert cat.hom_dim[("1", "2")] == 2
     assert cat.hom_dim[("2", "1")] == 0
+
+
+# Every quiver here with relations, and two loops with a relation of mixed
+# lengths: a*b and b*a, plus a*b + 2*b over F_3.
+TWO_LOOPS = "vertices 1 ; arrow a: 1 -> 1 ; arrow b: 1 -> 1 ; relation {} ; field {} ; maxlen {} ;"
+RELATION_QUIVERS = [SQUARE_ZERO, CUBE_ZERO, COEFFICIENT, KILL_IDENTITY] + [
+    TWO_LOOPS.format(rel, p, n) for rel, p in (("a*b", 2), ("a*b + 2*b", 3)) for n in range(1, 7)
+]
+
+
+def full_padding(spec, paths):
+    """Every relation padded on both sides by every pair of paths."""
+    for rel in spec.relations:
+        x, y = spec.word_endpoints(rel[0][1])
+        for c_src in spec.vertices:
+            for left in paths[(c_src, x)]:
+                for d_tgt in spec.vertices:
+                    for right in paths[(y, d_tgt)]:
+                        yield (c_src, d_tgt), [(c, left + w + right) for c, w in rel]
+
+
+@pytest.mark.parametrize("text", RELATION_QUIVERS)
+def test_skipping_overlong_paddings_keeps_the_category(monkeypatch, text):
+    # at maxlen 6, the a*b composition table has 28^3 entries
+    monkeypatch.setenv("RINGOID_CAP_VECTORS", str(28 ** 3))
+    spec = parse_quiver_dsl(text)
+    built = path_category(spec)
+    monkeypatch.setattr(quiver, "_padded_relations", full_padding)
+    assert cat_hash(built) == cat_hash(path_category(spec))
+
+
+def test_padding_lists_only_pairs_within_maxlen():
+    # two loops, relation a*b, maxlen 10: pairs with len(left) + len(right) <= 8,
+    # sum over k <= 8 of (k + 1) 2^k of them, against 2047^2 for every pair
+    spec = parse_quiver_dsl(TWO_LOOPS.format("a*b", 2, 10))
+    paths = quiver._enumerate_paths(spec)
+    assert sum(1 for _ in quiver._padded_relations(spec, paths)) == sum((k + 1) * 2 ** k for k in range(9))
