@@ -86,6 +86,9 @@ class FinCat:
             if d and not (self.hom_dim[(a, a)] and self.hom_dim[(b, b)]):
                 raise ValueError(f"A{(a, b)} is nonzero but an endomorphism space at an end is zero")
         self.comp = {}
+        # equal vectors, rows and tables are stored as one tuple; the key is
+        # the reduced int tuple, checked exact first, since 1.0 == True == 1
+        shared = {}
         full = 0  # tables whose three spaces are nonzero
         for (a, b, c), table in comp.items():
             where = (a, b, c)
@@ -106,7 +109,9 @@ class FinCat:
                 raise ValueError(f"composition table shape mismatch at {where}")
             if any(len(vec) != dc for row in table for vec in row):
                 raise ValueError(f"composition coordinates length mismatch at {where}")
-            self.comp[where] = table
+            rows = [tuple([shared.setdefault(vec, vec) for vec in row]) for row in table]
+            table = tuple([shared.setdefault(row, row) for row in rows])
+            self.comp[where] = shared.setdefault(table, table)
             full += bool(da and db and dc)
         # those tables must cover every triple with three nonzero spaces
         hom, objs = self.hom_dim, self.objects
@@ -129,7 +134,7 @@ class FinCat:
                 raise ValueError(f"identity coordinates at {a} must be integers")
             if len(v) != self.hom_dim[(a, a)]:
                 raise ValueError(f"identity coordinates length mismatch at {a}")
-            self.id_coords[a] = v
+            self.id_coords[a] = shared.setdefault(v, v)
         self.name = name
         self._derived = {}
 
@@ -388,12 +393,18 @@ def transfer_category(base: FinCat, objects, carrier, decode, encode, units, nam
     base coordinates of the identity of o.  Composition is base composition
     of decoded basis elements, encoded again; a composite or identity that
     encodes to None raises RuntimeError.
+
+    Objects over the same carriers share basis vectors, so each distinct
+    pair of basis vectors is composed once, and each distinct composite is
+    encoded once per target hom space.
     """
     bases = {
         (o1, o2): [Morphism(carrier[o1], carrier[o2], lift.col(i)) for i in range(lift.cols)]
         for (o1, o2), lift in decode.items()
     }
     hom = {pair: len(b) for pair, b in bases.items()}
+    composites = {}  # (f.src, f.tgt, g.tgt, f.coords, g.coords) -> coords of g f
+    encoded = {}  # (o1, o3) -> {base coords: coords in A(o1, o3)}
     comp = {}
     for o1 in objects:
         for o2 in objects:
@@ -403,16 +414,25 @@ def transfer_category(base: FinCat, objects, carrier, decode, encode, units, nam
                 if hom[(o2, o3)] == 0 or hom[(o1, o3)] == 0:
                     continue
                 enc = encode[(o1, o3)]
+                seen = encoded.setdefault((o1, o3), {})
                 table = []
                 for f in bases[(o1, o2)]:
                     row = []
                     for g in bases[(o2, o3)]:
-                        coords = enc(base.compose(g, f).coords)
+                        key = (f.src, f.tgt, g.tgt, f.coords, g.coords)
+                        vec = composites.get(key)
+                        if vec is None:
+                            vec = composites[key] = base.compose(g, f).coords
+                        coords = seen.get(vec)
                         if coords is None:
-                            raise RuntimeError(f"composite escaped the hom space at {(o1, o2, o3)}")
+                            coords = enc(vec)
+                            if coords is None:
+                                raise RuntimeError(f"composite escaped the hom space at {(o1, o2, o3)}")
+                            seen[vec] = coords
                         row.append(coords)
                     table.append(tuple(row))
                 comp[(o1, o2, o3)] = tuple(table)
+    del composites, encoded
     ids = {}
     for o in objects:
         ids[o] = encode[(o, o)](units[o])

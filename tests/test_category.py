@@ -15,9 +15,11 @@ from ringoid.category import (
     from_ring_table,
     list_idempotents,
     opposite,
+    transfer_category,
     validate,
 )
 from ringoid.completion import additive_closure, idempotent_completion
+from ringoid.linalg import Mat, Subspace
 
 
 def _validate_scalar(cat):
@@ -286,6 +288,78 @@ def test_fincat_rejects_inexact_entries():
         FinCat(2, ["x"], {("x", "x"): 1}, {("x", "x", "x"): (((1.0,),),)}, {"x": (1,)})
     with pytest.raises(ValueError):
         FinCat(2, ["x"], {("x", "x"): 1}, {("x", "x", "y"): (((1,),),)}, {"x": (1,)})
+
+
+def test_fincat_stores_reduced_int_vectors():
+    cat = FinCat(2, ["x"], {("x", "x"): 1}, {("x", "x", "x"): (((True,),),)}, {"x": (True,)})
+    assert [type(x) for x in cat.comp[("x", "x", "x")][0][0] + cat.id_coords["x"]] == [int, int]
+    assert '"comp":{"x|x|x":[[[1]]]}' in cat_to_json(cat) and "true" not in cat_to_json(cat)
+    cat = FinCat(3, ["x"], {("x", "x"): 1}, {("x", "x", "x"): (((-2,),),)}, {"x": (-5,)})
+    assert cat.comp[("x", "x", "x")] == (((1,),),) and cat.id_coords["x"] == (1,)
+
+
+def test_fincat_refuses_a_float_equal_to_a_stored_vector():
+    # equal vectors are shared, but (1.0,) == (1,) must not let a float in
+    hom = {("x", "x"): 1, ("y", "y"): 1}
+    ints = {("x", "x", "x"): (((1,),),), ("y", "y", "y"): (((1,),),)}
+    with pytest.raises(ValueError):
+        FinCat(2, ["x", "y"], hom, {**ints, ("y", "y", "y"): (((1.0,),),)}, {"x": (1,), "y": (1,)})
+    with pytest.raises(ValueError):
+        FinCat(2, ["x", "y"], hom, ints, {"x": (1,), "y": (1.0,)})
+
+
+def test_fincat_shares_equal_vectors_rows_and_tables():
+    cat = catalog("dual", 2)
+    table = cat.comp[("x", "x", "x")]
+    assert table[0][1] is table[1][0]
+    assert table[0][0] is cat.id_coords["x"]
+    karoubi = idempotent_completion(catalog("prod", 2), 1).cat
+    tables = list(karoubi.comp.values())
+    rows = [row for t in tables for row in t]
+    vectors = [vec for row in rows for vec in row]
+    for parts in (tables, rows, vectors):
+        assert len({id(x) for x in parts}) == len(set(parts)) < len(parts)
+
+
+def _transfer_prod(encode):
+    """prod(2) twice over: objects u and v over x, each hom space all of A(x, x)."""
+    base = catalog("prod", 2)
+    pairs = [(a, b) for a in "uv" for b in "uv"]
+    return transfer_category(
+        base, ["u", "v"], {"u": "x", "v": "x"}, {pair: Mat.identity(2, 2) for pair in pairs},
+        {pair: encode(pair) for pair in pairs}, {"u": (1, 1), "v": (1, 1)}, "prod-twice",
+    )
+
+
+def test_transfer_category_names_the_first_triple_a_composite_escapes():
+    # e1 e1 = e1 is composed and encoded at (u, u, u) first; (u, v) refuses
+    # it, and the memoized composite must still be encoded there
+    full = Subspace.full(2, 2)
+    calls = []
+
+    def encode(pair):
+        def enc(v):
+            calls.append((pair, v))
+            return None if pair == ("u", "v") and v == (1, 0) else full.coords(v)
+        return enc
+
+    with pytest.raises(RuntimeError, match=r"composite escaped the hom space at \('u', 'u', 'v'\)"):
+        _transfer_prod(encode)
+    assert calls[-1] == (("u", "v"), (1, 0))
+    assert (("u", "u"), (1, 0)) in calls
+    twice = _transfer_prod(lambda pair: full.coords)
+    assert len(twice.comp) == 8
+    assert set(twice.comp.values()) == {catalog("prod", 2).comp[("x", "x", "x")]}
+
+
+def test_transfer_category_refuses_an_escaping_identity():
+    full = Subspace.full(2, 2)
+
+    def encode(pair):
+        return lambda v: None if pair == ("v", "v") and v == (1, 1) else full.coords(v)
+
+    with pytest.raises(RuntimeError, match="identity escaped the endomorphism space of v"):
+        _transfer_prod(encode)
 
 
 def _json_values():

@@ -374,8 +374,9 @@ def test_census_json_matches_recorded_hash(capsys, name):
 
 # sha256 prefixes of more reports recorded in CHANGES.md: the recollement
 # reports run the corner categories and the corner restriction of modules and
-# maps, the idempotent completion the shared idempotent-subcategory builder,
-# and the center report the center
+# maps, the idempotent completion the shared idempotent-subcategory builder
+# (dual(2) at bound 2 is the karoubi-dual benchmark report, mat2(3) an odd-p
+# transfer), and the center report the center
 REPORT_SHA256 = {
     "recollement-a2cat-p2": (["recollement", "catalog:a2cat", "--p", "2"], "6419481e3789b1f6"),
     "recollement-prod-p3": (["recollement", "catalog:prod", "--p", "3", "--ideal", "all"], "6c0792e5355651c0"),
@@ -390,6 +391,12 @@ REPORT_SHA256 = {
     "jans-a2cat-p3": (["jans", "catalog:a2cat", "--p", "3"], "bc9f05c80aec7c0e"),
     "split-prod-p2": (["split", "catalog:prod", "--p", "2"], "e9d187d7f2e8e15c"),
     "ideals-idempotent-mat2-p2": (["ideals", "catalog:mat2", "--p", "2", "--idempotent"], "f65b44bc9aa86b2e"),
+    "complete-idempotents-dual-p2-bound2": (
+        ["complete", "catalog:dual", "--p", "2", "--bound", "2", "--idempotents"], "3ba47bde0570988b"
+    ),
+    "complete-idempotents-mat2-p3": (
+        ["complete", "catalog:mat2", "--p", "3", "--bound", "1", "--idempotents"], "afcdbc4206fc816d"
+    ),
 }
 
 

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from ringoid.category import Morphism, catalog, list_idempotents, validate
+from ringoid.category import FinCat, Morphism, catalog, list_idempotents, validate
 from ringoid.completion import (
     additive_closure,
     find_oplus_generator,
@@ -12,7 +12,7 @@ from ringoid.completion import (
     restrict_module,
     tuple_id,
 )
-from ringoid.linalg import CapExceeded
+from ringoid.linalg import CapExceeded, Subspace
 from ringoid.modules import enumerate_modules, hom_space, validate_module
 from ringoid.quiver import parse_quiver_dsl, path_category
 
@@ -108,6 +108,28 @@ def test_karoubi_bound_two_validates_and_keeps_center():
         comp = idempotent_completion(cat, 2)
         assert validate(comp.cat) == []
         assert compute_center(comp.cat).dim == compute_center(cat).dim
+
+
+def test_karoubi_composes_and_encodes_each_distinct_composite_once(monkeypatch):
+    # dual(2) at bound 2 has 84,564 table entries but 2,307 distinct basis
+    # pairs and 2,892 distinct (target space, composite) encodings;
+    # composing and encoding per entry made 96,489 and 84,593 calls
+    counts = {"compose": 0, "coords": 0}
+    compose, coords = FinCat.compose, Subspace.coords
+
+    def counted_compose(self, g, f):
+        counts["compose"] += 1
+        return compose(self, g, f)
+
+    def counted_coords(self, v):
+        counts["coords"] += 1
+        return coords(self, v)
+
+    monkeypatch.setattr(FinCat, "compose", counted_compose)
+    monkeypatch.setattr(Subspace, "coords", counted_coords)
+    idempotent_completion(catalog("dual", 2), 2)
+    assert counts["compose"] <= 15_000
+    assert counts["coords"] <= 3_000
 
 
 def test_extension_enumeration_cap_refusal(monkeypatch):
