@@ -270,7 +270,8 @@ def _rref_rows_f2(rows, ncols: int):
         r += 1
         if r == nrows:
             break
-    out = [[(x >> j) & 1 for j in range(ncols)] for x in packed]
+    out = [[(x >> j) & 1 for j in range(ncols)] for x in packed[:r]]
+    out.extend([0] * ncols for _ in range(nrows - r))
     return out, pivots
 
 

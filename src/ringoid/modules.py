@@ -273,14 +273,12 @@ def image(phi: ModuleMap) -> Submodule:
     return Submodule(phi.tgt, {a: image_basis(phi.comps[a]) for a in phi.comps})
 
 
-def all_submodules(m: FinModule) -> list:
-    """Every submodule: close the cyclic submodules under pairwise sum.
-
-    Complete because a submodule is the sum of the cyclic submodules of its
-    elements.  Output is deduplicated and sorted by (total dim, canonical key).
-    """
+def cyclic_submodules(m: FinModule) -> list:
+    """[(sub, a, v)]: each distinct cyclic submodule Av, with the first
+    nonzero v in M(a) (objects in order, vectors in `itertools.product`
+    order) that generates it."""
     check_vector_cap(sum(m.p ** m.dims[a] for a in m.cat.objects), "all_submodules: sum of p^dim M(a)")
-    gens = []
+    out = []
     seen = set()
     for a in m.cat.objects:
         for v in itertools.product(range(m.p), repeat=m.dims[a]):
@@ -289,7 +287,33 @@ def all_submodules(m: FinModule) -> list:
             s = cyclic_submodule(m, a, v)
             if s.key() not in seen:
                 seen.add(s.key())
-                gens.append(s)
+                out.append((s, a, v))
+    return out
+
+
+def simple_submodules(m: FinModule) -> list:
+    """Every simple submodule, in order of total dimension.
+
+    A simple module is cyclic, and a nonzero submodule that is not simple
+    contains a simple one of smaller total dimension.  So, taking the
+    distinct cyclic submodules by total dimension, one is simple exactly
+    when it contains none of the simple ones kept before it; Aw <= X
+    exactly when w lies in X(b).
+    """
+    out = []
+    for sub, a, v in sorted(cyclic_submodules(m), key=lambda g: g[0].total_dim()):
+        if not any(sub.spaces[b].contains(w) for _, b, w in out):
+            out.append((sub, a, v))
+    return [sub for sub, _, _ in out]
+
+
+def all_submodules(m: FinModule) -> list:
+    """Every submodule: close the cyclic submodules under pairwise sum.
+
+    Complete because a submodule is the sum of the cyclic submodules of its
+    elements.  Output is deduplicated and sorted by (total dim, canonical key).
+    """
+    gens = [s for s, _, _ in cyclic_submodules(m)]
     subs = join_closure(zero_submodule(m), gens, Submodule.sum, Submodule.key)
     return sorted(subs, key=lambda s: (s.total_dim(), s.key()))
 

@@ -19,7 +19,6 @@ from .modules import (
     Submodule,
     all_submodules,
     cyclic_submodule,
-    direct_sum,
     enumerate_modules,
     full_submodule,
     is_iso,
@@ -27,6 +26,7 @@ from .modules import (
     killed_by,
     quotient_module,
     representable,
+    simple_submodules,
     submodule_module,
     zero_submodule,
 )
@@ -288,10 +288,15 @@ def has_fg_basis(topo: Topology) -> bool:
 class ModuleCensus:
     """A census of iso classes over a category, with its decomposition data.
 
-    Holds the submodule and quotient class pairs of every census member and
-    the class of every bounded pairwise direct sum, and caches the class
-    index of every module it is shown; repeated closure computations share
-    the work.  `module_census` keeps one per category and bound.
+    Holds, for every census member M, the class pairs (S, M/S) of its simple
+    submodules S, and caches the class index of every module it is shown;
+    repeated closure computations share the work.  `module_census` keeps one
+    per category and bound.
+
+    These pairs generate the same closure as the pairs of all submodules and
+    the pairwise direct sums: in finite length, every subquotient and every
+    extension is assembled one simple submodule at a time, through modules
+    no larger than the census member it starts from (see `close`).
     """
 
     def __init__(self, cat: FinCat, bound: int):
@@ -301,16 +306,11 @@ class ModuleCensus:
         self.sub_quot = {}
         for i, m in enumerate(self.classes):
             pairs = []
-            for sub in all_submodules(m):
+            for sub in simple_submodules(m):
                 n, _ = submodule_module(sub)
                 q, _ = quotient_module(m, sub)
                 pairs.append((self.class_index(n), self.class_index(q)))
             self.sub_quot[i] = pairs
-        self.sums = {}
-        for i, m in enumerate(self.classes):
-            for j, n in enumerate(self.classes):
-                if j >= i and m.total_dim() + n.total_dim() <= bound:
-                    self.sums[(i, j)] = self.class_index(direct_sum(m, n))
 
     def class_index(self, m: FinModule):
         k = m.key()
@@ -322,11 +322,26 @@ class ModuleCensus:
 
     def close(self, member) -> frozenset:
         """The hereditary closure of a set of class indices: the least superset
-        closed under submodules and quotients, bounded direct sums, and
-        extensions, inside the census."""
+        closed under submodules, quotients, direct sums and extensions, inside
+        the census.
+
+        Two rules reach it: a member M adds S and M/S for each simple S <= M,
+        and a class M joins once some simple S <= M has S and M/S both
+        members.  Each is an instance of a closure property, so the result F
+        lies inside the closure; F is also closed, by induction on length,
+        peeling off one simple S <= M each time:
+        - quotients: for 0 != N <= M in F, take S <= N; M/S is in F and
+          M/N = (M/S)/(N/S) with N/S shorter than N;
+        - submodules: for 0 != N <= M in F, take S <= N; S and M/S are in F,
+          so N/S <= M/S is in F (M/S is shorter than M), and then N is;
+        - extensions: for A -> E -> B with A != 0 and A, B in F, take S <= A;
+          S and A/S are in F, E/S extends A/S (shorter) by B, so E/S is in F,
+          and then E is.  A direct sum is an extension.
+        Every module these steps pass through is a subquotient of a census
+        member, so it lies within the bound and in the census.
+        """
         member = set(member)
         sub_quot = self.sub_quot
-        sums = self.sums
         changed = True
         while changed:
             changed = False
@@ -336,12 +351,6 @@ class ModuleCensus:
                         if j not in member:
                             member.add(j)
                             changed = True
-            for i in list(member):
-                for j in list(member):
-                    k = sums.get((min(i, j), max(i, j)))
-                    if k is not None and k not in member:
-                        member.add(k)
-                        changed = True
             for i in range(len(self.classes)):
                 if i in member:
                     continue
@@ -384,8 +393,11 @@ def _seed_indices(census: ModuleCensus, seeds, bound: int) -> set:
 
 
 def hereditary_closure_oracle(cat: FinCat, seeds, bound: int) -> TorsionOracle:
-    """Close the seed iso-classes under submodules, quotients, bounded direct
-    sums, and extensions, inside the census of modules of dimension <= bound.
+    """Close the seed iso-classes under submodules, quotients, direct sums and
+    extensions, inside the census of modules of dimension <= bound.  The
+    closure is generated from the simple-submodule pairs (S, M/S) of the
+    census members; `ModuleCensus.close` shows that these reach every
+    subquotient and every extension inside the bound.
 
     Sound by construction (every member has a construction tree); complete on
     the census whenever the target class is generated by the seeds, since a

@@ -376,7 +376,8 @@ def test_census_json_matches_recorded_hash(capsys, name):
 # reports run the corner categories and the corner restriction of modules and
 # maps, the idempotent completion the shared idempotent-subcategory builder
 # (dual(2) at bound 2 is the karoubi-dual benchmark report, mat2(3) an odd-p
-# transfer), and the center report the center
+# transfer), the center report the center, and the census reports pin the
+# rest of the census-p3 benchmark set (a2 and a2cat at its --dim 3)
 REPORT_SHA256 = {
     "recollement-a2cat-p2": (["recollement", "catalog:a2cat", "--p", "2"], "6419481e3789b1f6"),
     "recollement-prod-p3": (["recollement", "catalog:prod", "--p", "3", "--ideal", "all"], "6c0792e5355651c0"),
@@ -387,6 +388,9 @@ REPORT_SHA256 = {
     "gabriel-census-a2cat-p2": (["gabriel", "catalog:a2cat", "--p", "2", "--census", "3"], "559db1580046a9de"),
     "gabriel-census-dual-p3": (["gabriel", "catalog:dual", "--p", "3", "--census", "3"], "c405bc7a3942b8fa"),
     "census-prod-p3": (["census", "catalog:prod", "--p", "3"], "b13f10a0f47ac8de"),
+    "census-mat2-p3": (["census", "catalog:mat2", "--p", "3"], "17c4648644731abd"),
+    "census-a2-p3-dim3": (["census", "catalog:a2", "--p", "3", "--dim", "3"], "1576ad71b61a32a8"),
+    "census-a2cat-p3-dim3": (["census", "catalog:a2cat", "--p", "3", "--dim", "3"], "3aa966e5161dfccf"),
     "census-pt-p2": (["census", "catalog:pt", "--p", "2"], "65cbd5a12d05845d"),
     "jans-a2cat-p3": (["jans", "catalog:a2cat", "--p", "3"], "bc9f05c80aec7c0e"),
     "split-prod-p2": (["split", "catalog:prod", "--p", "2"], "e9d187d7f2e8e15c"),

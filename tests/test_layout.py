@@ -26,6 +26,7 @@ TESTS = ROOT / "tests"
 TEST_READERS = {
     "cats_equal": "test_category.py",
     "check_naturality": "test_modules.py",
+    "direct_sum": "test_modules.py",
     "enumerate_subspaces": "test_linalg.py",
     "full_topology": "test_torsion.py",
     "gen_witness": "test_modules.py",

@@ -49,6 +49,16 @@ def test_rref_zero_matrix():
     assert rref_rows(2, rows_of(Mat.zero(2, 3, 2)), 2) == ([[0, 0]] * 3, [])
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_rref_zero_rows_are_distinct_lists(p):
+    rows, pivots = rref_rows(p, [[1, 1, 0], [1, 1, 0], [0, 0, 0], [2, 2, 0]], 3)
+    assert rows == [[1, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]] and pivots == [0]
+    zero_rows = rows[len(pivots):]
+    assert len({id(r) for r in zero_rows}) == len(zero_rows)
+    zero_rows[0][2] = 1
+    assert zero_rows[1] == [0, 0, 0]
+
+
 def test_rref_identity_fixed_point():
     assert rref_rows(3, rows_of(Mat.identity(3, 4)), 4) == (rows_of(Mat.identity(3, 4)), [0, 1, 2, 3])
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,12 +11,14 @@ from ringoid.modules import (
     enumerate_modules,
     quotient_module,
     representable,
+    simple_submodules,
     submodule_module,
     zero_module,
     zero_submodule,
 )
 from ringoid.modules import full_submodule
 from ringoid.torsion import (
+    ModuleCensus,
     Topology,
     check_topology,
     enumerate_topologies,
@@ -335,6 +338,112 @@ def test_class_sweep_joins_match_subset_closures(name):
     else:
         cat = catalog(name)
     assert hereditary_class_sweep(cat, 4) == subset_sweep(cat, 4)
+
+
+# the A4 quiver of the torsion-quivers benchmark workload
+A4_DSL = """
+vertices 1 2 3 4 ;
+arrow a: 1 -> 2 ;
+arrow b: 2 -> 3 ;
+arrow c: 3 -> 4 ;
+relation a*b ;
+relation b*c ;
+field 2 ;
+maxlen 3 ;
+"""
+
+
+def reference_close(census, bound):
+    """The closure from the pairs of every submodule and the table of bounded
+    pairwise direct sums, by a three-pass fixpoint: a reference for
+    `ModuleCensus.close`, which reads only the simple-submodule pairs."""
+    classes = census.classes
+    sub_quot = [
+        [(census.class_index(submodule_module(sub)[0]), census.class_index(quotient_module(m, sub)[0]))
+         for sub in all_submodules(m)]
+        for m in classes
+    ]
+    sums = {
+        (i, j): census.class_index(direct_sum(m, n))
+        for i, m in enumerate(classes)
+        for j, n in enumerate(classes)
+        if j >= i and m.total_dim() + n.total_dim() <= bound
+    }
+
+    def close(member):
+        member = set(member)
+        changed = True
+        while changed:
+            changed = False
+            for i in list(member):
+                for pair in sub_quot[i]:
+                    for j in pair:
+                        if j not in member:
+                            member.add(j)
+                            changed = True
+            for i in list(member):
+                for j in list(member):
+                    k = sums.get((min(i, j), max(i, j)))
+                    if k is not None and k not in member:
+                        member.add(k)
+                        changed = True
+            for i in range(len(classes)):
+                if i not in member and any(a in member and b in member for a, b in sub_quot[i]):
+                    member.add(i)
+                    changed = True
+        return frozenset(member)
+
+    return close
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [(f"{n}({p})", 3) for p in (2, 3) for n in ("pt", "dual", "prod", "a2", "mat2", "a2cat")]
+    + [("a4", 4), ("kronecker", 4)],
+)
+def test_census_close_matches_all_pairs_and_sums_reference(name, bound):
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    dsl = {"a4": A4_DSL, "kronecker": KRONECKER_DSL}.get(name)
+    cat = path_category(parse_quiver_dsl(dsl)) if dsl else catalog(name)
+    census = ModuleCensus(cat, bound)
+    n = len(census.classes)
+    for m in census.classes:
+        nonzero = [s for s in all_submodules(m) if not s.is_zero()]
+        minimal = [s for s in nonzero if not any(t.key() != s.key() and s.contains(t) for t in nonzero)]
+        assert sorted(s.key() for s in simple_submodules(m)) == sorted(s.key() for s in minimal)
+    reference = reference_close(census, bound)
+    rng = random.Random(0)
+    seed_sets = [set(), {census.zero_index}] + [{i} for i in range(n)]
+    seed_sets += [set(rng.sample(range(n), rng.randint(1, min(n, 4)))) for _ in range(60)]
+    for seeds in seed_sets:
+        assert census.close(seeds) == reference(seeds), seeds
+
+
+def test_census_builds_only_simple_submodule_pairs(monkeypatch):
+    # one census build on A4 at bound 4: 1,947 sub/quotient pairs, 402 direct
+    # sums and 14,032 iso tests when every submodule's pair and every bounded
+    # direct sum were built
+    from ringoid import modules, torsion
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    counts = {"submodule_module": 0, "direct_sum": 0, "is_iso": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        wrapper = counting(name, getattr(modules, name))
+        monkeypatch.setattr(modules, name, wrapper)
+        monkeypatch.setattr(torsion, name, wrapper, raising=False)
+    census = ModuleCensus(path_category(parse_quiver_dsl(A4_DSL)), 4)
+    assert len(census.classes) == 121
+    assert counts["submodule_module"] <= 600
+    assert counts["direct_sum"] == 0
+    assert counts["is_iso"] <= 7000
 
 
 def test_membership_fingerprints_pairwise_distinct():
