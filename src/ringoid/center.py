@@ -12,7 +12,7 @@ import itertools
 
 from .category import FinCat, Morphism, derived
 from .ideals import Ideal, enumerate_ideals
-from .linalg import Mat, Subspace, check_vector_cap, kernel_basis, matrix_kernel, subspace_intersect
+from .linalg import Mat, check_vector_cap, kernel_basis, matrix_kernel, subspace_intersect
 
 
 class CenterElement:
@@ -169,7 +169,7 @@ def summand_bijection_check(cat: FinCat) -> dict:
             for j in ideals
             if all(
                 i.spaces[pair].dim + j.spaces[pair].dim == cat.hom_dim[pair]
-                and _intersection_dim(i.spaces[pair], j.spaces[pair]) == 0
+                and subspace_intersect(i.spaces[pair], j.spaces[pair]).dim == 0
                 for pair in i.spaces
             )
         ]
@@ -192,7 +192,3 @@ def summand_bijection_check(cat: FinCat) -> dict:
         report[k] for k in ("counts_match", "unique_complements", "every_summand_is_image", "injective")
     )
     return report
-
-
-def _intersection_dim(u: Subspace, v: Subspace) -> int:
-    return subspace_intersect(u, v).dim

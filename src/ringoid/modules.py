@@ -345,10 +345,8 @@ def short_exact_sequences(m: FinModule) -> list:
     ])
 
 
-def maximal_proper_submodules(m: FinModule, subs=None) -> list:
-    if subs is None:
-        subs = all_submodules(m)
-    proper = [s for s in subs if not s.is_full()]
+def maximal_proper_submodules(m: FinModule) -> list:
+    proper = [s for s in all_submodules(m) if not s.is_full()]
     out = []
     for s in proper:
         if not any(t is not s and t.contains(s) and t.key() != s.key() for t in proper):

@@ -26,6 +26,7 @@ from .modules import (
     killed_by,
     quotient_module,
     representable,
+    simple_modules,
     simple_submodules,
     submodule_module,
     zero_submodule,
@@ -211,51 +212,39 @@ def gabriel_roundtrip(topo: Topology) -> bool:
     return back == topo
 
 
-def _upclosed_intersection_closed_families(subs):
-    """All families of submodules containing the full one, closed upward and
-    under pairwise intersection; the raw candidates for the axiom filter."""
-    full = max(subs, key=lambda s: s.total_dim())
-    rest = [s for s in subs if s.key() != full.key()]
-    out = []
-    for picks in itertools.product([False, True], repeat=len(rest)):
-        fam = [full] + [s for s, take in zip(rest, picks) if take]
-        keys = {s.key() for s in fam}
-        ok = True
-        for s in fam:
-            for t in rest:
-                if t.key() not in keys and t.contains(s):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for s in fam:
-                for t in fam:
-                    if s.intersect(t).key() not in keys:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            out.append(fam)
-    return out
+def composition_factors(m: FinModule, simples) -> frozenset:
+    """The indices in `simples` of the composition factors of m, found by
+    peeling off one simple submodule at a time (by Jordan-Hoelder the set
+    does not depend on which one)."""
+    out = set()
+    while m.total_dim():
+        sub = simple_submodules(m)[0]
+        s, _ = submodule_module(sub)
+        out.add(next(i for i, t in enumerate(simples) if is_iso(s, t)))
+        m, _ = quotient_module(m, sub)
+    return frozenset(out)
 
 
 def enumerate_topologies(cat: FinCat) -> list:
-    """Every Grothendieck topology: filter the up-closed intersection-closed
-    candidate families through the pullback and glueing axioms."""
-    submodule_lists = {}
-    candidates_per_object = []
-    for a in cat.objects:
-        subs = all_submodules(representable(cat, a))
-        submodule_lists[a] = subs
-        check_vector_cap(2 ** max(len(subs) - 1, 0), f"enumerate_topologies: candidate families on H_{a}")
-        candidates_per_object.append(_upclosed_intersection_closed_families(subs))
+    """Every Grothendieck topology, one for each set S of simple modules.
+
+    Mod-A is locally finite, so every hereditary torsion class is a Serre
+    class, fixed by the simples it contains (Gabriel, "Des categories
+    abeliennes", 1962, ch. IV; Stenstroem, Rings of Quotients, 1975, ch. VI):
+    J_S(a) holds the R <= H_a whose quotient H_a/R has every composition
+    factor in S.  Each J_S is still checked against the axioms."""
+    simples = simple_modules(cat)
+    check_vector_cap(2 ** len(simples), "enumerate_topologies: sets of simple modules")
+    submodule_lists = {a: all_submodules(representable(cat, a)) for a in cat.objects}
     out = []
-    for combo in itertools.product(*candidates_per_object):
-        topo = Topology(cat, dict(zip(cat.objects, combo)))
-        if not check_topology(cat, topo, submodule_lists):
-            out.append(topo)
+    for picks in itertools.product([False, True], repeat=len(simples)):
+        chosen = frozenset(i for i, take in enumerate(picks) if take)
+        oracle = TorsionOracle(lambda q: composition_factors(q, simples) <= chosen, "from_simples")
+        topo = topology_from_class(cat, oracle)
+        violations = check_topology(cat, topo, submodule_lists)
+        if violations:
+            raise RuntimeError(f"topology of simples {sorted(chosen)} fails the {violations[0]['axiom']} axiom")
+        out.append(topo)
     out.sort(key=lambda t: (t.size(), t.key()))
     return out
 

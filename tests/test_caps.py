@@ -25,6 +25,7 @@ from ringoid.quiver import parse_quiver_dsl, path_category
 from ringoid.torsion import enumerate_topologies, maximal_topology, torsion_membership, torsion_radical
 
 KRONECKER = "vertices 1 2 ; arrow a: 1 -> 2 ; arrow b: 1 -> 2 ; field 2 ; maxlen 1 ;"
+STAR = "vertices 1 2 3 4 ; arrow a: 1 -> 4 ; arrow b: 2 -> 4 ; arrow c: 3 -> 4 ; field 2 ; maxlen 1 ;"
 
 
 def _callables():
@@ -66,9 +67,10 @@ REFUSALS = [
      7, "extension scan: p^dim cocycles", 8),
     (lambda: (principal_ideals, catalog("dual(2)")),
      2, "principal_ideals: nonzero morphisms", 3),
-    # prod(2) has 4 submodules of H_x (scanned at 4 <= cap) and 2^3 families
-    (lambda: (enumerate_topologies, catalog("prod(2)")),
-     7, "enumerate_topologies: candidate families on H_x", 8),
+    # the star quiver has 4 simple modules, so 2^4 sets of them; its
+    # submodule scans stay within cap 15
+    (lambda: (enumerate_topologies, path_category(parse_quiver_dsl(STAR))),
+     15, "enumerate_topologies: sets of simple modules", 16),
     (lambda: (enumerate_subspaces, 3, 2),
      7, "enumerate_subspaces: p^n", 8),
     (lambda: (path_category, parse_quiver_dsl(KRONECKER)),

@@ -281,6 +281,26 @@ def test_every_command_accepts_a_file_source(tmp_path, capsys):
         assert code == 0, (command, out)
 
 
+def test_gabriel_on_the_three_arrow_kronecker_quiver(tmp_path, capsys):
+    # 4 simple-module sets where H_2 has 17 submodules (2^16 candidate families)
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    spec = parse_quiver_dsl(
+        "vertices 1 2 ; arrow a: 1 -> 2 ; arrow b: 1 -> 2 ; arrow c: 1 -> 2 ; field 2 ; maxlen 1 ;"
+    )
+    path = tmp_path / "kronecker3.json"
+    path.write_text(cat_to_json(path_category(spec)))
+    code, out = run_cli(["gabriel", str(path), "--json"], capsys)
+    assert code == 0
+    findings = {f["statement_id"]: f for f in json.loads(out)["findings"]}
+    assert findings["topology-axioms"]["witness"]["topologies"] == 4
+    assert all(f["verdict"] == "pass" for f in findings.values())
+    code, out = run_cli(["gabriel", str(path), "--census", "3", "--json"], capsys)
+    assert code == 0
+    findings = {f["statement_id"]: f for f in json.loads(out)["findings"]}
+    assert findings["topology-census-equality"]["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("raw", ["abc", "-5"])
 def test_bad_cap_env_is_usage_error(monkeypatch, capsys, raw):
     monkeypatch.setenv("RINGOID_CAP_VECTORS", raw)

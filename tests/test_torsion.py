@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ringoid.category import Morphism, catalog
+from ringoid.category import CATALOG_NAMES, Morphism, catalog
 from ringoid.ideals import enumerate_idempotent_ideals
 from ringoid.modules import (
     all_submodules,
@@ -11,6 +11,7 @@ from ringoid.modules import (
     enumerate_modules,
     quotient_module,
     representable,
+    simple_modules,
     simple_submodules,
     submodule_module,
     zero_module,
@@ -21,6 +22,7 @@ from ringoid.torsion import (
     ModuleCensus,
     Topology,
     check_topology,
+    composition_factors,
     enumerate_topologies,
     full_topology,
     gabriel_roundtrip,
@@ -239,8 +241,6 @@ def test_closure_oracle_trivial_seeds():
 
 def test_closure_of_s2_excludes_s1():
     cat = catalog("a2cat(2)")
-    from ringoid.modules import simple_modules
-
     s1, s2 = None, None
     for s in simple_modules(cat):
         if s.dims["1"] == 1:
@@ -330,13 +330,9 @@ def subset_sweep(cat, bound):
 )
 def test_class_sweep_joins_match_subset_closures(name):
     # the join worklist reaches exactly the closures of all seed subsets
-    from ringoid.quiver import parse_quiver_dsl, path_category
     from ringoid.torsion import hereditary_class_sweep
 
-    if name == "kronecker":
-        cat = path_category(parse_quiver_dsl(KRONECKER_DSL))
-    else:
-        cat = catalog(name)
+    cat = catalog_or_quiver(name)
     assert hereditary_class_sweep(cat, 4) == subset_sweep(cat, 4)
 
 
@@ -351,6 +347,23 @@ relation b*c ;
 field 2 ;
 maxlen 3 ;
 """
+
+
+STAR_DSL = """
+vertices 1 2 3 4 ;
+arrow a: 1 -> 4 ;
+arrow b: 2 -> 4 ;
+arrow c: 3 -> 4 ;
+field 2 ;
+maxlen 1 ;
+"""
+
+
+def catalog_or_quiver(name):
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    dsl = {"a4": A4_DSL, "kronecker": KRONECKER_DSL, "star": STAR_DSL}.get(name)
+    return path_category(parse_quiver_dsl(dsl)) if dsl else catalog(name)
 
 
 def reference_close(census, bound):
@@ -402,10 +415,7 @@ def reference_close(census, bound):
     + [("a4", 4), ("kronecker", 4)],
 )
 def test_census_close_matches_all_pairs_and_sums_reference(name, bound):
-    from ringoid.quiver import parse_quiver_dsl, path_category
-
-    dsl = {"a4": A4_DSL, "kronecker": KRONECKER_DSL}.get(name)
-    cat = path_category(parse_quiver_dsl(dsl)) if dsl else catalog(name)
+    cat = catalog_or_quiver(name)
     census = ModuleCensus(cat, bound)
     n = len(census.classes)
     for m in census.classes:
@@ -444,6 +454,59 @@ def test_census_builds_only_simple_submodule_pairs(monkeypatch):
     assert counts["submodule_module"] <= 600
     assert counts["direct_sum"] == 0
     assert counts["is_iso"] <= 7000
+
+
+def upclosed_intersection_closed_families(subs):
+    """All families of submodules containing the full one, closed upward and
+    under pairwise intersection: the raw candidates for the axiom filter."""
+    full = max(subs, key=lambda s: s.total_dim())
+    rest = [s for s in subs if s.key() != full.key()]
+    out = []
+    for picks in itertools.product([False, True], repeat=len(rest)):
+        fam = [full] + [s for s, take in zip(rest, picks) if take]
+        keys = {s.key() for s in fam}
+        if any(t.key() not in keys and t.contains(s) for s in fam for t in rest):
+            continue
+        if all(s.intersect(t).key() in keys for s in fam for t in fam):
+            out.append(fam)
+    return out
+
+
+def filtered_topologies(cat):
+    """Every topology by brute force: the product over objects of the
+    candidate families, filtered through the axioms, in enumeration order."""
+    submodule_lists = {a: all_submodules(representable(cat, a)) for a in cat.objects}
+    candidates = [upclosed_intersection_closed_families(submodule_lists[a]) for a in cat.objects]
+    out = []
+    for combo in itertools.product(*candidates):
+        topo = Topology(cat, dict(zip(cat.objects, combo)))
+        if not check_topology(cat, topo, submodule_lists):
+            out.append(topo)
+    return sorted(out, key=lambda t: (t.size(), t.key()))
+
+
+CATALOG_P2_P3 = [f"{n}({p})" for p in (2, 3) for n in CATALOG_NAMES]
+
+
+@pytest.mark.parametrize("name", CATALOG_P2_P3 + ["a4", "kronecker", "star"])
+def test_topologies_from_simples_match_the_candidate_family_filter(name):
+    cat = catalog_or_quiver(name)
+    expected = [t.key() for t in filtered_topologies(cat)]
+    assert [t.key() for t in enumerate_topologies(cat)] == expected
+
+
+@pytest.mark.parametrize("name", CATALOG_P2_P3 + ["a4", "kronecker"])
+def test_composition_factors_match_the_closure_oracle(name):
+    # M lies in the Serre class generated by the simples in S exactly when
+    # every composition factor of M is in S
+    cat = catalog_or_quiver(name)
+    simples = simple_modules(cat)
+    census = enumerate_modules(cat, 3)
+    for picks in itertools.product([False, True], repeat=len(simples)):
+        chosen = frozenset(i for i, take in enumerate(picks) if take)
+        oracle = hereditary_closure_oracle(cat, [simples[i] for i in sorted(chosen)], 3)
+        for m in census:
+            assert (composition_factors(m, simples) <= chosen) == oracle(m)
 
 
 def test_membership_fingerprints_pairwise_distinct():
