@@ -419,6 +419,21 @@ class Subspace:
                     v = [(x + c * y) % self.p for x, y in zip(v, row)]
             yield tuple(v)
 
+    def quotient_points(self):
+        """One canonical vector for each point (line) of F_p^n / self: the
+        nonzero vectors that vanish at the pivot columns and whose first
+        nonzero entry is 1.  Every vector outside self reduces to a nonzero
+        multiple of exactly one of them."""
+        pivots = {row.index(1) for row in self.mat.entries}
+        free = [j for j in range(self.ambient) if j not in pivots]
+        for k, lead in enumerate(free):
+            for tail in itertools.product(range(self.p), repeat=len(free) - k - 1):
+                v = [0] * self.ambient
+                v[lead] = 1
+                for j, c in zip(free[k + 1:], tail):
+                    v[j] = c
+                yield tuple(v)
+
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient != v.ambient or u.p != v.p:

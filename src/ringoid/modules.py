@@ -277,7 +277,7 @@ def cyclic_submodules(m: FinModule) -> list:
     """[(sub, a, v)]: each distinct cyclic submodule Av, with the first
     nonzero v in M(a) (objects in order, vectors in `itertools.product`
     order) that generates it."""
-    check_vector_cap(sum(m.p ** m.dims[a] for a in m.cat.objects), "all_submodules: sum of p^dim M(a)")
+    _check_submodule_scan(m)
     out = []
     seen = set()
     for a in m.cat.objects:
@@ -307,15 +307,43 @@ def simple_submodules(m: FinModule) -> list:
     return [sub for sub, _, _ in out]
 
 
-def all_submodules(m: FinModule) -> list:
-    """Every submodule: close the cyclic submodules under pairwise sum.
+def _check_submodule_scan(m: FinModule) -> None:
+    """The one cap on the submodule scans: their generators are vectors of
+    the M(a), at most p^dim M(a) of them at each object."""
+    check_vector_cap(sum(m.p ** m.dims[a] for a in m.cat.objects), "all_submodules: sum of p^dim M(a)")
 
-    Complete because a submodule is the sum of the cyclic submodules of its
-    elements.  Output is deduplicated and sorted by (total dim, canonical key).
+
+def all_submodules(m: FinModule) -> list:
+    """Every submodule, by a breadth-first walk from the zero submodule that
+    joins each submodule X found with A.r for one canonical r per point of
+    M(a)/X(a), at every object a (`Subspace.quotient_points`).
+
+    Complete because a submodule is the sum of the cyclic submodules Av of
+    its elements, so the joins of 0 with cyclic submodules reach every one;
+    and for each X the joins X + Av that leave X are all among the X + A.r:
+    X + Av = X + A.reduce(v), since A.x <= X for x in X(a), and
+    A.(cv) = Av for c != 0.  Each A.r is built once per call.  Output is
+    deduplicated and sorted by (total dim, canonical key).
     """
-    gens = [s for s, _, _ in cyclic_submodules(m)]
-    subs = join_closure(zero_submodule(m), gens, Submodule.sum, Submodule.key)
-    return sorted(subs, key=lambda s: (s.total_dim(), s.key()))
+    _check_submodule_scan(m)
+    cyclic = {}
+    bottom = zero_submodule(m)
+    found = {bottom.key(): bottom}
+    frontier = [bottom]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for a in m.cat.objects:
+                for r in x.spaces[a].quotient_points():
+                    if (a, r) not in cyclic:
+                        cyclic[(a, r)] = cyclic_submodule(m, a, r)
+                    u = x.sum(cyclic[(a, r)])
+                    k = u.key()
+                    if k not in found:
+                        found[k] = u
+                        nxt.append(u)
+        frontier = nxt
+    return sorted(found.values(), key=lambda s: (s.total_dim(), s.key()))
 
 
 def join_closure(bottom, gens, join, key) -> list:

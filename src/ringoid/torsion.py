@@ -74,13 +74,18 @@ def full_topology(cat: FinCat) -> Topology:
 
 def pullback_submodule(cat: FinCat, r: Morphism, target: Submodule) -> Submodule:
     """r^{-1}R for R <= H_a and r: a' -> a: componentwise preimage under
-    postcomposition with r."""
-    h_src = representable(cat, r.src)
+    postcomposition with r.  Built once per category, r and R; it holds
+    only subspaces of the shared representable H_{a'}."""
+    key = ("pullback", r.src, r.tgt, tuple(r.coords), target.key())
+    return derived(cat, key, lambda: _build_pullback(cat, r, target))
+
+
+def _build_pullback(cat: FinCat, r: Morphism, target: Submodule) -> Submodule:
     spaces = {}
     for b in cat.objects:
         post = cat.postcompose_matrix(r, b)  # A(b, a') -> A(b, a)
         spaces[b] = preimage(post, target.spaces[b])
-    return Submodule(h_src, spaces)
+    return Submodule(representable(cat, r.src), spaces)
 
 
 def check_topology(cat: FinCat, topo: Topology, submodule_lists=None) -> list:

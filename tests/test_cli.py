@@ -412,6 +412,8 @@ REPORT_SHA256 = {
     "census-a2-p3-dim3": (["census", "catalog:a2", "--p", "3", "--dim", "3"], "1576ad71b61a32a8"),
     "census-a2cat-p3-dim3": (["census", "catalog:a2cat", "--p", "3", "--dim", "3"], "3aa966e5161dfccf"),
     "census-pt-p2": (["census", "catalog:pt", "--p", "2"], "65cbd5a12d05845d"),
+    "census-pt-p3": (["census", "catalog:pt", "--p", "3"], "9e6e36170abac88e"),
+    "census-dual-p3": (["census", "catalog:dual", "--p", "3"], "a7c5e7777b776106"),
     "jans-a2cat-p3": (["jans", "catalog:a2cat", "--p", "3"], "bc9f05c80aec7c0e"),
     "split-prod-p2": (["split", "catalog:prod", "--p", "2"], "e9d187d7f2e8e15c"),
     "ideals-idempotent-mat2-p2": (["ideals", "catalog:mat2", "--p", "2", "--idempotent"], "f65b44bc9aa86b2e"),

@@ -352,3 +352,18 @@ def test_matrix_kernel_rejects_misfit_factors():
     with pytest.raises(DimensionMismatch):
         # the two terms give a 2x1 and a 1x1 result
         matrix_kernel(2, shapes, [[(1, None, "x", None), (1, Mat.zero(2, 1, 2), "x", None)]])
+
+
+@pytest.mark.parametrize("n,p", [(0, 2), (3, 2), (2, 3), (3, 3), (2, 5)])
+def test_quotient_points_are_one_per_line_of_the_quotient(n, p):
+    # oracle: for every S, the lines of F_p^n / S are the classes of the
+    # vectors outside S under v ~ c.v + s; each holds exactly one point
+    for s in enumerate_subspaces(n, p):
+        points = list(s.quotient_points())
+        assert len(points) == len(set(points)) == (p ** (n - s.dim) - 1) // (p - 1)
+        for v in itertools.product(range(p), repeat=n):
+            if s.contains(v):
+                continue
+            hits = [r for r in points for c in range(1, p)
+                    if s.reduce([c * x for x in v]) == r]
+            assert len(hits) == 1

@@ -87,6 +87,7 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
     assert kinds["center"] == 1
     assert kinds["sequences"] > 0
     assert kinds["representable"] > 0
+    assert kinds["pullback"] > 0
     module_lists = Counter((id(cat), key[1]) for cat, key in builds if key[0] == "modules")
     assert module_lists and set(module_lists.values()) == {1}
     for kind in ("closure", "census"):
@@ -104,3 +105,38 @@ def test_the_module_census_keeps_no_submodule_lists():
     kinds = {key[0] for key, _cap in cat._derived}
     assert "census" in kinds
     assert not kinds & {"sequences", "submodules"}
+
+
+A4_DSL = ("vertices 1 2 3 4 ; arrow a: 1 -> 2 ; arrow b: 2 -> 3 ; arrow c: 3 -> 4 ;"
+          " relation a*b ; relation b*c ; field 2 ; maxlen 3 ;")
+
+
+def test_enumerate_topologies_builds_each_pullback_once(monkeypatch):
+    # every topology of the A4 quiver is checked against the pullback and
+    # glueing axioms; they ask for 928 pullbacks, of 64 distinct (r, R)
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    cat = path_category(parse_quiver_dsl(A4_DSL))
+    builds = Counter()
+    real_derived = category.derived
+
+    def counting_derived(c, key, build):
+        def counted():
+            builds[key] += 1
+            return build()
+
+        return real_derived(c, key, counted)
+
+    calls = []
+    real_pullback = torsion.pullback_submodule
+
+    def counting_pullback(c, r, target):
+        calls.append(1)
+        return real_pullback(c, r, target)
+
+    monkeypatch.setattr(torsion, "derived", counting_derived)
+    monkeypatch.setattr(torsion, "pullback_submodule", counting_pullback)
+    torsion.enumerate_topologies(cat)
+    pullbacks = {key: n for key, n in builds.items() if key[0] == "pullback"}
+    assert set(pullbacks.values()) == {1}
+    assert (len(calls), len(pullbacks)) == (928, 64)

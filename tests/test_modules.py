@@ -2,14 +2,16 @@ import itertools
 
 import pytest
 
-from ringoid.category import catalog, Morphism
+from ringoid.category import CATALOG_NAMES, catalog, Morphism
 from ringoid.linalg import Mat
 from ringoid.modules import (
     FinModule,
     ModuleMap,
+    Submodule,
     all_submodules,
     check_naturality,
     cyclic_submodule,
+    cyclic_submodules,
     direct_sum,
     enumerate_modules,
     full_submodule,
@@ -17,6 +19,7 @@ from ringoid.modules import (
     hom_space,
     image,
     is_iso,
+    join_closure,
     kernel,
     quotient_module,
     representable,
@@ -118,6 +121,57 @@ def test_submodules_brute_force_cross_check_more():
         h = representable(cat, cat.objects[0])
         subs = all_submodules(h)
         assert brute_force_submodules(h) == sorted(s.key() for s in subs)
+
+
+def join_closure_submodules(m):
+    """Reference walk: join every submodule found with every distinct cyclic
+    submodule Av, until no new submodule appears."""
+    gens = [sub for sub, _, _ in cyclic_submodules(m)]
+    subs = join_closure(zero_submodule(m), gens, Submodule.sum, Submodule.key)
+    return sorted(subs, key=lambda s: (s.total_dim(), s.key()))
+
+
+QUIVERS = {
+    "a4": "vertices 1 2 3 4 ; arrow a: 1 -> 2 ; arrow b: 2 -> 3 ; arrow c: 3 -> 4 ;"
+          " relation a*b ; relation b*c ; field 2 ; maxlen 3 ;",
+    "kronecker": "vertices 1 2 ; arrow a: 1 -> 2 ; arrow b: 1 -> 2 ; field 2 ; maxlen 1 ;",
+    "kronecker3": "vertices 1 2 ; arrow a: 1 -> 2 ; arrow b: 1 -> 2 ; arrow c: 1 -> 2 ;"
+                  " field 2 ; maxlen 1 ;",
+    "star": "vertices 1 2 3 4 ; arrow a: 1 -> 4 ; arrow b: 2 -> 4 ; arrow c: 3 -> 4 ;"
+            " field 2 ; maxlen 1 ;",
+}
+
+
+@pytest.mark.parametrize("name", [f"{n}({p})" for p in (2, 3) for n in CATALOG_NAMES])
+def test_quotient_walk_matches_the_join_closure_on_the_census(name):
+    for m in enumerate_modules(catalog(name), 3):
+        assert [s.key() for s in all_submodules(m)] == [s.key() for s in join_closure_submodules(m)]
+
+
+@pytest.mark.parametrize("name", sorted(QUIVERS))
+def test_quotient_walk_matches_the_join_closure_on_representables(name):
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    cat = path_category(parse_quiver_dsl(QUIVERS[name]))
+    for t in cat.objects:
+        h = representable(cat, t)
+        assert [s.key() for s in all_submodules(h)] == [s.key() for s in join_closure_submodules(h)]
+
+
+def test_quotient_walk_sums_once_per_submodule_and_quotient_point(monkeypatch):
+    # the point module F_3^4: its 212 subspaces X are joined with one A.r per
+    # point of F_3^4 / X, 40 + 40 * 13 + 130 * 4 + 40 * 1 = 1,120 sums; the
+    # join closure joins each with all 40 lines, 212 * 40 = 8,480 sums
+    cat = catalog("pt(3)")
+    m = FinModule(cat, {"x": 4}, {("x", "x", 0): Mat.identity(3, 4)})
+    calls = []
+    real_sum = Submodule.sum
+    monkeypatch.setattr(Submodule, "sum", lambda self, other: calls.append(1) or real_sum(self, other))
+    subs = all_submodules(m)
+    assert (len(subs), len(calls)) == (212, 1120)
+    calls.clear()
+    assert len(join_closure_submodules(m)) == 212
+    assert len(calls) == 8480
 
 
 def test_quotient_by_zero_is_iso():
