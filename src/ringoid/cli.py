@@ -33,6 +33,7 @@ from .torsion import (
     enumerate_topologies,
     gabriel_roundtrip,
     has_fg_basis,
+    hereditary_class_sweep,
     hereditary_closure_oracle,
     topology_seeds,
 )
@@ -185,14 +186,17 @@ def cmd_ideals(cat, args, report):
     return report
 
 
-def torsion_fingerprint_count(cat, topos, census_bound) -> int:
-    """The number of distinct census fingerprints of the hereditary torsion
-    classes closed from each topology's seeds; it equals the number of
-    topologies exactly when no two of them give the same class."""
-    return len({
+def torsion_fingerprints(cat, topos, census_bound) -> tuple:
+    """(count, verdict) for the census fingerprints of the hereditary torsion
+    classes closed from each topology's seeds.  It passes when the map from
+    topologies to fingerprints is injective (as many fingerprints as
+    topologies) and onto the classes that the axiom-free sweep finds."""
+    fps = {
         hereditary_closure_oracle(cat, topology_seeds(topo), census_bound).census_fingerprint
         for topo in topos
-    })
+    }
+    bijective = len(fps) == len(topos) and fps == set(hereditary_class_sweep(cat, census_bound))
+    return len(fps), "pass" if bijective else "fail"
 
 
 def cmd_gabriel(cat, args, report):
@@ -216,11 +220,11 @@ def cmd_gabriel(cat, args, report):
         "pass" if all(has_fg_basis(t) for t in topos) else "fail",
     )
     if args.census:
-        n_fps = torsion_fingerprint_count(cat, topos, args.census)
+        n_fps, verdict = torsion_fingerprints(cat, topos, args.census)
         report.add(
             "topology-census-equality",
             "census:topologies-vs-hereditary-classes",
-            "pass" if n_fps == len(topos) else "fail",
+            verdict,
             {"topologies": len(topos), "torsion_fingerprints": n_fps, "collisions": n_fps != len(topos)},
         )
     return report
@@ -285,14 +289,17 @@ def cmd_center(cat, args, report):
     return report
 
 
+class UsageError(Exception):
+    """A flag value that the loaded category cannot take (exit 64)."""
+
+
 def _select_ideals(cat, selector: str):
     ideals = enumerate_idempotent_ideals(cat)
     if selector == "all":
         return ideals
-    idx = int(selector)
-    if not 0 <= idx < len(ideals):
-        raise ValueError(f"ideal index {idx} out of range (0..{len(ideals) - 1})")
-    return [ideals[idx]]
+    if not (selector.isdecimal() and int(selector) < len(ideals)):
+        raise UsageError(f"--ideal {selector!r} is neither 'all' nor an index 0..{len(ideals) - 1}")
+    return [ideals[int(selector)]]
 
 
 def recollement_check(cat, ideal, bound, census_bound):
@@ -360,11 +367,11 @@ def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
         "pass" if all(roundtrips) else "fail",
         {"count": len(topos)},
     )
-    n_fps = torsion_fingerprint_count(cat, topos, dim)
+    n_fps, verdict = torsion_fingerprints(cat, topos, dim)
     report.add(
         "torsion-fingerprints",
         "census:topologies-vs-hereditary-classes",
-        "pass" if n_fps == len(topos) else "fail",
+        verdict,
         {"count": n_fps},
     )
     jrep = jans_roundtrip(cat, dim)
@@ -415,6 +422,17 @@ COMMANDS = {
 }
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringoid",
@@ -423,9 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("source", help="category JSON file or catalog:<name>, e.g. catalog:a2cat")
     parser.add_argument("--p", type=int, default=None, help="prime for catalog names")
-    parser.add_argument("--bound", type=int, default=3, help="tuple length bound for completions")
-    parser.add_argument("--dim", type=int, default=4, help="module census total dimension bound")
-    parser.add_argument("--census", type=int, default=0, help="gabriel: census dimension (0 = skip)")
+    parser.add_argument("--bound", type=_int_at_least(1), default=3,
+                        help="tuple length bound for completions")
+    parser.add_argument("--dim", type=_int_at_least(0), default=4, help="module census total dimension bound")
+    parser.add_argument("--census", type=_int_at_least(0), default=0,
+                        help="gabriel: census dimension (0 = skip)")
     parser.add_argument("--json", action="store_true", help="emit the machine-readable report")
     parser.add_argument("--seed", type=int, default=0, help="reserved; all runs are deterministic")
     parser.add_argument("--idempotent", action="store_true", help="ideals: restrict to idempotent ones")
@@ -488,6 +508,9 @@ def _run(argv) -> int:
                    {"operation": e.operation, "needed": e.needed, "cap": e.cap})
         print(report.to_json() if args.json else report.human())
         return EXIT_REFUSED
+    except UsageError as e:
+        print(f"ringoid: {e}", file=sys.stderr)
+        return EXIT_USAGE
     if args.json:
         print(report.to_json())
     else:

@@ -161,7 +161,8 @@ def principal_ideals(cat: FinCat) -> list:
 
 def enumerate_ideals(cat: FinCat) -> list:
     """Every two-sided ideal: sum-closure of the principal ideals."""
-    found = join_closure(zero_ideal(cat), principal_ideals(cat), ideal_sum, Ideal.key)
+    gens = principal_ideals(cat)
+    found = join_closure(zero_ideal(cat), lambda _: gens, ideal_sum, Ideal.key)
     return sorted(found, key=lambda i: (i.total_dim(), i.key()))
 
 

@@ -327,35 +327,28 @@ def all_submodules(m: FinModule) -> list:
     """
     _check_submodule_scan(m)
     cyclic = {}
-    bottom = zero_submodule(m)
-    found = {bottom.key(): bottom}
-    frontier = [bottom]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a in m.cat.objects:
-                for r in x.spaces[a].quotient_points():
-                    if (a, r) not in cyclic:
-                        cyclic[(a, r)] = cyclic_submodule(m, a, r)
-                    u = x.sum(cyclic[(a, r)])
-                    k = u.key()
-                    if k not in found:
-                        found[k] = u
-                        nxt.append(u)
-        frontier = nxt
-    return sorted(found.values(), key=lambda s: (s.total_dim(), s.key()))
+
+    def points(x):
+        for a in m.cat.objects:
+            for r in x.spaces[a].quotient_points():
+                if (a, r) not in cyclic:
+                    cyclic[(a, r)] = cyclic_submodule(m, a, r)
+                yield cyclic[(a, r)]
+
+    found = join_closure(zero_submodule(m), points, Submodule.sum, Submodule.key)
+    return sorted(found, key=lambda s: (s.total_dim(), s.key()))
 
 
 def join_closure(bottom, gens, join, key) -> list:
-    """Every join of bottom with finitely many gens, deduplicated by key, in
-    discovery order: each new element is joined with every generator until
-    no new key appears."""
+    """Every join of bottom with finitely many generators, deduplicated by
+    key, in discovery order: each new element x is joined with every
+    generator in gens(x) until no new key appears."""
     found = {key(bottom): bottom}
     frontier = [bottom]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
+            for g in gens(x):
                 u = join(x, g)
                 k = key(u)
                 if k not in found:

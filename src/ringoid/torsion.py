@@ -23,7 +23,6 @@ from .modules import (
     full_submodule,
     is_iso,
     join_closure,
-    killed_by,
     quotient_module,
     representable,
     simple_modules,
@@ -88,15 +87,25 @@ def _build_pullback(cat: FinCat, r: Morphism, target: Submodule) -> Submodule:
     return Submodule(representable(cat, r.src), spaces)
 
 
-def check_topology(cat: FinCat, topo: Topology, submodule_lists=None) -> list:
+def representable_quotients(cat: FinCat) -> list:
+    """[(a, R, H_a/R)] for every object a, in object order, and every
+    submodule R of H_a, in `all_submodules` order: the one place the
+    topologies, the axiom check and the seeds build a quotient of a
+    representable.  Built once per category."""
+    return derived(cat, ("representable-quotients",), lambda: [
+        (a, sub, quotient_module(representable(cat, a), sub)[0])
+        for a in cat.objects
+        for sub in all_submodules(representable(cat, a))
+    ])
+
+
+def check_topology(cat: FinCat, topo: Topology) -> list:
     """Violations of the identity, pullback, and glueing axioms.
 
-    Glueing quantifies over every submodule of every representable, so the
-    full submodule lists are computed first (or supplied by the caller).
-    The pullback and glueing loops need no cap of their own: they run over
-    vectors of H_a, and `all_submodules(H_a)` has capped those vectors."""
-    if submodule_lists is None:
-        submodule_lists = {a: all_submodules(representable(cat, a)) for a in cat.objects}
+    Glueing quantifies over every submodule of every representable, read
+    from `representable_quotients`.  The pullback and glueing loops need no
+    cap of their own: they run over vectors of H_a, and `all_submodules(H_a)`
+    has capped those vectors."""
     report = []
     for a in cat.objects:
         h = representable(cat, a)
@@ -111,25 +120,24 @@ def check_topology(cat: FinCat, topo: Topology, submodule_lists=None) -> list:
                         report.append(
                             {"axiom": "pullback", "object": a, "along": (a2, r.coords)}
                         )
-    for a in cat.objects:
-        for rsub in submodule_lists[a]:
-            if topo.covers(a, rsub):
-                continue
-            for ssub in topo.families[a]:
-                hypothesis = True
-                for a2 in cat.objects:
-                    for v in ssub.spaces[a2].vectors():
-                        r = Morphism(a2, a, v)
-                        if not topo.covers(a2, pullback_submodule(cat, r, rsub)):
-                            hypothesis = False
-                            break
-                    if not hypothesis:
+    for a, rsub, _ in representable_quotients(cat):
+        if topo.covers(a, rsub):
+            continue
+        for ssub in topo.families[a]:
+            hypothesis = True
+            for a2 in cat.objects:
+                for v in ssub.spaces[a2].vectors():
+                    r = Morphism(a2, a, v)
+                    if not topo.covers(a2, pullback_submodule(cat, r, rsub)):
+                        hypothesis = False
                         break
-                if hypothesis:
-                    report.append(
-                        {"axiom": "glueing", "object": a, "missing_dim": rsub.total_dim()}
-                    )
+                if not hypothesis:
                     break
+            if hypothesis:
+                report.append(
+                    {"axiom": "glueing", "object": a, "missing_dim": rsub.total_dim()}
+                )
+                break
     return report
 
 
@@ -178,42 +186,19 @@ def torsion_radical(topo: Topology, m: FinModule) -> Submodule:
     return t
 
 
-class TorsionOracle:
-    """A total membership predicate on modules, tagged with its provenance."""
-
-    def __init__(self, membership, provenance: str):
-        self.membership = membership
-        self.provenance = provenance
-
-    def __call__(self, m: FinModule) -> bool:
-        return self.membership(m)
-
-
-def oracle_from_topology(topo: Topology) -> TorsionOracle:
-    return TorsionOracle(lambda m: torsion_membership(topo, m), "from_topology")
-
-
-def oracle_from_ideal(ideal) -> TorsionOracle:
-    return TorsionOracle(lambda m: killed_by(m, ideal), "from_ideal")
-
-
-def topology_from_class(cat: FinCat, oracle: TorsionOracle) -> Topology:
-    """G_a = the submodules of H_a with torsion quotient."""
+def topology_from_class(cat: FinCat, oracle) -> Topology:
+    """G_a = the submodules R of H_a whose quotient H_a/R passes the
+    membership predicate `oracle`."""
     families = {}
-    for a in cat.objects:
-        h = representable(cat, a)
-        fam = []
-        for sub in all_submodules(h):
-            q, _ = quotient_module(h, sub)
-            if oracle(q):
-                fam.append(sub)
-        families[a] = fam
+    for a, sub, q in representable_quotients(cat):
+        if oracle(q):
+            families.setdefault(a, []).append(sub)
     return Topology(cat, families)
 
 
 def gabriel_roundtrip(topo: Topology) -> bool:
     """Topology -> torsion membership -> topology is the identity, bit-exactly."""
-    back = topology_from_class(topo.cat, oracle_from_topology(topo))
+    back = topology_from_class(topo.cat, lambda m: torsion_membership(topo, m))
     return back == topo
 
 
@@ -237,16 +222,21 @@ def enumerate_topologies(cat: FinCat) -> list:
     class, fixed by the simples it contains (Gabriel, "Des categories
     abeliennes", 1962, ch. IV; Stenstroem, Rings of Quotients, 1975, ch. VI):
     J_S(a) holds the R <= H_a whose quotient H_a/R has every composition
-    factor in S.  Each J_S is still checked against the axioms."""
+    factor in S.  The factors of each quotient are found once, and each J_S
+    is still checked against the axioms."""
     simples = simple_modules(cat)
     check_vector_cap(2 ** len(simples), "enumerate_topologies: sets of simple modules")
-    submodule_lists = {a: all_submodules(representable(cat, a)) for a in cat.objects}
+    factored = [(a, sub, composition_factors(q, simples))
+                for a, sub, q in representable_quotients(cat)]
     out = []
     for picks in itertools.product([False, True], repeat=len(simples)):
         chosen = frozenset(i for i, take in enumerate(picks) if take)
-        oracle = TorsionOracle(lambda q: composition_factors(q, simples) <= chosen, "from_simples")
-        topo = topology_from_class(cat, oracle)
-        violations = check_topology(cat, topo, submodule_lists)
+        families = {}
+        for a, sub, factors in factored:
+            if factors <= chosen:
+                families.setdefault(a, []).append(sub)
+        topo = Topology(cat, families)
+        violations = check_topology(cat, topo)
         if violations:
             raise RuntimeError(f"topology of simples {sorted(chosen)} fails the {violations[0]['axiom']} axiom")
         out.append(topo)
@@ -364,13 +354,7 @@ def topology_seeds(topo: Topology) -> list:
     """The quotients H_a / R of the representables by every covering
     submodule R: the seeds whose hereditary closure is the topology's
     torsion class."""
-    seeds = []
-    for a in topo.cat.objects:
-        h = representable(topo.cat, a)
-        for sub in topo.families[a]:
-            q, _ = quotient_module(h, sub)
-            seeds.append(q)
-    return seeds
+    return [q for a, sub, q in representable_quotients(topo.cat) if topo.covers(a, sub)]
 
 
 def _seed_indices(census: ModuleCensus, seeds, bound: int) -> set:
@@ -386,7 +370,7 @@ def _seed_indices(census: ModuleCensus, seeds, bound: int) -> set:
     return out
 
 
-def hereditary_closure_oracle(cat: FinCat, seeds, bound: int) -> TorsionOracle:
+def hereditary_closure_oracle(cat: FinCat, seeds, bound: int):
     """Close the seed iso-classes under submodules, quotients, direct sums and
     extensions, inside the census of modules of dimension <= bound.  The
     closure is generated from the simple-submodule pairs (S, M/S) of the
@@ -397,7 +381,8 @@ def hereditary_closure_oracle(cat: FinCat, seeds, bound: int) -> TorsionOracle:
     the census whenever the target class is generated by the seeds, since a
     bounded module built from quotients of seeds assembles through modules of
     no larger dimension.  The membership is total on the census and raises
-    beyond it.
+    beyond it.  The predicate carries the closed class indices as
+    `census_fingerprint`.
     """
     census = module_census(cat, bound)
     member = census.close(_seed_indices(census, seeds, bound) | {census.zero_index})
@@ -407,9 +392,8 @@ def hereditary_closure_oracle(cat: FinCat, seeds, bound: int) -> TorsionOracle:
             raise ValueError(f"closure oracle is only total up to dimension {bound}")
         return census.class_index(m) in member
 
-    oracle = TorsionOracle(membership, f"closure(bound={bound})")
-    oracle.census_fingerprint = member
-    return oracle
+    membership.census_fingerprint = member
+    return membership
 
 
 def hereditary_class_sweep(cat: FinCat, bound: int):
@@ -427,16 +411,11 @@ def hereditary_class_sweep(cat: FinCat, bound: int):
     topology enumeration.
     """
     census = module_census(cat, bound)
-    seeds = []
-    for a in cat.objects:
-        h = representable(cat, a)
-        for sub in all_submodules(h):
-            q, _ = quotient_module(h, sub)
-            seeds.append(q)
+    seeds = [q for _, _, q in representable_quotients(cat)]
     seed_indices = sorted(_seed_indices(census, seeds, bound))
     fingerprints = join_closure(
         census.close({census.zero_index}),
-        seed_indices,
+        lambda closed: seed_indices,
         lambda closed, s: closed if s in closed else census.close(closed | {s}),
         lambda closed: closed,
     )

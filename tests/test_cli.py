@@ -7,6 +7,7 @@ import pytest
 
 from ringoid import cli
 from ringoid.category import cat_to_json, catalog
+from ringoid.torsion import maximal_topology
 
 
 def run_cli(args, capsys):
@@ -299,6 +300,72 @@ def test_gabriel_on_the_three_arrow_kronecker_quiver(tmp_path, capsys):
     assert code == 0
     findings = {f["statement_id"]: f for f in json.loads(out)["findings"]}
     assert findings["topology-census-equality"]["verdict"] == "pass"
+
+
+# wrong topology lists, from the true list and the category
+TOPOLOGY_MUTATIONS = {
+    "dropped": lambda topos, cat: topos[:-1],
+    "duplicated": lambda topos, cat: topos + topos[:1],
+    "maximal": lambda topos, cat: topos[:-1] + [maximal_topology(cat)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TOPOLOGY_MUTATIONS))
+@pytest.mark.parametrize(
+    "argv, finding",
+    [
+        (["gabriel", "catalog:prod", "--p", "2", "--census", "3"], "topology-census-equality"),
+        (["census", "catalog:prod", "--p", "2"], "torsion-fingerprints"),
+    ],
+)
+def test_census_check_catches_a_wrong_topology_list(monkeypatch, capsys, kind, argv, finding):
+    # prod(2) has 4 topologies and 4 hereditary classes: a list missing one,
+    # repeating one, or with the last replaced by the (already listed)
+    # maximal topology is not a bijection onto the sweep's classes
+    real = cli.enumerate_topologies
+    monkeypatch.setattr(cli, "enumerate_topologies", lambda cat: TOPOLOGY_MUTATIONS[kind](real(cat), cat))
+    code, out = run_cli([*argv, "--json"], capsys)
+    assert code == 1
+    failed = [f["statement_id"] for f in json.loads(out)["findings"] if f["verdict"] == "fail"]
+    assert failed == [finding]
+
+
+def test_census_check_fails_when_the_bound_merges_topologies(capsys):
+    # mat2 has one simple module, of dimension 2: at census bound 1 both
+    # topologies close to the class of the zero module alone
+    code, out = run_cli(["gabriel", "catalog:mat2", "--p", "2", "--census", "1", "--json"], capsys)
+    assert code == 1
+    finding = next(f for f in json.loads(out)["findings"] if f["statement_id"] == "topology-census-equality")
+    assert finding["verdict"] == "fail"
+    assert finding["witness"] == {"topologies": 2, "torsion_fingerprints": 1, "collisions": True}
+
+
+@pytest.mark.parametrize(
+    "argv, one_line",
+    [
+        (["recollement", "catalog:prod", "--p", "2", "--ideal", "9"], True),
+        (["recollement", "catalog:prod", "--p", "2", "--ideal", "foo"], True),
+        (["recollement", "catalog:prod", "--p", "2", "--ideal", "-1"], True),
+        (["complete", "catalog:pt", "--p", "2", "--bound", "0"], False),
+        (["ideals", "catalog:pt", "--p", "2", "--idempotent", "--bound", "0"], False),
+        (["recollement", "catalog:pt", "--p", "2", "--bound", "-1"], False),
+        (["census", "catalog:pt", "--p", "2", "--dim", "-1"], False),
+        (["jans", "catalog:pt", "--p", "2", "--dim", "-1"], False),
+        (["gabriel", "catalog:pt", "--p", "2", "--census", "-2"], False),
+        (["gabriel", "catalog:pt", "--p", "2", "--census", "two"], False),
+    ],
+)
+def test_bad_flag_values_are_usage_errors(capsys, argv, one_line):
+    # an out-of-range flag value is the caller's mistake (64), not a bug (70);
+    # argparse adds its usage text, the --ideal check prints one line
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "internal error" not in captured.err
+    if one_line:
+        assert captured.err.startswith("ringoid: --ideal")
+        assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("raw", ["abc", "-5"])

@@ -32,7 +32,6 @@ TEST_READERS = {
     "gen_witness": "test_modules.py",
     "kernel": "test_properties.py",
     "maximal_topology": "test_torsion.py",
-    "oracle_from_ideal": "test_torsion.py",
     "solve_matrix": "test_modules.py",
     "torsion_radical": "test_torsion.py",
     "trace_ideal": "test_ideals.py",

@@ -88,6 +88,7 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
     assert kinds["sequences"] > 0
     assert kinds["representable"] > 0
     assert kinds["pullback"] > 0
+    assert kinds["representable-quotients"] == 1
     module_lists = Counter((id(cat), key[1]) for cat, key in builds if key[0] == "modules")
     assert module_lists and set(module_lists.values()) == {1}
     for kind in ("closure", "census"):

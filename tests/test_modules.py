@@ -127,7 +127,7 @@ def join_closure_submodules(m):
     """Reference walk: join every submodule found with every distinct cyclic
     submodule Av, until no new submodule appears."""
     gens = [sub for sub, _, _ in cyclic_submodules(m)]
-    subs = join_closure(zero_submodule(m), gens, Submodule.sum, Submodule.key)
+    subs = join_closure(zero_submodule(m), lambda _: gens, Submodule.sum, Submodule.key)
     return sorted(subs, key=lambda s: (s.total_dim(), s.key()))
 
 

@@ -29,14 +29,13 @@ from ringoid.torsion import (
     has_fg_basis,
     hereditary_closure_oracle,
     maximal_topology,
-    oracle_from_ideal,
-    oracle_from_topology,
     pullback_submodule,
+    representable_quotients,
     topology_from_class,
     torsion_membership,
     torsion_radical,
-    TorsionOracle,
 )
+from ringoid.ttf import ttf_from_ideal
 
 
 @pytest.mark.parametrize("name", ["pt(2)", "dual(2)", "a2cat(2)", "prod(2)", "mat2(2)"])
@@ -147,10 +146,8 @@ def test_radical_is_largest():
 
 def test_topology_from_trivial_oracles():
     cat = catalog("pt(3)")
-    only_zero = TorsionOracle(lambda m: m.total_dim() == 0, "only-zero")
-    assert topology_from_class(cat, only_zero) == maximal_topology(cat)
-    everything = TorsionOracle(lambda m: True, "everything")
-    assert topology_from_class(cat, everything) == full_topology(cat)
+    assert topology_from_class(cat, lambda m: m.total_dim() == 0) == maximal_topology(cat)
+    assert topology_from_class(cat, lambda m: True) == full_topology(cat)
 
 
 def test_closure_of_simple_over_dual_gives_full_topology():
@@ -456,6 +453,40 @@ def test_census_builds_only_simple_submodule_pairs(monkeypatch):
     assert counts["is_iso"] <= 7000
 
 
+@pytest.mark.parametrize("name", ["a2cat(3)", "a4", "kronecker"])
+def test_representable_quotients_list_every_quotient_once(name):
+    cat = catalog_or_quiver(name)
+    quotients = representable_quotients(cat)
+    assert representable_quotients(cat) is quotients
+    expected = [(a, s.key()) for a in cat.objects for s in all_submodules(representable(cat, a))]
+    assert [(a, sub.key()) for a, sub, _ in quotients] == expected
+    for a, sub, q in quotients:
+        h = representable(cat, a)
+        assert q.key() == quotient_module(h, sub)[0].key()
+
+
+def test_enumerate_topologies_factors_each_representable_quotient_once(monkeypatch):
+    # A4 has 11 quotients H_a/R; the composition factors of each are found
+    # once, not once per set of simples (176 calls when they were)
+    from ringoid import torsion
+
+    cat = catalog_or_quiver("a4")
+    counts = {"composition_factors": 0, "all_submodules": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(torsion, name, counting(name, getattr(torsion, name)))
+    topos = torsion.enumerate_topologies(cat)
+    assert len(topos) == 16
+    assert len(representable_quotients(cat)) == 11
+    assert counts == {"composition_factors": 11, "all_submodules": len(cat.objects)}
+
+
 def upclosed_intersection_closed_families(subs):
     """All families of submodules containing the full one, closed upward and
     under pairwise intersection: the raw candidates for the axiom filter."""
@@ -475,12 +506,12 @@ def upclosed_intersection_closed_families(subs):
 def filtered_topologies(cat):
     """Every topology by brute force: the product over objects of the
     candidate families, filtered through the axioms, in enumeration order."""
-    submodule_lists = {a: all_submodules(representable(cat, a)) for a in cat.objects}
-    candidates = [upclosed_intersection_closed_families(submodule_lists[a]) for a in cat.objects]
+    candidates = [upclosed_intersection_closed_families(all_submodules(representable(cat, a)))
+                  for a in cat.objects]
     out = []
     for combo in itertools.product(*candidates):
         topo = Topology(cat, dict(zip(cat.objects, combo)))
-        if not check_topology(cat, topo, submodule_lists):
+        if not check_topology(cat, topo):
             out.append(topo)
     return sorted(out, key=lambda t: (t.size(), t.key()))
 
@@ -528,8 +559,7 @@ def test_fg_basis_always_true_here(name):
 def test_ideal_oracle_membership():
     cat = catalog("a2cat(2)")
     for ideal in enumerate_idempotent_ideals(cat):
-        oracle = oracle_from_ideal(ideal)
-        topo = topology_from_class(cat, oracle)
+        topo = topology_from_class(cat, ttf_from_ideal(cat, ideal).in_torsion)
         assert check_topology(cat, topo) == []
 
 
@@ -565,14 +595,6 @@ def test_collapsed_category_has_one_topology():
     assert [m.key() for m in enumerate_modules(q, 3)] == [
         m.key() for m in enumerate_modules(q, 0)
     ]
-
-
-def test_oracle_provenance_strings():
-    cat = catalog("pt(2)")
-    topo = maximal_topology(cat)
-    assert oracle_from_topology(topo).provenance == "from_topology"
-    oracle = hereditary_closure_oracle(cat, [], 2)
-    assert oracle.provenance.startswith("closure")
 
 
 def test_closure_oracle_refuses_modules_beyond_its_bound():

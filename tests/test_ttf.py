@@ -21,7 +21,7 @@ from ringoid.modules import (
     simple_modules,
     submodule_module,
 )
-from ringoid.torsion import check_topology, topology_from_class, torsion_membership, oracle_from_ideal
+from ringoid.torsion import check_topology, topology_from_class, torsion_membership
 from ringoid.ttf import (
     corner_category,
     corner_restriction,
@@ -181,7 +181,7 @@ def test_triple_membership_matches_induced_topology():
     census = enumerate_modules(cat, 3)
     for ideal in enumerate_idempotent_ideals(cat):
         triple = ttf_from_ideal(cat, ideal)
-        topo = topology_from_class(cat, oracle_from_ideal(ideal))
+        topo = topology_from_class(cat, triple.in_torsion)
         assert check_topology(cat, topo) == []
         for m in census:
             assert triple.in_torsion(m) == torsion_membership(topo, m)
