@@ -18,7 +18,7 @@ import json
 import operator
 from functools import reduce
 
-from .linalg import Mat, Vec, check_prime, check_vector_cap, vector_cap, zero_vec
+from .linalg import Mat, Vec, check_prime, check_vector_cap, packed_idempotents, vector_cap, zero_vec
 
 
 class Morphism:
@@ -590,15 +590,14 @@ def catalog(name: str, p: int | None = None) -> FinCat:
 
 
 def list_idempotents(cat: FinCat, obj: str | None = None) -> list:
-    """All endomorphisms e with e.e = e, exhaustively per endo space."""
+    """All endomorphisms e with e.e = e, exhaustively per endo space, in
+    `elements` order; each square is packed (`packed_idempotents`)."""
     objs = [obj] if obj is not None else list(cat.objects)
     out = []
     for a in objs:
         d = cat.hom_dim[(a, a)]
         check_vector_cap(cat.p ** d, f"list_idempotents: p^dim A({a},{a})")
-        for f in cat.elements(a, a):
-            if cat.compose(f, f) == f:
-                out.append(f)
+        out.extend(Morphism(a, a, x) for x in packed_idempotents(cat.p, cat.comp.get((a, a, a), ())))
     return out
 
 

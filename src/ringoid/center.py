@@ -8,11 +8,9 @@ which is the combinatorial heart of the split-TTF detection.
 
 from __future__ import annotations
 
-import itertools
-
 from .category import FinCat, Morphism, derived
 from .ideals import Ideal, enumerate_ideals
-from .linalg import Mat, check_vector_cap, kernel_basis, matrix_kernel, subspace_intersect
+from .linalg import Mat, check_vector_cap, kernel_basis, matrix_kernel, packed_idempotents, subspace_intersect
 
 
 class CenterElement:
@@ -127,13 +125,10 @@ def _build_center(cat: FinCat) -> CenterAlgebra:
 
 
 def center_idempotents(z: CenterAlgebra) -> list:
-    """All solutions of e * e = e in the center, by exhaustive scan."""
+    """All solutions of e * e = e in the center, by exhaustive scan of the
+    packed multiplication table (`packed_idempotents`)."""
     check_vector_cap(z.cat.p ** z.dim, "center_idempotents: p^dim Z")
-    out = []
-    for coords in itertools.product(range(z.cat.p), repeat=z.dim):
-        if z.multiply(coords, coords) == coords:
-            out.append((coords, z.element(coords)))
-    return out
+    return [(coords, z.element(coords)) for coords in packed_idempotents(z.cat.p, z.mult)]
 
 
 def ideal_of_idempotent(cat: FinCat, eps: CenterElement):

@@ -290,7 +290,8 @@ def cmd_center(cat, args, report):
 
 
 class UsageError(Exception):
-    """A flag value that the loaded category cannot take (exit 64)."""
+    """A flag the parser refuses, or a value that the loaded category cannot
+    take (exit 64)."""
 
 
 def _select_ideals(cat, selector: str):
@@ -433,8 +434,16 @@ def _int_at_least(low: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with UsageError instead of printing its
+    usage text and exiting; --help still prints and exits 0."""
+
+    def error(self, message):
+        raise UsageError(" ".join(message.splitlines()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringoid",
         description="exact classification checks for finite F_p-linear categories",
     )
@@ -473,8 +482,11 @@ def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else 0
+    except SystemExit:  # --help; every refusal raises UsageError
+        return 0
+    except UsageError as e:
+        print(f"ringoid: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cap = vector_cap()
     except ValueError as e:

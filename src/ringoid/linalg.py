@@ -475,18 +475,10 @@ def kernel_basis(m: Mat) -> Subspace:
     return Subspace.from_vectors(m.p, m.cols, basis)
 
 
-def matrix_kernel(p: int, shapes: dict, equations):
-    """Solve a homogeneous linear system whose unknowns are matrices.
-
-    shapes maps each unknown X[key] to its (rows, cols).  Each equation is a
-    list of terms (c, L, key, R) and states sum c * L @ X[key] @ R = 0, where
-    None stands for an identity factor.  The unknowns are flattened in the
-    order of `shapes`, each row-major, and only here.
-
-    Returns (solutions, pack, unpack): the solution Subspace of the flat
-    space, pack({key: Mat}) -> flat vector, and unpack(flat vector) ->
-    {key: Mat}.
-    """
+def _matrix_rows(p: int, shapes: dict, equations):
+    """(offs, total, rows) of the system that `matrix_kernel` solves: offs[key]
+    is where X[key] starts in the flat space of `total` unknowns, and rows
+    are the nonzero rows of the flat equations."""
     offs = {}
     total = 0
     for key, (r, c) in shapes.items():
@@ -525,6 +517,22 @@ def matrix_kernel(p: int, shapes: dict, equations):
                     row[base + v] = (row[base + v] + cx * y) % p
         if block:
             rows.extend(row for row in block if any(row))
+    return offs, total, rows
+
+
+def matrix_kernel(p: int, shapes: dict, equations):
+    """Solve a homogeneous linear system whose unknowns are matrices.
+
+    shapes maps each unknown X[key] to its (rows, cols).  Each equation is a
+    list of terms (c, L, key, R) and states sum c * L @ X[key] @ R = 0, where
+    None stands for an identity factor.  The unknowns are flattened in the
+    order of `shapes`, each row-major, and only here.
+
+    Returns (solutions, pack, unpack): the solution Subspace of the flat
+    space, pack({key: Mat}) -> flat vector, and unpack(flat vector) ->
+    {key: Mat}.
+    """
+    offs, total, rows = _matrix_rows(p, shapes, equations)
     solutions = kernel_basis(Mat(p, len(rows), total, rows))
 
     def pack(mats) -> Vec:
@@ -545,6 +553,43 @@ def matrix_kernel(p: int, shapes: dict, equations):
         }
 
     return solutions, pack, unpack
+
+
+def matrix_kernel_dim(p: int, shapes: dict, equations) -> int:
+    """The dimension of the solution space of `matrix_kernel(p, shapes,
+    equations)`: the number of unknowns minus the rank, from one RREF."""
+    _, total, rows = _matrix_rows(p, shapes, equations)
+    _, pivots = rref_rows(p, rows, total)
+    return total - len(pivots)
+
+
+def packed_idempotents(p: int, table) -> list:
+    """Every coordinate tuple x with sum_i x_i sum_j x_j T[i][j] = x, in
+    `itertools.product` order, where table[i][j] = T[i][j] is the product of
+    basis elements i and j in a d-dimensional algebra over F_p.
+
+    Each T[i][j] is packed into one int with w-bit slots (Kronecker
+    substitution), so a square costs d^2 integer multiply-adds.  Slot k of
+    the square sums d^2 terms x_i x_j T[i][j][k], each at most (p - 1)^3, so
+    w = bit_length(d^2 (p - 1)^3) holds it with no carry into slot k + 1.
+    """
+    d = len(table)
+    w = (d * d * (p - 1) ** 3).bit_length()
+    mask = (1 << w) - 1
+    packs = [[sum((v % p) << (w * k) for k, v in enumerate(vec)) for vec in row] for row in table]
+    out = []
+    for x in itertools.product(range(p), repeat=d):
+        acc = 0
+        for xi, row in zip(x, packs):
+            if xi:
+                inner = 0
+                for xj, t in zip(x, row):
+                    if xj:
+                        inner += xj * t
+                acc += xi * inner
+        if all(((acc >> (w * k)) & mask) % p == xk for k, xk in enumerate(x)):
+            out.append(x)
+    return out
 
 
 def image_basis(m: Mat) -> Subspace:

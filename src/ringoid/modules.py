@@ -21,6 +21,7 @@ from .linalg import (
     image_basis,
     kernel_basis,
     matrix_kernel,
+    matrix_kernel_dim,
     subspace_intersect,
     subspace_sum,
 )
@@ -43,6 +44,7 @@ class FinModule:
                         raise ValueError(f"action shape mismatch at {(a, b, i)}")
                     self.action[(a, b, i)] = m
         self.name = name
+        self._key = None
         self._fingerprint = None
 
     @property
@@ -63,10 +65,12 @@ class FinModule:
 
     def key(self):
         """Canonical identity of the presented data (basis dependent)."""
-        return (
-            tuple(self.dims[a] for a in self.cat.objects),
-            tuple(self.action[k].entries for k in sorted(self.action)),
-        )
+        if self._key is None:
+            self._key = (
+                tuple(self.dims[a] for a in self.cat.objects),
+                tuple(self.action[k].entries for k in sorted(self.action)),
+            )
+        return self._key
 
     def fingerprint(self):
         """Iso-invariant: dims plus the rank profile of every basis action,
@@ -175,19 +179,31 @@ def check_naturality(phi: ModuleMap) -> bool:
     return True
 
 
-def hom_space(m: FinModule, n: FinModule) -> list:
-    """A basis of Hom(M, N), solved from the naturality squares."""
+def _naturality_system(m: FinModule, n: FinModule):
+    """(shapes, equations) for `matrix_kernel`: the unknowns phi_a and the
+    squares phi_a . M(alpha) = N(alpha) . phi_b over every basis alpha of
+    A(a, b)."""
     cat = m.cat
     if cat is not n.cat and cat.objects != n.cat.objects:
         raise ValueError("modules live over different categories")
     shapes = {a: (n.dims[a], m.dims[a]) for a in cat.objects}
-    # phi_a . M(alpha) = N(alpha) . phi_b for every basis alpha of A(a, b)
     equations = [
         [(1, None, a, m.action[(a, b, i)]), (-1, n.action[(a, b, i)], b, None)]
         for a, b, i in m.action
     ]
-    solutions, _, unpack = matrix_kernel(cat.p, shapes, equations)
+    return shapes, equations
+
+
+def hom_space(m: FinModule, n: FinModule) -> list:
+    """A basis of Hom(M, N), solved from the naturality squares."""
+    solutions, _, unpack = matrix_kernel(m.p, *_naturality_system(m, n))
     return [ModuleMap(m, n, unpack(v)) for v in solutions.basis_vectors()]
+
+
+def hom_dim(m: FinModule, n: FinModule) -> int:
+    """dim Hom(M, N), the rank deficit of the naturality squares; equal to
+    len(hom_space(m, n)) without building the basis."""
+    return matrix_kernel_dim(m.p, *_naturality_system(m, n))
 
 
 class Submodule:
@@ -486,7 +502,7 @@ def is_iso(m: FinModule, n: FinModule) -> bool:
     if m.fingerprint() != n.fingerprint():
         return False
     maps = hom_space(m, n)
-    if len(maps) != len(hom_space(m, m)):
+    if len(maps) != hom_dim(m, m):
         return False
     return _search_invertible(maps, m.p)
 

@@ -27,7 +27,7 @@ from .modules import (
     ModuleMap,
     annihilator,
     enumerate_modules,
-    hom_space,
+    hom_dim,
     killed_by,
     module_times_ideal,
     quotient_module,
@@ -209,19 +209,27 @@ def corner_restriction(corner: CornerCategory, m: FinModule) -> FinModule:
 
 
 def corner_restriction_map(corner: CornerCategory, phi: ModuleMap) -> ModuleMap:
-    """j* on maps: restrict the induced block-diagonal components to the images."""
+    """j* on maps: the induced map on a tuple (c_1, ..., c_k) is block
+    diagonal, so each source image basis vector is moved slice by slice by
+    phi.comps[c_k] and read in the target image's coordinates."""
     src_mod, src_images = corner.restriction_data(phi.src)
     tgt_mod, tgt_images = corner.restriction_data(phi.tgt)
     comps = {}
     for o, eps in corner.carrier.items():
         t = corner.closure.tuples[eps.src]
-        induced = Mat.from_blocks(phi.src.p, [phi.tgt.dims[c] for c in t], [phi.src.dims[c] for c in t],
-                                  {(k, k): phi.comps[c] for k, c in enumerate(t)})
-        moved = induced @ src_images[o].basis_matrix()
-        cols = [tgt_images[o].coords(moved.col(j)) for j in range(moved.cols)]
-        if None in cols:
-            raise RuntimeError("induced map does not preserve idempotent images")
-        comps[o] = Mat.from_cols(moved.p, tgt_mod.dims[o], cols)
+        cols = []
+        for v in src_images[o].basis_vectors():
+            moved = []
+            start = 0
+            for c in t:
+                end = start + phi.src.dims[c]
+                moved.extend(phi.comps[c].apply(v[start:end]))
+                start = end
+            col = tgt_images[o].coords(moved)
+            if col is None:
+                raise RuntimeError("induced map does not preserve idempotent images")
+            cols.append(col)
+        comps[o] = Mat.from_cols(phi.src.p, tgt_mod.dims[o], cols)
     return ModuleMap(src_mod, tgt_mod, comps)
 
 
@@ -286,7 +294,7 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
         p_mod, _ = proj_module_of_idempotent(data.closure, eps)
         o = next(o for o, e in data.corner.carrier.items() if e == eps)
         for m in census:
-            if len(hom_space(p_mod, m)) != data.corner_image(m).dims[o]:
+            if hom_dim(p_mod, m) != data.corner_image(m).dims[o]:
                 generator_adjunction = False
                 break
         if not generator_adjunction:
@@ -299,9 +307,9 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
         cm = data.coextension(m)
         for n in qcensus:
             i_n = data.inclusion(n)
-            if len(hom_space(em, n)) != len(hom_space(m, i_n)):
+            if hom_dim(em, n) != hom_dim(m, i_n):
                 left_adjunction = False
-            if len(hom_space(i_n, m)) != len(hom_space(n, cm)):
+            if hom_dim(i_n, m) != hom_dim(n, cm):
                 right_adjunction = False
 
     exactness = True

@@ -19,7 +19,7 @@ from ringoid.category import (
     validate,
 )
 from ringoid.completion import additive_closure, idempotent_completion
-from ringoid.linalg import Mat, Subspace
+from ringoid.linalg import Mat, Subspace, vector_cap
 
 
 def _validate_scalar(cat):
@@ -199,6 +199,23 @@ def test_dual_has_only_trivial_idempotents():
 def test_pt_idempotents():
     cat = catalog("pt", 3)
     assert sorted(e.coords for e in list_idempotents(cat)) == [(0,), (1,)]
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_packed_idempotent_scan_matches_compose(name, p, bound):
+    # reference: square every element with the generic compose, in
+    # `elements` order, on each closure object whose scan fits the cap
+    ccat = additive_closure(catalog(name, p), bound).cat
+    scanned = 0
+    for a in ccat.objects:
+        if p ** ccat.hom_dim[(a, a)] > vector_cap():
+            continue
+        want = [f for f in ccat.elements(a, a) if ccat.compose(f, f) == f]
+        assert list_idempotents(ccat, a) == want, a
+        scanned += 1
+    assert scanned >= 2
 
 
 def test_mat2_is_valid_and_unit_is_trace():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from ringoid.category import catalog
+from ringoid.category import CATALOG_NAMES, catalog
 from ringoid.center import (
     center_idempotents,
     compute_center,
@@ -40,6 +40,18 @@ def test_center_is_commutative_unital(name):
         assert z.multiply(x, z.unit) == tuple(x)
         for y in itertools.product(range(z.cat.p), repeat=z.dim):
             assert z.multiply(x, y) == z.multiply(y, x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_packed_center_idempotents_match_multiply(name, p):
+    # reference: square every coordinate vector with CenterAlgebra.multiply
+    for cat in (catalog(name, p), additive_closure(catalog(name, p), 2).cat):
+        z = compute_center(cat)
+        want = [x for x in itertools.product(range(p), repeat=z.dim) if z.multiply(x, x) == x]
+        got = center_idempotents(z)
+        assert [coords for coords, _ in got] == want
+        assert all(eps == z.element(coords) for coords, eps in got)
 
 
 def test_center_idempotent_counts():

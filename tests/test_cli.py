@@ -341,7 +341,7 @@ def test_census_check_fails_when_the_bound_merges_topologies(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, one_line",
+    "argv, ideal_check",
     [
         (["recollement", "catalog:prod", "--p", "2", "--ideal", "9"], True),
         (["recollement", "catalog:prod", "--p", "2", "--ideal", "foo"], True),
@@ -353,19 +353,30 @@ def test_census_check_fails_when_the_bound_merges_topologies(capsys):
         (["jans", "catalog:pt", "--p", "2", "--dim", "-1"], False),
         (["gabriel", "catalog:pt", "--p", "2", "--census", "-2"], False),
         (["gabriel", "catalog:pt", "--p", "2", "--census", "two"], False),
+        (["census", "catalog:pt", "--p", "2", "--dim", "x"], False),
+        (["frobnicate", "catalog:pt", "--p", "2"], False),
+        (["census"], False),
+        (["census", "catalog:pt", "--p", "2", "--nope"], False),
     ],
 )
-def test_bad_flag_values_are_usage_errors(capsys, argv, one_line):
-    # an out-of-range flag value is the caller's mistake (64), not a bug (70);
-    # argparse adds its usage text, the --ideal check prints one line
+def test_bad_flag_values_are_usage_errors(capsys, argv, ideal_check):
+    # a bad flag or flag value is the caller's mistake (64), not a bug (70),
+    # refused in one stderr line with no usage text: by the --ideal check
+    # once the category is loaded, or else by the argument parser
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 64
     assert captured.out == ""
-    assert "Traceback" not in captured.err and "internal error" not in captured.err
-    if one_line:
-        assert captured.err.startswith("ringoid: --ideal")
-        assert captured.err.count("\n") == 1
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("ringoid: --ideal" if ideal_check else "ringoid: ")
+    assert "usage:" not in captured.err and "internal error" not in captured.err
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: ringoid")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("raw", ["abc", "-5"])

@@ -13,6 +13,8 @@ from ringoid.linalg import (
     image_basis,
     kernel_basis,
     matrix_kernel,
+    matrix_kernel_dim,
+    packed_idempotents,
     preimage,
     rref_rows,
     solve,
@@ -338,6 +340,7 @@ def test_matrix_kernel_matches_brute_force(data):
     assert solutions.ambient == n
     found = {tuple(unpack(v)[key].entries for key in keys) for v in solutions.vectors()}
     assert found == expected
+    assert p ** matrix_kernel_dim(p, shapes, equations) == len(expected)
 
     xs = {key: draw_mat(data, p, r, c) for key, (r, c) in shapes.items()}
     # unknowns in the order of `shapes`, each row-major
@@ -352,6 +355,44 @@ def test_matrix_kernel_rejects_misfit_factors():
     with pytest.raises(DimensionMismatch):
         # the two terms give a 2x1 and a 1x1 result
         matrix_kernel(2, shapes, [[(1, None, "x", None), (1, Mat.zero(2, 1, 2), "x", None)]])
+    with pytest.raises(DimensionMismatch):
+        matrix_kernel_dim(2, shapes, [[(1, Mat.identity(2, 3), "x", None)]])
+
+
+def idempotents_by_reference(p, table):
+    """The x with sum_i sum_j x_i x_j T[i][j] = x mod p, one coordinate at a
+    time in plain arithmetic, in `itertools.product` order."""
+    d = len(table)
+    out = []
+    for x in itertools.product(range(p), repeat=d):
+        square = tuple(
+            sum(x[i] * x[j] * table[i][j][k] for i in range(d) for j in range(d)) % p for k in range(d)
+        )
+        if square == x:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_packed_idempotents_at_the_slot_bound(p, d):
+    # every T[i][j][k] = p - 1, so at x = (p - 1, ..., p - 1) each slot sums
+    # to d^2 (p - 1)^3, the most the slot width must hold
+    table = [[[p - 1] * d for _ in range(d)] for _ in range(d)]
+    top = tuple([p - 1] * d)
+    assert sum(top[i] * top[j] * table[i][j][0] for i in range(d) for j in range(d)) == d * d * (p - 1) ** 3
+    assert packed_idempotents(p, table) == idempotents_by_reference(p, table)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_packed_idempotents_match_the_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    d = data.draw(st.integers(0, 3))
+    coord = st.integers(0, p - 1)
+    table = data.draw(st.lists(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=d, max_size=d),
+                               min_size=d, max_size=d))
+    assert packed_idempotents(p, table) == idempotents_by_reference(p, table)
 
 
 @pytest.mark.parametrize("n,p", [(0, 2), (3, 2), (2, 3), (3, 3), (2, 5)])

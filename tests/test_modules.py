@@ -16,6 +16,7 @@ from ringoid.modules import (
     enumerate_modules,
     full_submodule,
     gen_witness,
+    hom_dim,
     hom_space,
     image,
     is_iso,
@@ -88,6 +89,40 @@ def test_yoneda_dimension_identity(name):
         h = representable(cat, t)
         for m in mods:
             assert len(hom_space(h, m)) == m.dims[t]
+
+
+A4 = """
+vertices 1 2 3 4 ; arrow a: 1 -> 2 ; arrow b: 2 -> 3 ; arrow c: 3 -> 4 ;
+relation a*b ; relation b*c ; field 2 ; maxlen 3 ;
+"""
+KRONECKER = "vertices 1 2 ; arrow a: 1 -> 2 ; arrow b: 1 -> 2 ; field 2 ; maxlen 1 ;"
+
+
+def assert_hom_dims_match_hom_spaces(census):
+    for m in census:
+        for n in census:
+            assert hom_dim(m, n) == len(hom_space(m, n)), (m, n)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_hom_dim_is_the_size_of_the_hom_basis_on_the_catalog(name, p):
+    assert_hom_dims_match_hom_spaces(enumerate_modules(catalog(name, p), 4))
+
+
+@pytest.mark.parametrize("text, bound", [(A4, 3), (KRONECKER, 4)], ids=["A4", "kronecker"])
+def test_hom_dim_is_the_size_of_the_hom_basis_on_quivers(text, bound):
+    # p = 2 rows go through the bit-packed RREF
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    assert_hom_dims_match_hom_spaces(enumerate_modules(path_category(parse_quiver_dsl(text)), bound))
+
+
+def test_module_key_is_built_once():
+    m = representable(catalog("a2cat(3)"), "2")
+    k = m.key()
+    assert m.key() is k
+    assert k == (tuple(m.dims[a] for a in m.cat.objects), tuple(m.action[x].entries for x in sorted(m.action)))
 
 
 def test_submodules_of_simple():

@@ -17,6 +17,7 @@ from ringoid.modules import (
     enumerate_modules,
     hom_space,
     is_iso,
+    representable,
     short_exact_sequences,
     simple_modules,
     submodule_module,
@@ -317,6 +318,22 @@ def assert_restriction_matches_the_induced_module(corner, census):
             want = induced_restriction_map(corner, phi, restrict)
             assert got.src.key() == want.src.key() and got.tgt.key() == want.tgt.key()
             assert got.comps == want.comps
+
+
+def test_corner_restriction_map_refuses_a_map_that_leaves_the_image():
+    # the swap of the two idempotent lines of prod(3) is not natural: it
+    # moves the image of e = (0, 1) on H_x onto the image of (1, 0)
+    cat = catalog("prod(3)")
+    closure = additive_closure(cat, 1)
+    eps = Morphism("(x)", "(x)", (0, 1))
+    corner = corner_category(closure, [eps])
+    h = representable(cat, "x")
+    assert corner.restriction_data(h)[1]["e0"].basis_vectors() == ((0, 1),)
+    identity = ModuleMap(h, h, {"x": Mat.identity(3, 2)})
+    assert corner_restriction_map(corner, identity).comps == {"e0": Mat.identity(3, 1)}
+    swap = ModuleMap(h, h, {"x": Mat.from_rows(3, [(0, 1), (1, 0)])})
+    with pytest.raises(RuntimeError, match="does not preserve idempotent images"):
+        corner_restriction_map(corner, swap)
 
 
 @pytest.mark.parametrize("name", ["a2cat(2)", "a2cat(3)", "prod(3)"])
