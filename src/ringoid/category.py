@@ -85,10 +85,7 @@ class FinCat:
         for (a, b), d in self.hom_dim.items():
             if d and not (self.hom_dim[(a, a)] and self.hom_dim[(b, b)]):
                 raise ValueError(f"A{(a, b)} is nonzero but an endomorphism space at an end is zero")
-        self.comp = {}
-        # equal vectors, rows and tables are stored as one tuple; the key is
-        # the reduced int tuple, checked exact first, since 1.0 == True == 1
-        shared = {}
+        tables = {}
         full = 0  # tables whose three spaces are nonzero
         for (a, b, c), table in comp.items():
             where = (a, b, c)
@@ -97,7 +94,8 @@ class FinCat:
             except KeyError:
                 raise ValueError(f"composition table at {where} names an unknown object") from None
             # x % p leaves a float a float, and sum() refuses strings, so
-            # an int total means int entries
+            # an int total means int entries; only int tables reach the
+            # sharing pass, since 1.0 == True == 1 would share across types
             try:
                 table = tuple([tuple([tuple([x % p for x in vec]) for vec in row]) for row in table])
                 exact = type(sum(map(sum, itertools.chain.from_iterable(table)))) is int
@@ -109,9 +107,7 @@ class FinCat:
                 raise ValueError(f"composition table shape mismatch at {where}")
             if any(len(vec) != dc for row in table for vec in row):
                 raise ValueError(f"composition coordinates length mismatch at {where}")
-            rows = [tuple([shared.setdefault(vec, vec) for vec in row]) for row in table]
-            table = tuple([shared.setdefault(row, row) for row in rows])
-            self.comp[where] = shared.setdefault(table, table)
+            tables[where] = table
             full += bool(da and db and dc)
         # those tables must cover every triple with three nonzero spaces
         hom, objs = self.hom_dim, self.objects
@@ -120,10 +116,10 @@ class FinCat:
         if full != sum(len(after[a] & before[c]) for a in objs for c in objs if hom[(a, c)]):
             missing = next(
                 (a, b, c) for a in objs for c in objs if hom[(a, c)]
-                for b in after[a] & before[c] if (a, b, c) not in self.comp
+                for b in after[a] & before[c] if (a, b, c) not in tables
             )
             raise ValueError(f"composition table missing at {missing}")
-        self.id_coords = {}
+        ids = {}
         for a in self.objects:
             try:
                 v = tuple([x % p for x in id_coords.get(a, ())])
@@ -134,9 +130,38 @@ class FinCat:
                 raise ValueError(f"identity coordinates at {a} must be integers")
             if len(v) != self.hom_dim[(a, a)]:
                 raise ValueError(f"identity coordinates length mismatch at {a}")
-            self.id_coords[a] = shared.setdefault(v, v)
+            ids[a] = v
+        self._share(tables, ids)
         self.name = name
         self._derived = {}
+
+    @classmethod
+    def _built(cls, p: int, objects, hom_dim, comp, id_coords, name: str) -> "FinCat":
+        """Trusted constructor for tables ringoid assembled itself (induced
+        categories, additive closures): p is a checked prime, hom_dim holds
+        every pair in objects x objects order, comp holds a table of tuples
+        of reduced int tuples for every triple with three nonzero spaces,
+        and id_coords a reduced int tuple for every object.  Nothing is
+        reduced, rebuilt or checked; equal tuples are still shared."""
+        cat = object.__new__(cls)
+        cat.p = p
+        cat.objects = tuple(objects)
+        cat.hom_dim = hom_dim
+        cat._share(comp, {a: id_coords[a] for a in cat.objects})
+        cat.name = name
+        cat._derived = {}
+        return cat
+
+    def _share(self, comp, id_coords) -> None:
+        """Store the tables and identities with equal vectors, rows and
+        tables kept as one tuple each; every entry is a reduced int."""
+        shared = {}
+        self.comp = {}
+        for where, table in comp.items():
+            rows = [tuple([shared.setdefault(vec, vec) for vec in row]) for row in table]
+            table = tuple([shared.setdefault(row, row) for row in rows])
+            self.comp[where] = shared.setdefault(table, table)
+        self.id_coords = {a: shared.setdefault(v, v) for a, v in id_coords.items()}
 
     def hom(self, a: str, b: str) -> int:
         return self.hom_dim[(a, b)]
@@ -386,13 +411,15 @@ def transfer_category(base: FinCat, objects, carrier, decode, encode, units, nam
     """The category induced on `objects` by coordinate maps into `base`.
 
     Object o sits over the base object carrier[o].  For every pair of
-    objects, the columns of the matrix decode[(o1, o2)] are the base
-    coordinates of a basis of the new hom space, and encode[(o1, o2)] takes
-    base coordinates of a morphism in that space to coordinates in that
-    basis, or returns None for a morphism outside it.  units[o] holds the
-    base coordinates of the identity of o.  Composition is base composition
-    of decoded basis elements, encoded again; a composite or identity that
-    encodes to None raises RuntimeError.
+    objects, in objects x objects order, the columns of the matrix
+    decode[(o1, o2)] are the base coordinates of a basis of the new hom
+    space, and encode[(o1, o2)] takes base coordinates of a morphism in that
+    space to coordinates in that basis, as a tuple of ints in [0, p), or
+    returns None for a morphism outside it.  units[o] holds the base
+    coordinates of the identity of o.  Composition is base composition of
+    decoded basis elements, encoded again; a composite or identity that
+    encodes to None raises RuntimeError.  The tables are complete and
+    reduced by construction, so the category is built by `FinCat._built`.
 
     Objects over the same carriers share basis vectors, so each distinct
     pair of basis vectors is composed once, and each distinct composite is
@@ -438,7 +465,7 @@ def transfer_category(base: FinCat, objects, carrier, decode, encode, units, nam
         ids[o] = encode[(o, o)](units[o])
         if ids[o] is None:
             raise RuntimeError(f"identity escaped the endomorphism space of {o}")
-    return FinCat(base.p, objects, hom, comp, ids, name=name)
+    return FinCat._built(base.p, objects, hom, comp, ids, name)
 
 
 def from_ring_table(p: int, dim: int, mult_table, unit_coords, name: str = "") -> FinCat:

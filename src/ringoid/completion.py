@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
-from .linalg import CapExceeded, Mat, Subspace
+from .linalg import CapExceeded, Mat, Subspace, image_basis
 from .modules import FinModule, ModuleMap, image, representable, submodule_module
 
 MAX_CLOSURE_OBJECTS = 130
@@ -94,8 +94,8 @@ class AdditiveClosure:
                 for k, cf in enumerate(base.id_coords[si]):
                     v[off + k] = cf
             ids[s_id] = tuple(v)
-        self.cat = FinCat(p, objects, hom, comp, ids,
-                          name=f"add({base.name},{bound})" if base.name else "additive-closure")
+        self.cat = FinCat._built(p, objects, hom, comp, ids,
+                                 f"add({base.name},{bound})" if base.name else "additive-closure")
 
     def embed_object(self, a: str) -> str:
         return tuple_id((a,))
@@ -172,15 +172,21 @@ def idempotent_subcategory(closure: AdditiveClosure, idempotents, name: str):
     for idempotents is the subspace of morphisms f with eps2 f eps1 = f, and
     the identity of eps is eps itself.  lift[(o1, o2)] holds the RREF basis of
     that subspace as columns of closure coordinates.
+
+    Column j of post[(o2, t1)] @ pre[(o1, t2)] is e2 . f_j . e1 for the j-th
+    basis element f_j of A(t1, t2), where t = e.src is a carrier, so the
+    pre- and postcomposition matrices are built once per (idempotent,
+    carrier) and each hom space is the image of one product.
     """
     ccat = closure.cat
+    carriers = list(dict.fromkeys(e.src for e in idempotents.values()))
+    pre = {(o, t): ccat.precompose_matrix(e, t) for o, e in idempotents.items() for t in carriers}
+    post = {(o, s): ccat.postcompose_matrix(e, s) for o, e in idempotents.items() for s in carriers}
     lift = {}
     encode = {}
     for o1, e1 in idempotents.items():
         for o2, e2 in idempotents.items():
-            sub = Subspace.from_vectors(ccat.p, ccat.hom_dim[(e1.src, e2.src)], [
-                ccat.compose(ccat.compose(e2, f), e1).coords for f in ccat.basis(e1.src, e2.src)
-            ])
+            sub = image_basis(post[(o2, e1.src)] @ pre[(o1, e2.src)])
             lift[(o1, o2)] = sub.basis_matrix()
             encode[(o1, o2)] = sub.coords
     cat = transfer_category(

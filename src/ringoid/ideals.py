@@ -8,6 +8,8 @@ sum-closure of the finitely many principal ideals is the whole ideal lattice.
 
 from __future__ import annotations
 
+import itertools
+
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
 from .completion import additive_closure
 from .linalg import Subspace, check_vector_cap, complement_data, subspace_sum, vector_cap
@@ -253,21 +255,32 @@ def closure_idempotent_base_ideal(closure, eps: Morphism) -> Ideal:
     restriction to singleton pairs of the closure ideal it generates.
 
     Only the singleton components are ever needed, so the sandwich spans are
-    computed on those pairs alone.
+    computed on those pairs alone.  Row i of the table at (a, eps.tgt, b)
+    chains the composites (post_j after basis_i) over every post_j, so the
+    half h = eps . pre, combined as sum_i h_i row_i, gives post_j . eps . pre
+    for every post_j at once, as chunks of d(a, b) coordinates (reduced mod p
+    by the RREF).
     """
     ccat = closure.cat
     base = closure.base
     spaces = {}
     for a in base.objects:
         a_id = closure.embed_object(a)
+        halves = [ccat.compose(eps, pre).coords for pre in ccat.basis(a_id, eps.src)]
         for b in base.objects:
-            b_id = closure.embed_object(b)
+            d_ab = base.hom_dim[(a, b)]
+            # the table is absent when d(a, t), d(t, b) or d(a, b) is zero
+            table = ccat.comp.get((a_id, eps.tgt, closure.embed_object(b)))
             vecs = []
-            for pre in ccat.basis(a_id, eps.src):
-                half = ccat.compose(eps, pre)
-                for post in ccat.basis(eps.tgt, b_id):
-                    vecs.append(ccat.compose(post, half).coords)
-            spaces[(a, b)] = Subspace.from_vectors(base.p, base.hom_dim[(a, b)], vecs)
+            if table:
+                rows = [list(itertools.chain.from_iterable(row)) for row in table]
+                for h in halves:
+                    acc = [0] * len(rows[0])
+                    for hi, row in zip(h, rows):
+                        if hi:
+                            acc = [x + hi * y for x, y in zip(acc, row)]
+                    vecs.extend(acc[k:k + d_ab] for k in range(0, len(acc), d_ab))
+            spaces[(a, b)] = Subspace.from_vectors(base.p, d_ab, vecs)
     return Ideal(base, spaces)
 
 

@@ -401,8 +401,8 @@ def submodule_module(s: Submodule):
     dims = {a: s.spaces[a].dim for a in cat.objects}
     action = {}
     for (a, b, i), mat in m.action.items():
-        moved = mat @ incl[b]
-        cols = [s.spaces[a].coords(moved.col(j)) for j in range(moved.cols)]
+        # each basis vector of S(b), moved into M(a), read in S(a)'s basis
+        cols = [s.spaces[a].coords(mat.apply(v)) for v in s.spaces[b].basis_vectors()]
         if None in cols:
             raise ValueError("submodule is not closed under the action")
         action[(a, b, i)] = Mat.from_cols(m.p, dims[a], cols)

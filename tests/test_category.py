@@ -18,8 +18,10 @@ from ringoid.category import (
     transfer_category,
     validate,
 )
-from ringoid.completion import additive_closure, idempotent_completion
+from ringoid.completion import AdditiveClosure, additive_closure, idempotent_completion
+from ringoid.ideals import enumerate_idempotent_ideals, is_trace_of_projectives, quotient_category
 from ringoid.linalg import Mat, Subspace, vector_cap
+from ringoid.ttf import corner_category
 
 
 def _validate_scalar(cat):
@@ -336,6 +338,63 @@ def test_fincat_shares_equal_vectors_rows_and_tables():
     vectors = [vec for row in rows for vec in row]
     for parts in (tables, rows, vectors):
         assert len({id(x) for x in parts}) == len(set(parts)) < len(parts)
+
+
+def _trusted_and_validated(build, monkeypatch):
+    """(trusted, validated) for every category that build() makes through
+    FinCat._built, the second from FinCat(...) on the same arguments."""
+    pairs = []
+    trusted = FinCat._built
+
+    def both(p, objects, hom_dim, comp, id_coords, name):
+        cat = trusted(p, objects, hom_dim, comp, id_coords, name)
+        pairs.append((cat, FinCat(p, objects, hom_dim, comp, id_coords, name)))
+        return cat
+
+    with monkeypatch.context() as m:
+        m.setattr(FinCat, "_built", both)
+        build()
+    assert pairs
+    for cat, checked in pairs:
+        assert (cat.p, cat.objects, cat.name) == (checked.p, checked.objects, checked.name)
+        assert list(cat.hom_dim.items()) == list(checked.hom_dim.items())
+        assert list(cat.comp.items()) == list(checked.comp.items())
+        assert list(cat.id_coords.items()) == list(checked.id_coords.items())
+        for built in (cat, checked):
+            tables = list(built.comp.values())
+            rows = [row for t in tables for row in t]
+            vectors = [vec for row in rows for vec in row] + list(built.id_coords.values())
+            assert all(type(x) is int for vec in vectors for x in vec)
+            for parts in (tables, rows, vectors):
+                assert len({id(x) for x in parts}) == len(set(parts))
+    return [cat for cat, _ in pairs]
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_trusted_closure_equals_validated(name, p, bound, monkeypatch):
+    cat = catalog(name, p)
+    _trusted_and_validated(lambda: AdditiveClosure(cat, bound), monkeypatch)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_trusted_quotients_and_corners_equal_validated(name, p, monkeypatch):
+    cat = catalog(name, p)
+    for ideal in enumerate_idempotent_ideals(cat):
+        _trusted_and_validated(lambda: quotient_category(cat, ideal), monkeypatch)
+        # bound 3 is the census default
+        witness = is_trace_of_projectives(cat, ideal, 3)
+        if witness is not None:
+            closure = additive_closure(cat, 3)
+            _trusted_and_validated(lambda: corner_category(closure, witness), monkeypatch)
+
+
+@pytest.mark.parametrize("name, bound", [("dual(2)", 2), ("a2cat(3)", 1)])
+def test_trusted_karoubi_envelope_equals_validated(name, bound, monkeypatch):
+    cats = _trusted_and_validated(lambda: idempotent_completion(catalog(name), bound), monkeypatch)
+    assert validate(cats[-1]) == []
 
 
 def _transfer_prod(encode):

@@ -113,7 +113,9 @@ def test_karoubi_bound_two_validates_and_keeps_center():
 def test_karoubi_composes_and_encodes_each_distinct_composite_once(monkeypatch):
     # dual(2) at bound 2 has 84,564 table entries but 2,307 distinct basis
     # pairs and 2,892 distinct (target space, composite) encodings;
-    # composing and encoding per entry made 96,489 and 84,593 calls
+    # composing and encoding per entry made 96,489 and 84,593 calls.  The
+    # sandwich spaces add 648 compose calls through the pre- and
+    # postcomposition matrices, where two per basis element made 11,664
     counts = {"compose": 0, "coords": 0}
     compose, coords = FinCat.compose, Subspace.coords
 
@@ -128,7 +130,7 @@ def test_karoubi_composes_and_encodes_each_distinct_composite_once(monkeypatch):
     monkeypatch.setattr(FinCat, "compose", counted_compose)
     monkeypatch.setattr(Subspace, "coords", counted_coords)
     idempotent_completion(catalog("dual", 2), 2)
-    assert counts["compose"] <= 15_000
+    assert counts["compose"] <= 3_000
     assert counts["coords"] <= 3_000
 
 

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
-from ringoid.category import Morphism, catalog, list_idempotents, validate
+from ringoid.category import CATALOG_NAMES, Morphism, catalog, list_idempotents, validate
 from ringoid.completion import additive_closure, proj_module_of_idempotent
 from ringoid.ideals import (
     Ideal,
+    _closure_idempotent_ideals,
+    closure_idempotent_base_ideal,
     enumerate_ideals,
     enumerate_idempotent_ideals,
     extend_to_quotient,
@@ -21,7 +23,7 @@ from ringoid.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from ringoid.linalg import enumerate_subspaces
+from ringoid.linalg import Subspace, enumerate_subspaces, vector_cap
 from ringoid.modules import (
     all_submodules,
     annihilator,
@@ -354,6 +356,59 @@ def subcategory_from_ideal(cat, ideal, bound=3):
         return None
     closure = additive_closure(cat, bound)
     return [proj_module_of_idempotent(closure, eps)[0] for eps in witness]
+
+
+def sandwich_base_ideal(closure, eps):
+    """Reference for `closure_idempotent_base_ideal`: the span of
+    post . eps . pre over basis pre: a -> eps.src and post: eps.tgt -> b,
+    in (pre, post) order, two generic compose calls per pair."""
+    ccat, base = closure.cat, closure.base
+    spaces = {}
+    for a in base.objects:
+        a_id = closure.embed_object(a)
+        for b in base.objects:
+            b_id = closure.embed_object(b)
+            vecs = []
+            for pre in ccat.basis(a_id, eps.src):
+                half = ccat.compose(eps, pre)
+                for post in ccat.basis(eps.tgt, b_id):
+                    vecs.append(ccat.compose(post, half).coords)
+            spaces[(a, b)] = Subspace.from_vectors(base.p, base.hom_dim[(a, b)], vecs)
+    return Ideal(base, spaces)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_closure_idempotent_base_ideal_matches_compose_reference(name, p):
+    # bound 3 is the census default; endo spaces over the vector cap are
+    # skipped, as the witness scan skips them
+    closure = additive_closure(catalog(name, p), 3)
+    ccat = closure.cat
+    checked = 0
+    for t in ccat.objects:
+        if p ** ccat.hom_dim[(t, t)] > vector_cap():
+            continue
+        for eps in list_idempotents(ccat, t):
+            ideal = closure_idempotent_base_ideal(closure, eps)
+            assert ideal.key() == sandwich_base_ideal(closure, eps).key(), eps
+            checked += 1
+    assert checked
+
+
+def test_closure_idempotent_ideals_keep_their_scan_order():
+    # the first idempotent of each distinct induced ideal, in scan order
+    closure = additive_closure(catalog("a2cat(2)"), 3)
+    ccat = closure.cat
+    expected, seen = [], set()
+    for t in ccat.objects:
+        if 2 ** ccat.hom_dim[(t, t)] > vector_cap():
+            continue
+        for eps in list_idempotents(ccat, t):
+            key = sandwich_base_ideal(closure, eps).key()
+            if not eps.is_zero() and key not in seen:
+                seen.add(key)
+                expected.append((eps, key))
+    assert [(eps, j.key()) for eps, j in _closure_idempotent_ideals(closure)] == expected
 
 
 def test_witnesses_for_trivial_ideals():

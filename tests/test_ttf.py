@@ -9,7 +9,7 @@ from ringoid.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from ringoid.linalg import Mat, image_basis, kernel_basis
+from ringoid.linalg import Mat, Subspace, image_basis, kernel_basis
 from ringoid.modules import (
     FinModule,
     ModuleMap,
@@ -269,6 +269,32 @@ def test_idempotent_subcategory_homs_are_the_sandwich_fixed_spaces(name, p):
             ]
             fixed = kernel_basis(Mat.from_cols(p, ccat.hom_dim[(e1.src, e2.src)], moved))
             assert lift[(o1, o2)] == fixed.basis_matrix(), (o1, o2)
+
+
+def sandwich_lifts(closure, idems):
+    """Reference for the lift of `idempotent_subcategory`: the span of
+    e2 . f . e1 over the basis f of A(e1.src, e2.src), two generic compose
+    calls per basis element."""
+    ccat = closure.cat
+    return {
+        (o1, o2): Subspace.from_vectors(ccat.p, ccat.hom_dim[(e1.src, e2.src)], [
+            ccat.compose(ccat.compose(e2, f), e1).coords for f in ccat.basis(e1.src, e2.src)
+        ]).basis_matrix()
+        for o1, e1 in idems.items() for o2, e2 in idems.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "name, p, bound",
+    [(name, p, 1) for name in CATALOG_NAMES for p in (2, 3)]
+    + [("dual", 2, 2), ("a2cat", 2, 2), ("a2cat", 3, 2)],
+)
+def test_idempotent_subcategory_lift_matches_compose_reference(name, p, bound):
+    closure = additive_closure(catalog(name, p), bound)
+    ccat = closure.cat
+    idems = {f"{t}#{n}": eps for t in ccat.objects for n, eps in enumerate(list_idempotents(ccat, t))}
+    _, lift = idempotent_subcategory(closure, idems, "probe")
+    assert list(lift.items()) == list(sandwich_lifts(closure, idems).items())
 
 
 def induced_restriction(corner, m):
