@@ -163,9 +163,6 @@ class FinCat:
             self.comp[where] = shared.setdefault(table, table)
         self.id_coords = {a: shared.setdefault(v, v) for a, v in id_coords.items()}
 
-    def hom(self, a: str, b: str) -> int:
-        return self.hom_dim[(a, b)]
-
     def identity(self, a: str) -> Morphism:
         return Morphism(a, a, self.id_coords[a])
 
@@ -224,15 +221,47 @@ class FinCat:
     def sub(self, f: Morphism, g: Morphism) -> Morphism:
         return self.add(f, self.scale(-1, g))
 
+    def _composites(self, where, factors, first: bool) -> list:
+        """Unreduced vectors of A(a, c), where = (a, b, c): for each r in
+        factors and then each basis x of the other space, x after r for r in
+        A(a, b) when first, else r after x for r in A(b, c).  The table is
+        flattened along r's index (row i chains table[i][j] over j when
+        first, column j chains it over i otherwise), and sum_i r_i row_i
+        cuts into the composites."""
+        a, b, c = where
+        n, d = self.hom_dim[(b, c) if first else (a, b)], self.hom_dim[(a, c)]
+        table = self.comp.get(where)
+        if table is None or not d:
+            return [(0,) * d] * (n * len(factors))
+        flat = {}
+        out = []
+        for r in factors:
+            acc = [0] * (n * d)
+            for i, x in enumerate(r):
+                if x:
+                    if i not in flat:
+                        vecs = table[i] if first else (row[i] for row in table)
+                        flat[i] = list(itertools.chain.from_iterable(vecs))
+                    acc = [u + x * v for u, v in zip(acc, flat[i])]
+            out.extend(acc[k:k + d] for k in range(0, n * d, d))
+        return out
+
     def precompose_matrix(self, r: Morphism, t: str) -> Mat:
         """Matrix of (- after r): A(r.tgt, t) -> A(r.src, t) in the chosen bases."""
-        cols = [self.compose(x, r).coords for x in self.basis(r.tgt, t)]
+        cols = self._composites((r.src, r.tgt, t), [r.coords], True)
         return Mat.from_cols(self.p, self.hom_dim[(r.src, t)], cols)
 
     def postcompose_matrix(self, r: Morphism, s: str) -> Mat:
         """Matrix of (r after -): A(s, r.src) -> A(s, r.tgt)."""
-        cols = [self.compose(r, x).coords for x in self.basis(s, r.src)]
+        cols = self._composites((s, r.src, r.tgt), [r.coords], False)
         return Mat.from_cols(self.p, self.hom_dim[(s, r.tgt)], cols)
+
+    def sandwich_span(self, g: Morphism, a: str, b: str) -> list:
+        """Vectors spanning {post . g . pre} in A(a, b), unreduced: the
+        nonzero ones of post . g . pre over basis pre of A(a, g.src) and
+        basis post of A(g.tgt, b)."""
+        halves = [h for h in self._composites((a, g.src, g.tgt), [g.coords], False) if any(h)]
+        return [v for v in self._composites((a, g.tgt, b), halves, True) if any(v)]
 
     def total_dim(self) -> int:
         return sum(self.hom_dim.values())

@@ -92,11 +92,10 @@ def _build_center(cat: FinCat) -> CenterAlgebra:
     equations = []
     for a in cat.objects:
         for b in cat.objects:
-            d = cat.hom_dim[(a, b)]
             for u in cat.basis(a, b):
-                # z_b . u - u . z_a = 0 in the coordinates of A(a, b)
-                left = Mat(p, cat.hom_dim[(b, b)], d, [cat.compose(z, u).coords for z in cat.basis(b, b)])
-                right = Mat(p, cat.hom_dim[(a, a)], d, [cat.compose(u, z).coords for z in cat.basis(a, a)])
+                # z_b . u - u . z_a = 0 in A(a, b); row k composes with basis z_k
+                left = cat.precompose_matrix(u, b).transpose()
+                right = cat.postcompose_matrix(u, a).transpose()
                 equations.append([(1, None, b, left), (-1, None, a, right)])
     ker, pack, unpack = matrix_kernel(p, shapes, equations)
     basis = []
@@ -138,15 +137,9 @@ def ideal_of_idempotent(cat: FinCat, eps: CenterElement):
     killed = {}
     for a in cat.objects:
         for b in cat.objects:
-            d = cat.hom_dim[(a, b)]
-            cols_fix = []
-            cols_kill = []
-            for u in cat.basis(a, b):
-                eu = cat.compose(eps.components[b], u)
-                cols_fix.append(tuple((x - y) % cat.p for x, y in zip(eu.coords, u.coords)))
-                cols_kill.append(eu.coords)
-            fixed[(a, b)] = kernel_basis(Mat.from_cols(cat.p, d, cols_fix))
-            killed[(a, b)] = kernel_basis(Mat.from_cols(cat.p, d, cols_kill))
+            post = cat.postcompose_matrix(eps.components[b], a)
+            fixed[(a, b)] = kernel_basis(post - Mat.identity(cat.p, cat.hom_dim[(a, b)]))
+            killed[(a, b)] = kernel_basis(post)
     return Ideal(cat, fixed), Ideal(cat, killed)
 
 

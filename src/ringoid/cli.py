@@ -17,7 +17,8 @@ import time
 
 from .category import FinCat, cat_document, cat_from_json, cat_hash, cat_to_json, catalog, validate
 from .center import center_idempotents, compute_center, summand_bijection_check
-from .completion import CLOSURE_OBJECTS, additive_closure, find_oplus_generator, idempotent_completion
+from .completion import (CLOSURE_OBJECTS, ENVELOPE_OBJECTS, additive_closure, find_oplus_generator,
+                         idempotent_completion)
 from .ideals import (
     enumerate_ideals,
     enumerate_idempotent_ideals,
@@ -515,7 +516,8 @@ def _run(argv) -> int:
     try:
         report = COMMANDS[args.command](cat, args, report)
     except CapExceeded as e:
-        anchor = "refusal:closure-object-cap" if e.operation == CLOSURE_OBJECTS else "refusal:vector-cap"
+        closure = e.operation in (CLOSURE_OBJECTS, ENVELOPE_OBJECTS)
+        anchor = "refusal:closure-object-cap" if closure else "refusal:vector-cap"
         report.add(args.command, anchor, f"refused(cap): {e}",
                    {"operation": e.operation, "needed": e.needed, "cap": e.cap})
         print(report.to_json() if args.json else report.human())

@@ -17,6 +17,7 @@ from .modules import FinModule, ModuleMap, image, representable, submodule_modul
 
 MAX_CLOSURE_OBJECTS = 130
 CLOSURE_OBJECTS = "additive_closure: tuple objects"
+ENVELOPE_OBJECTS = "idempotent_completion: idempotent objects"
 
 
 def tuple_id(components) -> str:
@@ -214,6 +215,8 @@ class IdempotentCompletion:
     Objects are pairs (tuple object, idempotent endomorphism); the hom space
     of (t, r) -> (u, s) is the subspace of closure morphisms fixed by the
     two-sided sandwich with s and r, and the identity of (t, r) is r itself.
+    The tables grow with the cube of the object count, so more than
+    MAX_CLOSURE_OBJECTS objects are refused before any table is built.
     """
 
     def __init__(self, base: FinCat, bound: int):
@@ -224,6 +227,10 @@ class IdempotentCompletion:
         for t_id in ccat.objects:
             for n, eps in enumerate(list_idempotents(ccat, t_id)):
                 self.objects_meta[f"{t_id}#{n}"] = IdemObject(t_id, self.closure.tuples[t_id], eps)
+        count = len(self.objects_meta)
+        if count > MAX_CLOSURE_OBJECTS:
+            raise CapExceeded(f"idempotent completion would have {count} objects, over cap {MAX_CLOSURE_OBJECTS}",
+                              ENVELOPE_OBJECTS, count, MAX_CLOSURE_OBJECTS)
         self.cat, _ = idempotent_subcategory(
             self.closure,
             {o: m.idem for o, m in self.objects_meta.items()},
@@ -269,10 +276,7 @@ def find_oplus_generator(base: FinCat, bound: int):
         ok = True
         for a in base.objects:
             a_id = closure.embed_object(a)
-            vecs = []
-            for u in ccat.basis(a_id, g_id):
-                for v in ccat.basis(g_id, a_id):
-                    vecs.append(ccat.compose(v, u).coords)
+            vecs = ccat.sandwich_span(ccat.identity(g_id), a_id, a_id)
             span = Subspace.from_vectors(base.p, base.hom_dim[(a, a)], vecs)
             if not span.contains(base.id_coords[a]):
                 ok = False

@@ -8,8 +8,6 @@ sum-closure of the finitely many principal ideals is the whole ideal lattice.
 
 from __future__ import annotations
 
-import itertools
-
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
 from .completion import additive_closure
 from .linalg import Subspace, check_vector_cap, complement_data, subspace_sum, vector_cap
@@ -113,12 +111,7 @@ def generated_by(cat: FinCat, gens) -> Ideal:
     spaces = {}
     for a in cat.objects:
         for b in cat.objects:
-            vecs = []
-            for g in gens:
-                for pre in cat.basis(a, g.src):
-                    half = cat.compose(g, pre)
-                    for post in cat.basis(g.tgt, b):
-                        vecs.append(cat.compose(post, half).coords)
+            vecs = [v for g in gens for v in cat.sandwich_span(g, a, b)]
             spaces[(a, b)] = Subspace.from_vectors(cat.p, cat.hom_dim[(a, b)], vecs)
     return Ideal(cat, spaces)
 
@@ -135,9 +128,9 @@ def product(i: Ideal, j: Ideal) -> Ideal:
         for b in cat.objects:
             vecs = []
             for c in cat.objects:
+                psis = j.spaces[(a, c)].basis_vectors()
                 for phi in i.morphism_basis(c, b):
-                    for psi in j.morphism_basis(a, c):
-                        vecs.append(cat.compose(phi, psi).coords)
+                    vecs.extend(map(cat.postcompose_matrix(phi, a).apply, psis))
             spaces[(a, b)] = Subspace.from_vectors(cat.p, cat.hom_dim[(a, b)], vecs)
     return Ideal(cat, spaces)
 
@@ -255,33 +248,13 @@ def closure_idempotent_base_ideal(closure, eps: Morphism) -> Ideal:
     restriction to singleton pairs of the closure ideal it generates.
 
     Only the singleton components are ever needed, so the sandwich spans are
-    computed on those pairs alone.  Row i of the table at (a, eps.tgt, b)
-    chains the composites (post_j after basis_i) over every post_j, so the
-    half h = eps . pre, combined as sum_i h_i row_i, gives post_j . eps . pre
-    for every post_j at once, as chunks of d(a, b) coordinates (reduced mod p
-    by the RREF).
-    """
-    ccat = closure.cat
-    base = closure.base
-    spaces = {}
-    for a in base.objects:
-        a_id = closure.embed_object(a)
-        halves = [ccat.compose(eps, pre).coords for pre in ccat.basis(a_id, eps.src)]
-        for b in base.objects:
-            d_ab = base.hom_dim[(a, b)]
-            # the table is absent when d(a, t), d(t, b) or d(a, b) is zero
-            table = ccat.comp.get((a_id, eps.tgt, closure.embed_object(b)))
-            vecs = []
-            if table:
-                rows = [list(itertools.chain.from_iterable(row)) for row in table]
-                for h in halves:
-                    acc = [0] * len(rows[0])
-                    for hi, row in zip(h, rows):
-                        if hi:
-                            acc = [x + hi * y for x, y in zip(acc, row)]
-                    vecs.extend(acc[k:k + d_ab] for k in range(0, len(acc), d_ab))
-            spaces[(a, b)] = Subspace.from_vectors(base.p, d_ab, vecs)
-    return Ideal(base, spaces)
+    computed on those pairs alone."""
+    base, span = closure.base, closure.cat.sandwich_span
+    embed = closure.embed_object
+    return Ideal(base, {
+        (a, b): Subspace.from_vectors(base.p, base.hom_dim[(a, b)], span(eps, embed(a), embed(b)))
+        for a in base.objects for b in base.objects
+    })
 
 
 def _closure_idempotent_ideals(closure) -> list:

@@ -382,15 +382,6 @@ def short_exact_sequences(m: FinModule) -> list:
     ])
 
 
-def maximal_proper_submodules(m: FinModule) -> list:
-    proper = [s for s in all_submodules(m) if not s.is_full()]
-    out = []
-    for s in proper:
-        if not any(t is not s and t.contains(s) and t.key() != s.key() for t in proper):
-            out.append(s)
-    return out
-
-
 def submodule_module(s: Submodule):
     """(N, incl) where N carries the submodule in its own basis and incl embeds it."""
     m = s.module
@@ -507,16 +498,26 @@ def is_iso(m: FinModule, n: FinModule) -> bool:
     return _search_invertible(maps, m.p)
 
 
+def representable_quotients(cat: FinCat) -> list:
+    """[(a, R, H_a/R)] for every object a, in object order, and every
+    submodule R of H_a, in `all_submodules` order: the one place the
+    simples, the topologies, the axiom check and the seeds build a quotient
+    of a representable.  Built once per category."""
+    return derived(cat, ("representable-quotients",), lambda: [
+        (a, sub, quotient_module(representable(cat, a), sub)[0])
+        for a in cat.objects
+        for sub in all_submodules(representable(cat, a))
+    ])
+
+
 def simple_modules(cat: FinCat) -> list:
-    """Simples, found as the simple quotients of the representables."""
+    """Simples, found as the quotients H_a/R of the representables by their
+    maximal proper submodules R, in `representable_quotients` order."""
     out = []
-    for t in cat.objects:
-        h = representable(cat, t)
-        if h.total_dim() == 0:
-            continue
-        for s in maximal_proper_submodules(h):
-            q, _ = quotient_module(h, s)
-            if q.total_dim() == 0:
+    for a in cat.objects:
+        proper = [(r, q) for b, r, q in representable_quotients(cat) if b == a and not r.is_full()]
+        for r, q in proper:
+            if any(s is not r and s.contains(r) for s, _ in proper):
                 continue
             if not any(is_iso(q, existing) for existing in out):
                 out.append(q)

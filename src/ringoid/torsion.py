@@ -25,6 +25,7 @@ from .modules import (
     join_closure,
     quotient_module,
     representable,
+    representable_quotients,
     simple_modules,
     simple_submodules,
     submodule_module,
@@ -85,18 +86,6 @@ def _build_pullback(cat: FinCat, r: Morphism, target: Submodule) -> Submodule:
         post = cat.postcompose_matrix(r, b)  # A(b, a') -> A(b, a)
         spaces[b] = preimage(post, target.spaces[b])
     return Submodule(representable(cat, r.src), spaces)
-
-
-def representable_quotients(cat: FinCat) -> list:
-    """[(a, R, H_a/R)] for every object a, in object order, and every
-    submodule R of H_a, in `all_submodules` order: the one place the
-    topologies, the axiom check and the seeds build a quotient of a
-    representable.  Built once per category."""
-    return derived(cat, ("representable-quotients",), lambda: [
-        (a, sub, quotient_module(representable(cat, a), sub)[0])
-        for a in cat.objects
-        for sub in all_submodules(representable(cat, a))
-    ])
 
 
 def check_topology(cat: FinCat, topo: Topology) -> list:

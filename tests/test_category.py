@@ -220,6 +220,46 @@ def test_packed_idempotent_scan_matches_compose(name, p, bound):
     assert scanned >= 2
 
 
+def _precompose_reference(cat, r, t):
+    """Reference for `precompose_matrix`: one generic compose per column."""
+    return Mat.from_cols(cat.p, cat.hom_dim[(r.src, t)], [cat.compose(x, r).coords for x in cat.basis(r.tgt, t)])
+
+
+def _postcompose_reference(cat, r, s):
+    """Reference for `postcompose_matrix`: one generic compose per column."""
+    return Mat.from_cols(cat.p, cat.hom_dim[(s, r.tgt)], [cat.compose(r, x).coords for x in cat.basis(s, r.src)])
+
+
+@pytest.mark.parametrize("bound", [0, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_pre_and_postcompose_matrices_match_compose(name, p, bound):
+    # bound 0 is the catalog category itself; every basis morphism and three
+    # seeded random ones per hom space (the zero morphism of a zero space),
+    # against every object on the other side
+    cat = catalog(name, p)
+    if bound:
+        cat = additive_closure(cat, bound).cat
+    rng = random.Random(f"{name}-{p}-{bound}")
+    hom, objs = cat.hom_dim, cat.objects
+    absent = 0
+    for a in objs:
+        for b in objs:
+            rs = cat.basis(a, b) + [Morphism(a, b, [rng.randrange(p) for _ in range(hom[(a, b)])])
+                                    for _ in range(3)]
+            for r in rs:
+                for t in objs:
+                    pre, post = cat.precompose_matrix(r, t), cat.postcompose_matrix(r, t)
+                    assert (pre.rows, pre.cols) == (hom[(a, t)], hom[(b, t)])
+                    assert (post.rows, post.cols) == (hom[(t, b)], hom[(t, a)])
+                    assert pre == _precompose_reference(cat, r, t), (r, t)
+                    assert post == _postcompose_reference(cat, r, t), (r, t)
+                    absent += ((a, b, t) not in cat.comp) + ((t, a, b) not in cat.comp)
+    # the closures' zero object and a2cat's zero A(2, 1) leave tables absent,
+    # and the shapes above held for those pairs too
+    assert bool(absent) == (bound > 0 or name == "a2cat")
+
+
 def test_mat2_is_valid_and_unit_is_trace():
     cat = catalog("mat2", 2)
     assert validate(cat) == []

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -162,6 +163,28 @@ def test_refusal_json_names_its_cap(monkeypatch, capsys, argv, env_cap, anchor, 
         "witness": witness,
     }]
     assert cli.ANCHORS[anchor] == engine
+
+
+def test_karoubi_envelope_over_the_object_cap_is_refused_before_its_tables(monkeypatch, capsys):
+    # a2(2) at bound 2 passes the closure cap (7 tuple objects) but has 281
+    # idempotent objects, whose tables took over 4 GB when they were built
+    from ringoid import completion
+
+    def no_tables(*args):
+        raise AssertionError("envelope tables built past the cap")
+
+    monkeypatch.setattr(completion, "idempotent_subcategory", no_tables)
+    monkeypatch.delenv("RINGOID_CAP_VECTORS", raising=False)
+    start = time.perf_counter()
+    code, out = run_cli(["complete", "catalog:a2", "--p", "2", "--bound", "2", "--idempotents", "--json"], capsys)
+    assert time.perf_counter() - start < 10
+    assert code == 2
+    assert json.loads(out)["findings"] == [{
+        "statement_id": "complete",
+        "paper_anchor": "refusal:closure-object-cap",
+        "verdict": "refused(cap): idempotent completion would have 281 objects, over cap 130",
+        "witness": {"operation": "idempotent_completion: idempotent objects", "needed": 281, "cap": 130},
+    }]
 
 
 def test_complete_emits_interchange_category(capsys):

@@ -50,6 +50,45 @@ def brute_force_ideals(cat):
     return sorted(set(out))
 
 
+def generated_by_reference(cat, gens):
+    """Reference for `generated_by`: the span of post . g . pre over basis
+    pre: a -> g.src and post: g.tgt -> b, two generic compose calls each."""
+    spaces = {}
+    for a in cat.objects:
+        for b in cat.objects:
+            vecs = []
+            for g in gens:
+                for pre in cat.basis(a, g.src):
+                    half = cat.compose(g, pre)
+                    for post in cat.basis(g.tgt, b):
+                        vecs.append(cat.compose(post, half).coords)
+            spaces[(a, b)] = Subspace.from_vectors(cat.p, cat.hom_dim[(a, b)], vecs)
+    return Ideal(cat, spaces)
+
+
+A4_DSL = ("vertices 1 2 3 4 ; arrow a: 1 -> 2 ; arrow b: 2 -> 3 ; arrow c: 3 -> 4 ;"
+          " relation a*b ; relation b*c ; field 2 ; maxlen 3 ;")
+
+
+@pytest.mark.parametrize("name", [f"{n}({p})" for p in (2, 3) for n in CATALOG_NAMES] + ["a4", "a4-paths"])
+def test_generated_by_matches_nested_compose_reference(name):
+    # every nonzero morphism alone, and each pair of basis morphisms; a4 is
+    # the torsion-quivers quiver, a4-paths the same quiver without relations
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    if name.startswith("a4"):
+        dsl = A4_DSL if name == "a4" else A4_DSL.replace(" relation a*b ; relation b*c ;", "")
+        cat = path_category(parse_quiver_dsl(dsl))
+    else:
+        cat = catalog(name)
+    pairs = [(a, b) for a in cat.objects for b in cat.objects]
+    basis = [f for a, b in pairs for f in cat.basis(a, b)]
+    gen_sets = [[f] for a, b in pairs for f in cat.elements(a, b) if not f.is_zero()]
+    gen_sets += [list(fg) for fg in itertools.combinations(basis, 2)]
+    for gens in gen_sets:
+        assert generated_by(cat, gens).key() == generated_by_reference(cat, gens).key(), gens
+
+
 def test_generated_by_empty_is_zero():
     cat = catalog("dual(2)")
     assert generated_by(cat, []) == zero_ideal(cat)

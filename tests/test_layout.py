@@ -5,7 +5,9 @@ outside its own definition, `ringoid.__all__`, the benchmark (`TRACED` in
 `bench/tracing.py`, or `bench/run.py`), or the one test module that
 `TEST_READERS` names.  (b) No module imports a name it does not use.
 (c) Every traced name still resolves, so removing a traced function fails
-here and not first in the benchmark's `Tracer.install`.
+here and not first in the benchmark's `Tracer.install`.  (d) Only
+`category.py` reads the composition tables (the attribute `comp`); every
+other module composes through `FinCat`.
 """
 
 import ast
@@ -113,3 +115,9 @@ def test_no_unused_imports(mod):
 def test_traced_names_resolve(name):
     mod, attr = name.split(".")
     assert hasattr(importlib.import_module(f"ringoid.{mod}"), attr)
+
+
+def test_only_category_reads_the_composition_tables():
+    readers = [mod for mod, tree in MODULES.items()
+               if any(isinstance(n, ast.Attribute) and n.attr == "comp" for n in ast.walk(tree))]
+    assert readers == ["category"]

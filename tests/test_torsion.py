@@ -11,6 +11,7 @@ from ringoid.modules import (
     enumerate_modules,
     quotient_module,
     representable,
+    representable_quotients,
     simple_modules,
     simple_submodules,
     submodule_module,
@@ -30,7 +31,6 @@ from ringoid.torsion import (
     hereditary_closure_oracle,
     maximal_topology,
     pullback_submodule,
-    representable_quotients,
     topology_from_class,
     torsion_membership,
     torsion_radical,
@@ -467,8 +467,10 @@ def test_representable_quotients_list_every_quotient_once(name):
 
 def test_enumerate_topologies_factors_each_representable_quotient_once(monkeypatch):
     # A4 has 11 quotients H_a/R; the composition factors of each are found
-    # once, not once per set of simples (176 calls when they were)
-    from ringoid import torsion
+    # once, not once per set of simples (176 calls when they were), and each
+    # H_a lattice is walked once, for the quotients that the simples are
+    # also read from (8 walks when simple_modules walked them again)
+    from ringoid import modules, torsion
 
     cat = catalog_or_quiver("a4")
     counts = {"composition_factors": 0, "all_submodules": 0}
@@ -479,8 +481,9 @@ def test_enumerate_topologies_factors_each_representable_quotient_once(monkeypat
             return fn(*args)
         return wrapper
 
-    for name in counts:
-        monkeypatch.setattr(torsion, name, counting(name, getattr(torsion, name)))
+    monkeypatch.setattr(torsion, "composition_factors", counting("composition_factors", torsion.composition_factors))
+    for mod in (modules, torsion):
+        monkeypatch.setattr(mod, "all_submodules", counting("all_submodules", modules.all_submodules))
     topos = torsion.enumerate_topologies(cat)
     assert len(topos) == 16
     assert len(representable_quotients(cat)) == 11
