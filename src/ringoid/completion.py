@@ -13,7 +13,7 @@ import itertools
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
 from .linalg import CapExceeded, Mat, Subspace, image_basis
-from .modules import FinModule, ModuleMap, image, representable, submodule_module
+from .modules import FinModule, ModuleMap, image, representable, restrict_along, submodule_module
 
 MAX_CLOSURE_OBJECTS = 130
 CLOSURE_OBJECTS = "additive_closure: tuple objects"
@@ -156,13 +156,9 @@ def induce_module(closure: AdditiveClosure, m: FinModule) -> FinModule:
 def restrict_module(closure: AdditiveClosure, n: FinModule) -> FinModule:
     """Restriction along the singleton embedding."""
     base = closure.base
-    dims = {a: n.dims[closure.embed_object(a)] for a in base.objects}
-    action = {}
-    for a in base.objects:
-        for b in base.objects:
-            for k in range(base.hom_dim[(a, b)]):
-                action[(a, b, k)] = n.action[(closure.embed_object(a), closure.embed_object(b), k)]
-    return FinModule(base, dims, action, name=f"res({n.name})" if n.name else "")
+    units = {pair: Mat.identity(base.p, d) for pair, d in base.hom_dim.items()}
+    return restrict_along(base, {a: n.dims[closure.embed_object(a)] for a in base.objects},
+                          lambda f: n.act(closure.embed_morphism(f)), units, f"res({n.name})" if n.name else "")
 
 
 def idempotent_subcategory(closure: AdditiveClosure, idempotents, name: str):
@@ -248,19 +244,10 @@ def proj_module_of_idempotent(closure: AdditiveClosure, eps: Morphism):
     ccat = closure.cat
     if ccat.compose(eps, eps) != eps:
         raise ValueError("not an idempotent")
-    base = closure.base
-    x_id = eps.src
-    amb = restrict_h(closure, x_id)
-    comps = {a: ccat.postcompose_matrix(eps, closure.embed_object(a)) for a in base.objects}
-    phi = ModuleMap(amb, amb, comps)
-    p_sub = image(phi)
-    mod, incl = submodule_module(p_sub)
-    return mod, incl
-
-
-def restrict_h(closure: AdditiveClosure, t_id: str) -> FinModule:
-    """The base module c -> closure(c, t), the coproduct of representables."""
-    return restrict_module(closure, representable(closure.cat, t_id))
+    # the base module c -> closure(c, eps.src), a coproduct of representables
+    amb = restrict_module(closure, representable(ccat, eps.src))
+    comps = {a: ccat.postcompose_matrix(eps, closure.embed_object(a)) for a in closure.base.objects}
+    return submodule_module(image(ModuleMap(amb, amb, comps)))
 
 
 def find_oplus_generator(base: FinCat, bound: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
 from .completion import additive_closure
 from .linalg import Subspace, check_vector_cap, complement_data, subspace_sum, vector_cap
-from .modules import FinModule, join_closure, module_times_ideal, representable, trace
+from .modules import FinModule, join_closure, module_times_ideal, quotient_module, representable, restrict_along, trace
 
 
 class Ideal:
@@ -187,12 +187,6 @@ class QuotientCategory:
         self.proj = proj
         self.lift = lift
 
-    def project_morphism(self, f: Morphism) -> Morphism:
-        return Morphism(f.src, f.tgt, self.proj[(f.src, f.tgt)].apply(f.coords))
-
-    def lift_morphism(self, g: Morphism) -> Morphism:
-        return Morphism(g.src, g.tgt, self.lift[(g.src, g.tgt)].apply(g.coords))
-
 
 def quotient_category(cat: FinCat, ideal: Ideal) -> QuotientCategory:
     return QuotientCategory(cat, ideal)
@@ -200,34 +194,15 @@ def quotient_category(cat: FinCat, ideal: Ideal) -> QuotientCategory:
 
 def restrict_along_quotient(qdata: QuotientCategory, n: FinModule) -> FinModule:
     """A module over A/I viewed over A: the action factors through the projection."""
-    cat = qdata.base
-    dims = {a: n.dims[a] for a in cat.objects}
-    action = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            for i, f in enumerate(cat.basis(a, b)):
-                action[(a, b, i)] = n.act(qdata.project_morphism(f))
-    return FinModule(cat, dims, action, name=n.name)
+    return restrict_along(qdata.base, n.dims, n.act, qdata.proj, n.name)
 
 
 def extend_to_quotient(qdata: QuotientCategory, m: FinModule) -> FinModule:
-    """M / M.I as a module over A/I, with the induced well-defined action."""
-    cat = qdata.base
-    mi = module_times_ideal(m, qdata.ideal)
-    proj = {}
-    lift = {}
-    for a in cat.objects:
-        pr, lf = complement_data(mi.spaces[a])
-        proj[a] = pr
-        lift[a] = lf
-    qcat = qdata.cat
-    dims = {a: proj[a].rows for a in cat.objects}
-    action = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            for j, g in enumerate(qcat.basis(a, b)):
-                action[(a, b, j)] = proj[a] @ m.act(qdata.lift_morphism(g)) @ lift[b]
-    return FinModule(qcat, dims, action, name=f"{m.name}/MI" if m.name else "")
+    """M / M.I as a module over A/I: the quotient module read along the
+    chosen lift, on which the ideal acts by zero, so any lift gives the
+    same action."""
+    q, _ = quotient_module(m, module_times_ideal(m, qdata.ideal))
+    return restrict_along(qdata.cat, q.dims, q.act, qdata.lift, f"{m.name}/MI" if m.name else "")
 
 
 def trace_ideal(cat: FinCat, modules) -> Ideal:

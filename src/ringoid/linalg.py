@@ -385,6 +385,17 @@ class Subspace:
         rest, coeffs = self._eliminate(v)
         return None if any(rest) else coeffs
 
+    def coords_matrix(self, vectors):
+        """The dim x len(vectors) matrix whose columns are the coordinates of
+        the vectors in the RREF basis, or None if one lies outside."""
+        cols = []
+        for v in vectors:
+            c = self.coords(v)
+            if c is None:
+                return None
+            cols.append(c)
+        return Mat.from_cols(self.p, self.dim, cols)
+
     def contains(self, v: Vec) -> bool:
         return all(x == 0 for x in self.reduce(v))
 

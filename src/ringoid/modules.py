@@ -393,10 +393,9 @@ def submodule_module(s: Submodule):
     action = {}
     for (a, b, i), mat in m.action.items():
         # each basis vector of S(b), moved into M(a), read in S(a)'s basis
-        cols = [s.spaces[a].coords(mat.apply(v)) for v in s.spaces[b].basis_vectors()]
-        if None in cols:
+        action[(a, b, i)] = s.spaces[a].coords_matrix(map(mat.apply, s.spaces[b].basis_vectors()))
+        if action[(a, b, i)] is None:
             raise ValueError("submodule is not closed under the action")
-        action[(a, b, i)] = Mat.from_cols(m.p, dims[a], cols)
     n = FinModule(cat, dims, action, name=f"sub({m.name})" if m.name else "")
     return n, ModuleMap(n, m, incl)
 
@@ -417,6 +416,16 @@ def quotient_module(m: FinModule, s: Submodule):
     }
     q = FinModule(cat, dims, action, name=f"{m.name}/sub" if m.name else "")
     return q, ModuleMap(m, q, proj)
+
+
+def restrict_along(cat: FinCat, dims, act, image, name: str) -> FinModule:
+    """The module over `cat` whose basis morphism i of cat(a, b) acts by
+    act(Morphism(a, b, v)), with v column i of image[(a, b)]: a module
+    carried along the linear maps image[(a, b)] from the hom spaces of
+    `cat` into those that `act` reads."""
+    action = {(a, b, i): act(Morphism(a, b, mat.col(i)))
+              for (a, b), mat in image.items() for i in range(mat.cols)}
+    return FinModule(cat, dims, action, name=name)
 
 
 def direct_sum(m: FinModule, n: FinModule) -> FinModule:
@@ -498,6 +507,41 @@ def is_iso(m: FinModule, n: FinModule) -> bool:
     return _search_invertible(maps, m.p)
 
 
+class IsoClasses:
+    """Modules, one per isomorphism class, in insertion order, and the index
+    of a module's class.  `is_iso` is False across fingerprints and equal
+    keys give equal fingerprints, so only the classes of equal fingerprint
+    are compared, in insertion order, and `find` returns the first index a
+    scan of every class would.  Found indices are kept by key; classes only
+    grow at the end, so a found index stays the first one."""
+
+    def __init__(self, classes):
+        self.classes = []
+        self._buckets = {}  # fingerprint -> class indices, in insertion order
+        self._found = {}  # key -> class index
+        for c in classes:
+            self.add(c)
+
+    def find(self, m: FinModule):
+        """The index of the class of m, or None (not kept: a later add may
+        change it)."""
+        k = m.key()
+        idx = self._found.get(k)
+        if idx is None:
+            idx = next((i for i in self._buckets.get(m.fingerprint(), ()) if is_iso(m, self.classes[i])), None)
+            if idx is not None:
+                self._found[k] = idx
+        return idx
+
+    def add(self, m: FinModule) -> int:
+        """Append m as a new class; the caller has found no class of it."""
+        idx = len(self.classes)
+        self.classes.append(m)
+        self._buckets.setdefault(m.fingerprint(), []).append(idx)
+        self._found.setdefault(m.key(), idx)
+        return idx
+
+
 def representable_quotients(cat: FinCat) -> list:
     """[(a, R, H_a/R)] for every object a, in object order, and every
     submodule R of H_a, in `all_submodules` order: the one place the
@@ -513,16 +557,15 @@ def representable_quotients(cat: FinCat) -> list:
 def simple_modules(cat: FinCat) -> list:
     """Simples, found as the quotients H_a/R of the representables by their
     maximal proper submodules R, in `representable_quotients` order."""
-    out = []
+    index = IsoClasses([])
     for a in cat.objects:
         proper = [(r, q) for b, r, q in representable_quotients(cat) if b == a and not r.is_full()]
         for r, q in proper:
             if any(s is not r and s.contains(r) for s, _ in proper):
                 continue
-            if not any(is_iso(q, existing) for existing in out):
-                out.append(q)
-    out.sort(key=lambda m: (m.total_dim(), m.fingerprint()))
-    return out
+            if index.find(q) is None:
+                index.add(q)
+    return sorted(index.classes, key=lambda m: (m.total_dim(), m.fingerprint()))
 
 
 def _extensions(s: FinModule, q: FinModule) -> list:
@@ -599,21 +642,16 @@ def _crawl_modules(cat: FinCat, total_dim_bound: int) -> list:
     simples = simple_modules(cat)
     levels = {0: [zero_module(cat)]}
     for n in range(1, total_dim_bound + 1):
-        found = []
-        found_keys = set()
+        index = IsoClasses([])
         for s in simples:
             ds = s.total_dim()
             if ds > n or (n - ds) not in levels:
                 continue
             for q in levels[n - ds]:
                 for cand in _extensions(s, q):
-                    if cand.key() in found_keys:
-                        continue
-                    if not any(is_iso(cand, seen) for seen in found):
-                        found.append(cand)
-                        found_keys.add(cand.key())
-        found.sort(key=lambda m: (tuple(m.dims[a] for a in cat.objects), m.fingerprint()))
-        levels[n] = found
+                    if index.find(cand) is None:
+                        index.add(cand)
+        levels[n] = sorted(index.classes, key=lambda m: (tuple(m.dims[a] for a in cat.objects), m.fingerprint()))
     out = []
     for n in range(total_dim_bound + 1):
         out.extend(levels[n])
@@ -629,43 +667,33 @@ def trace(sources, m: FinModule) -> Submodule:
     return t
 
 
+def ideal_actions(m: FinModule, ideal):
+    """(a, b, M(w)) for every basis vector w of every I(a, b): the matrices
+    M(w): M(b) -> M(a) by which the ideal acts, pair by pair."""
+    for (a, b), s in ideal.spaces.items():
+        for w in s.basis_vectors():
+            yield a, b, m.act(Morphism(a, b, w))
+
+
 def module_times_ideal(m: FinModule, ideal) -> Submodule:
     """MI(a) = sum of images of M(alpha) over alpha in I(a, b), all b."""
-    cat = m.cat
-    spaces = {}
-    for a in cat.objects:
-        acc = Subspace.zero(m.p, m.dims[a])
-        for b in cat.objects:
-            sub = ideal.spaces[(a, b)]
-            for w in sub.basis_vectors():
-                mat = m.act(Morphism(a, b, w))
-                acc = subspace_sum(acc, image_basis(mat))
-        spaces[a] = acc
+    spaces = {a: Subspace.zero(m.p, m.dims[a]) for a in m.cat.objects}
+    for a, _, mat in ideal_actions(m, ideal):
+        spaces[a] = subspace_sum(spaces[a], image_basis(mat))
     return Submodule(m, spaces)
 
 
 def killed_by(m: FinModule, ideal) -> bool:
     """Every element of the ideal acts on M by zero."""
-    for (a, b), s in ideal.spaces.items():
-        for w in s.basis_vectors():
-            if not m.act(Morphism(a, b, w)).is_zero():
-                return False
-    return True
+    return all(mat.is_zero() for _, _, mat in ideal_actions(m, ideal))
 
 
 def annihilator(m: FinModule, ideal) -> Submodule:
     """The largest submodule killed by the ideal: intersection of action kernels."""
-    cat = m.cat
-    spaces = {}
-    for a in cat.objects:
-        rows = []
-        for b in cat.objects:
-            sub = ideal.spaces[(b, a)]
-            for w in sub.basis_vectors():
-                rows.extend(m.act(Morphism(b, a, w)).entries)
-        mat = Mat(m.p, len(rows), m.dims[a], rows)
-        spaces[a] = kernel_basis(mat)
-    return Submodule(m, spaces)
+    rows = {a: [] for a in m.cat.objects}
+    for _, b, mat in ideal_actions(m, ideal):
+        rows[b].extend(mat.entries)
+    return Submodule(m, {a: kernel_basis(Mat(m.p, len(r), m.dims[a], r)) for a, r in rows.items()})
 
 
 def gen_witness(generators, m: FinModule):

@@ -16,12 +16,12 @@ from .category import FinCat, Morphism, derived
 from .linalg import Mat, Subspace, check_vector_cap, kernel_basis, preimage
 from .modules import (
     FinModule,
+    IsoClasses,
     Submodule,
     all_submodules,
     cyclic_submodule,
     enumerate_modules,
     full_submodule,
-    is_iso,
     join_closure,
     quotient_module,
     representable,
@@ -191,15 +191,14 @@ def gabriel_roundtrip(topo: Topology) -> bool:
     return back == topo
 
 
-def composition_factors(m: FinModule, simples) -> frozenset:
-    """The indices in `simples` of the composition factors of m, found by
-    peeling off one simple submodule at a time (by Jordan-Hoelder the set
+def composition_factors(m: FinModule, simples: IsoClasses) -> frozenset:
+    """The class indices in `simples` of the composition factors of m, found
+    by peeling off one simple submodule at a time (by Jordan-Hoelder the set
     does not depend on which one)."""
     out = set()
     while m.total_dim():
         sub = simple_submodules(m)[0]
-        s, _ = submodule_module(sub)
-        out.add(next(i for i, t in enumerate(simples) if is_iso(s, t)))
+        out.add(simples.find(submodule_module(sub)[0]))
         m, _ = quotient_module(m, sub)
     return frozenset(out)
 
@@ -213,12 +212,12 @@ def enumerate_topologies(cat: FinCat) -> list:
     J_S(a) holds the R <= H_a whose quotient H_a/R has every composition
     factor in S.  The factors of each quotient are found once, and each J_S
     is still checked against the axioms."""
-    simples = simple_modules(cat)
-    check_vector_cap(2 ** len(simples), "enumerate_topologies: sets of simple modules")
+    simples = IsoClasses(simple_modules(cat))
+    check_vector_cap(2 ** len(simples.classes), "enumerate_topologies: sets of simple modules")
     factored = [(a, sub, composition_factors(q, simples))
                 for a, sub, q in representable_quotients(cat)]
     out = []
-    for picks in itertools.product([False, True], repeat=len(simples)):
+    for picks in itertools.product([False, True], repeat=len(simples.classes)):
         chosen = frozenset(i for i, take in enumerate(picks) if take)
         families = {}
         for a, sub, factors in factored:
@@ -262,8 +261,9 @@ class ModuleCensus:
     """A census of iso classes over a category, with its decomposition data.
 
     Holds, for every census member M, the class pairs (S, M/S) of its simple
-    submodules S, and caches the class index of every module it is shown;
-    repeated closure computations share the work.  `module_census` keeps one
+    submodules S, and the `IsoClasses` index of the classes, which keeps the
+    class index of every module it finds; repeated closure computations
+    share the work.  `module_census` keeps one
     per category and bound.
 
     These pairs generate the same closure as the pairs of all submodules and
@@ -274,7 +274,7 @@ class ModuleCensus:
 
     def __init__(self, cat: FinCat, bound: int):
         self.classes = enumerate_modules(cat, bound)
-        self._index_memo = {}
+        self.index = IsoClasses(self.classes)
         self.zero_index = next(i for i, c in enumerate(self.classes) if c.total_dim() == 0)
         self.sub_quot = {}
         for i, m in enumerate(self.classes):
@@ -282,16 +282,8 @@ class ModuleCensus:
             for sub in simple_submodules(m):
                 n, _ = submodule_module(sub)
                 q, _ = quotient_module(m, sub)
-                pairs.append((self.class_index(n), self.class_index(q)))
+                pairs.append((self.index.find(n), self.index.find(q)))
             self.sub_quot[i] = pairs
-
-    def class_index(self, m: FinModule):
-        k = m.key()
-        if k not in self._index_memo:
-            self._index_memo[k] = next(
-                (i for i, c in enumerate(self.classes) if is_iso(m, c)), None
-            )
-        return self._index_memo[k]
 
     def close(self, member) -> frozenset:
         """The hereditary closure of a set of class indices: the least superset
@@ -352,7 +344,7 @@ def _seed_indices(census: ModuleCensus, seeds, bound: int) -> set:
     out = set()
     for s in seeds:
         if s.total_dim() <= bound:
-            idx = census.class_index(s)
+            idx = census.index.find(s)
             if idx is None:
                 raise RuntimeError("seed not found in census")
             out.add(idx)
@@ -379,7 +371,7 @@ def hereditary_closure_oracle(cat: FinCat, seeds, bound: int):
     def membership(m: FinModule) -> bool:
         if m.total_dim() > bound:
             raise ValueError(f"closure oracle is only total up to dimension {bound}")
-        return census.class_index(m) in member
+        return census.index.find(m) in member
 
     membership.census_fingerprint = member
     return membership

@@ -31,6 +31,7 @@ from .modules import (
     killed_by,
     module_times_ideal,
     quotient_module,
+    restrict_along,
     short_exact_sequences,
     submodule_module,
 )
@@ -169,6 +170,10 @@ class CornerCategory:
     """Objects are chosen idempotents; homs are the two-sided sandwiches."""
 
     def __init__(self, closure: AdditiveClosure, idempotents):
+        ccat = closure.cat
+        for eps in idempotents:
+            if ccat.compose(eps, eps) != eps:
+                raise ValueError("corner objects must be idempotent endomorphisms")
         self.closure = closure
         self.carrier = {f"e{i}": eps for i, eps in enumerate(idempotents)}
         self.cat, self._lift = idempotent_subcategory(closure, self.carrier, "corner")
@@ -178,34 +183,22 @@ class CornerCategory:
         return derived(self.cat, ("j*", m.key()), lambda: self._restrict(m))
 
     def _restrict(self, m: FinModule):
-        act = self.closure.act
-        images = {o: image_basis(act(m, eps)) for o, eps in self.carrier.items()}
+        """j* M(o) is the image of M(eps_o); a corner morphism o1 -> o2 acts
+        by M of its closure lift, read from image o2 into image o1."""
+        images = {o: image_basis(self.closure.act(m, eps)) for o, eps in self.carrier.items()}
         lifts = {o: img.basis_matrix() for o, img in images.items()}
-        dims = {o: img.dim for o, img in images.items()}
-        action = {}
-        for o1, e1 in self.carrier.items():
-            for o2, e2 in self.carrier.items():
-                for i in range(self.cat.hom_dim[(o1, o2)]):
-                    gamma = Morphism(e1.src, e2.src, self._lift[(o1, o2)].col(i))
-                    moved = act(m, gamma) @ lifts[o2]
-                    cols = [images[o1].coords(moved.col(j)) for j in range(moved.cols)]
-                    if None in cols:
-                        raise RuntimeError("corner action does not preserve the images")
-                    action[(o1, o2, i)] = Mat.from_cols(m.p, dims[o1], cols)
-        mod = FinModule(self.cat, dims, action, name=f"j*({m.name})" if m.name else "")
+
+        def act(f: Morphism) -> Mat:
+            gamma = Morphism(self.carrier[f.src].src, self.carrier[f.tgt].src, f.coords)
+            moved = self.closure.act(m, gamma) @ lifts[f.tgt]
+            read = images[f.src].coords_matrix(moved.transpose().entries)
+            if read is None:
+                raise RuntimeError("corner action does not preserve the images")
+            return read
+
+        mod = restrict_along(self.cat, {o: img.dim for o, img in images.items()}, act, self._lift,
+                             f"j*({m.name})" if m.name else "")
         return mod, images
-
-
-def corner_category(closure: AdditiveClosure, idempotents) -> CornerCategory:
-    ccat = closure.cat
-    for eps in idempotents:
-        if ccat.compose(eps, eps) != eps:
-            raise ValueError("corner objects must be idempotent endomorphisms")
-    return CornerCategory(closure, idempotents)
-
-
-def corner_restriction(corner: CornerCategory, m: FinModule) -> FinModule:
-    return corner.restriction_data(m)[0]
 
 
 def corner_restriction_map(corner: CornerCategory, phi: ModuleMap) -> ModuleMap:
@@ -225,11 +218,10 @@ def corner_restriction_map(corner: CornerCategory, phi: ModuleMap) -> ModuleMap:
                 end = start + phi.src.dims[c]
                 moved.extend(phi.comps[c].apply(v[start:end]))
                 start = end
-            col = tgt_images[o].coords(moved)
-            if col is None:
-                raise RuntimeError("induced map does not preserve idempotent images")
-            cols.append(col)
-        comps[o] = Mat.from_cols(phi.src.p, tgt_mod.dims[o], cols)
+            cols.append(moved)
+        comps[o] = tgt_images[o].coords_matrix(cols)
+        if comps[o] is None:
+            raise RuntimeError("induced map does not preserve idempotent images")
     return ModuleMap(src_mod, tgt_mod, comps)
 
 
@@ -251,7 +243,7 @@ class RecollementData:
         self.witness = witness
         self.quotient = quotient_category(cat, ideal)
         self.closure = additive_closure(cat, bound)
-        self.corner = corner_category(self.closure, witness)
+        self.corner = CornerCategory(self.closure, witness)
         self.triple = ttf_from_ideal(cat, ideal)
 
     def inclusion(self, n: FinModule) -> FinModule:
@@ -270,7 +262,7 @@ class RecollementData:
 
     def corner_image(self, m: FinModule) -> FinModule:
         """j^*: restriction to the corner category."""
-        return corner_restriction(self.corner, m)
+        return self.corner.restriction_data(m)[0]
 
 
 def recollement_data(cat: FinCat, ideal: Ideal, bound: int = 3) -> RecollementData:

@@ -21,7 +21,7 @@ from ringoid.category import (
 from ringoid.completion import AdditiveClosure, additive_closure, idempotent_completion
 from ringoid.ideals import enumerate_idempotent_ideals, is_trace_of_projectives, quotient_category
 from ringoid.linalg import Mat, Subspace, vector_cap
-from ringoid.ttf import corner_category
+from ringoid.ttf import CornerCategory
 
 
 def _validate_scalar(cat):
@@ -428,7 +428,7 @@ def test_trusted_quotients_and_corners_equal_validated(name, p, monkeypatch):
         witness = is_trace_of_projectives(cat, ideal, 3)
         if witness is not None:
             closure = additive_closure(cat, 3)
-            _trusted_and_validated(lambda: corner_category(closure, witness), monkeypatch)
+            _trusted_and_validated(lambda: CornerCategory(closure, witness), monkeypatch)
 
 
 @pytest.mark.parametrize("name, bound", [("dual(2)", 2), ("a2cat(3)", 1)])

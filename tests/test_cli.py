@@ -181,10 +181,11 @@ def test_karoubi_envelope_over_the_object_cap_is_refused_before_its_tables(monke
     assert code == 2
     assert json.loads(out)["findings"] == [{
         "statement_id": "complete",
-        "paper_anchor": "refusal:closure-object-cap",
+        "paper_anchor": "refusal:envelope-object-cap",
         "verdict": "refused(cap): idempotent completion would have 281 objects, over cap 130",
         "witness": {"operation": "idempotent_completion: idempotent objects", "needed": 281, "cap": 130},
     }]
+    assert cli.ANCHORS["refusal:envelope-object-cap"] == "completion.IdempotentCompletion"
 
 
 def test_complete_emits_interchange_category(capsys):
@@ -344,13 +345,37 @@ TOPOLOGY_MUTATIONS = {
 def test_census_check_catches_a_wrong_topology_list(monkeypatch, capsys, kind, argv, finding):
     # prod(2) has 4 topologies and 4 hereditary classes: a list missing one,
     # repeating one, or with the last replaced by the (already listed)
-    # maximal topology is not a bijection onto the sweep's classes
+    # maximal topology is not a bijection onto the sweep's classes; census
+    # also counts the list against its 4 idempotent ideals
     real = cli.enumerate_topologies
     monkeypatch.setattr(cli, "enumerate_topologies", lambda cat: TOPOLOGY_MUTATIONS[kind](real(cat), cat))
     code, out = run_cli([*argv, "--json"], capsys)
     assert code == 1
     failed = [f["statement_id"] for f in json.loads(out)["findings"] if f["verdict"] == "fail"]
-    assert failed == [finding]
+    miscounted = argv[0] == "census" and kind != "maximal"
+    assert failed == [finding] + (["ttf-roundtrips"] if miscounted else [])
+
+
+@pytest.mark.parametrize("drop", [0, -1])
+@pytest.mark.parametrize("name", ["prod", "a2cat"])
+def test_census_check_catches_a_dropped_idempotent_ideal(monkeypatch, capsys, name, drop):
+    # the Jans roundtrip over the remaining idempotent ideals still passes
+    # with distinct fingerprints; only the count against the topologies
+    # (4 at p = 2) sees the missing one
+    from ringoid import ttf
+
+    real = ttf.enumerate_idempotent_ideals
+
+    def dropped(cat):
+        ideals = real(cat)
+        return [i for n, i in enumerate(ideals) if n != drop % len(ideals)]
+
+    monkeypatch.setattr(ttf, "enumerate_idempotent_ideals", dropped)
+    code, out = run_cli(["census", f"catalog:{name}", "--p", "2", "--json"], capsys)
+    assert code == 1
+    findings = json.loads(out)["findings"]
+    assert [f["statement_id"] for f in findings if f["verdict"] == "fail"] == ["ttf-roundtrips"]
+    assert next(f for f in findings if f["statement_id"] == "ttf-roundtrips")["witness"] == {"count": 3}
 
 
 def test_census_check_fails_when_the_bound_merges_topologies(capsys):

@@ -23,7 +23,7 @@ from ringoid.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from ringoid.linalg import Subspace, enumerate_subspaces, vector_cap
+from ringoid.linalg import Subspace, complement_data, enumerate_subspaces, vector_cap
 from ringoid.modules import (
     all_submodules,
     annihilator,
@@ -373,6 +373,27 @@ def test_extension_of_representable_is_quotient_by_ideal_values():
             sub = Submodule(h, {b: ideal.spaces[(b, a)] for b in cat.objects})
             expected, _ = quotient_module(h, sub)
             assert is_iso(back, expected)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_extend_to_quotient_matches_the_lift_formula(name, p):
+    # i^* M = M / M.I over A/I: basis morphism g of A/I acts by
+    # proj . M(lift g) . lift, in the non-pivot coordinates of each M.I(a)
+    cat = catalog(name, p)
+    for ideal in enumerate_ideals(cat):
+        q = quotient_category(cat, ideal)
+        for m in enumerate_modules(cat, 3):
+            proj, lift = {}, {}
+            for a, sub in module_times_ideal(m, ideal).spaces.items():
+                proj[a], lift[a] = complement_data(sub)
+            out = extend_to_quotient(q, m)
+            assert out.cat is q.cat and out.dims == {a: proj[a].rows for a in cat.objects}
+            for a in cat.objects:
+                for b in cat.objects:
+                    for j in range(q.cat.hom_dim[(a, b)]):
+                        lifted = Morphism(a, b, q.lift[(a, b)].col(j))
+                        assert out.action[(a, b, j)] == proj[a] @ m.act(lifted) @ lift[b]
 
 
 def restrict_closure_ideal(closure, j):

@@ -7,7 +7,9 @@ outside its own definition, `ringoid.__all__`, the benchmark (`TRACED` in
 (c) Every traced name still resolves, so removing a traced function fails
 here and not first in the benchmark's `Tracer.install`.  (d) Only
 `category.py` reads the composition tables (the attribute `comp`); every
-other module composes through `FinCat`.
+other module composes through `FinCat`.  (e) Only `IsoClasses` calls
+`is_iso`, and `ideals.py`, `completion.py` and `ttf.py` build modules
+through `modules.py`, except the traced `completion.induce_module`.
 """
 
 import ast
@@ -121,3 +123,18 @@ def test_only_category_reads_the_composition_tables():
     readers = [mod for mod, tree in MODULES.items()
                if any(isinstance(n, ast.Attribute) and n.attr == "comp" for n in ast.walk(tree))]
     assert readers == ["category"]
+
+
+def callers(name: str, mods) -> list:
+    """The top-level definitions of the given modules that call `name`."""
+    return [f"{mod}.{node.name}" for mod in mods for node in MODULES[mod].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name for n in ast.walk(node))]
+
+
+def test_only_iso_classes_calls_is_iso():
+    assert callers("is_iso", MODULES) == ["modules.IsoClasses"]
+
+
+def test_only_modules_builds_modules_for_the_functors():
+    assert callers("FinModule", ["ideals", "completion", "ttf"]) == ["completion.induce_module"]

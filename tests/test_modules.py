@@ -6,8 +6,10 @@ from ringoid.category import CATALOG_NAMES, catalog, Morphism
 from ringoid.linalg import Mat
 from ringoid.modules import (
     FinModule,
+    IsoClasses,
     ModuleMap,
     Submodule,
+    _extensions,
     all_submodules,
     check_naturality,
     cyclic_submodule,
@@ -24,6 +26,7 @@ from ringoid.modules import (
     kernel,
     quotient_module,
     representable,
+    representable_quotients,
     simple_modules,
     submodule_module,
     trace,
@@ -452,3 +455,84 @@ def test_hom_space_against_all_component_tuples(name):
                 span.add(tuple(comps))
             assert len(span) == p ** len(basis)
             assert span == natural
+
+
+def test_submodule_module_refuses_a_subspace_family_that_is_not_closed():
+    from ringoid.linalg import enumerate_subspaces
+
+    h = representable(catalog("dual(3)"), "x")
+    open_lines = [s for s in (Submodule(h, {"x": line}) for line in enumerate_subspaces(2, 3)
+                              if line.dim == 1) if not s.is_closed()]
+    assert open_lines
+    for sub in open_lines:
+        with pytest.raises(ValueError, match="not closed"):
+            submodule_module(sub)
+
+
+def quiver_or_catalog(name):
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    return path_category(parse_quiver_dsl(QUIVERS[name])) if name in QUIVERS else catalog(name)
+
+
+def linear_find(classes, m):
+    """The first class isomorphic to m by a scan of every class: the
+    reference for `IsoClasses.find`."""
+    return next((i for i, c in enumerate(classes) if is_iso(m, c)), None)
+
+
+def linear_crawl(cat, bound):
+    """`simple_modules` and the module crawl with a linear `is_iso` scan for
+    every new module, as they were before the fingerprint buckets."""
+    simples = []
+    for a in cat.objects:
+        proper = [(r, q) for b, r, q in representable_quotients(cat) if b == a and not r.is_full()]
+        for r, q in proper:
+            if not any(s is not r and s.contains(r) for s, _ in proper) and linear_find(simples, q) is None:
+                simples.append(q)
+    simples.sort(key=lambda m: (m.total_dim(), m.fingerprint()))
+    levels = [[zero_module(cat)]]
+    for n in range(1, bound + 1):
+        found = []
+        for s in simples:
+            for q in levels[n - s.total_dim()] if s.total_dim() <= n else ():
+                for cand in _extensions(s, q):
+                    if linear_find(found, cand) is None:
+                        found.append(cand)
+        levels.append(sorted(found, key=lambda m: (tuple(m.dims[a] for a in cat.objects), m.fingerprint())))
+    return simples, [m for level in levels for m in level]
+
+
+ISO_CASES = [(f"{n}({p})", 3) for p in (2, 3) for n in CATALOG_NAMES] + [("a4", 3), ("kronecker", 3)]
+
+
+@pytest.mark.parametrize("name, bound", ISO_CASES)
+def test_iso_classes_find_the_first_class_a_linear_scan_finds(name, bound):
+    # a prefix of the census misses classes (None); the prefix followed by
+    # the whole census repeats them (the first index wins)
+    classes = enumerate_modules(quiver_or_catalog(name), bound)
+    refs = [classes[: len(classes) // 2], classes[: len(classes) // 2] + classes]
+    indices = [IsoClasses(ref) for ref in refs]
+    for m in classes:
+        for s in all_submodules(m):
+            for x in (m, submodule_module(s)[0], quotient_module(m, s)[0]):
+                for ref, index in zip(refs, indices):
+                    assert index.find(x) == linear_find(ref, x)
+    assert indices[0].find(classes[-1]) is None
+
+
+@pytest.mark.parametrize("name, bound", [(n, 3) for n, _ in ISO_CASES] + [("a4", 4), ("kronecker3", 4)])
+def test_crawl_keys_match_the_linear_scan_crawl(name, bound):
+    cat = quiver_or_catalog(name)
+    simples, classes = linear_crawl(cat, bound)
+    assert [m.key() for m in simple_modules(cat)] == [m.key() for m in simples]
+    assert [m.key() for m in enumerate_modules(cat, bound)] == [m.key() for m in classes]
+
+
+def test_iso_classes_keep_no_miss_across_an_add():
+    # S1 + S2 and S2 + S1 have different keys and one class
+    s1, s2 = simple_modules(catalog("a2cat(3)"))
+    index = IsoClasses([s1])
+    assert index.find(direct_sum(s2, s1)) is None
+    assert index.add(direct_sum(s1, s2)) == 1
+    assert index.find(direct_sum(s2, s1)) == 1

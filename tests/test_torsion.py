@@ -6,6 +6,7 @@ import pytest
 from ringoid.category import CATALOG_NAMES, Morphism, catalog
 from ringoid.ideals import enumerate_idempotent_ideals
 from ringoid.modules import (
+    IsoClasses,
     all_submodules,
     direct_sum,
     enumerate_modules,
@@ -369,12 +370,12 @@ def reference_close(census, bound):
     `ModuleCensus.close`, which reads only the simple-submodule pairs."""
     classes = census.classes
     sub_quot = [
-        [(census.class_index(submodule_module(sub)[0]), census.class_index(quotient_module(m, sub)[0]))
+        [(census.index.find(submodule_module(sub)[0]), census.index.find(quotient_module(m, sub)[0]))
          for sub in all_submodules(m)]
         for m in classes
     ]
     sums = {
-        (i, j): census.class_index(direct_sum(m, n))
+        (i, j): census.index.find(direct_sum(m, n))
         for i, m in enumerate(classes)
         for j, n in enumerate(classes)
         if j >= i and m.total_dim() + n.total_dim() <= bound
@@ -535,12 +536,13 @@ def test_composition_factors_match_the_closure_oracle(name):
     # every composition factor of M is in S
     cat = catalog_or_quiver(name)
     simples = simple_modules(cat)
+    index = IsoClasses(simples)
     census = enumerate_modules(cat, 3)
     for picks in itertools.product([False, True], repeat=len(simples)):
         chosen = frozenset(i for i, take in enumerate(picks) if take)
         oracle = hereditary_closure_oracle(cat, [simples[i] for i in sorted(chosen)], 3)
         for m in census:
-            assert (composition_factors(m, simples) <= chosen) == oracle(m)
+            assert (composition_factors(m, index) <= chosen) == oracle(m)
 
 
 def test_membership_fingerprints_pairwise_distinct():

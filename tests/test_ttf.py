@@ -24,8 +24,7 @@ from ringoid.modules import (
 )
 from ringoid.torsion import check_topology, topology_from_class, torsion_membership
 from ringoid.ttf import (
-    corner_category,
-    corner_restriction,
+    CornerCategory,
     corner_restriction_map,
     ideal_from_ttf,
     is_split,
@@ -218,7 +217,7 @@ def test_split_counts(name, split_count):
 def test_corner_of_identity_is_endo_algebra():
     cat = catalog("a2cat(2)")
     closure = additive_closure(cat, 1)
-    corner = corner_category(closure, [closure.embed_morphism(cat.identity("1"))])
+    corner = CornerCategory(closure, [closure.embed_morphism(cat.identity("1"))])
     assert validate(corner.cat) == []
     assert corner.cat.hom_dim[("e0", "e0")] == 1
 
@@ -226,7 +225,7 @@ def test_corner_of_identity_is_endo_algebra():
 def test_corner_of_prod_idempotent_is_point():
     cat = catalog("prod(2)")
     closure = additive_closure(cat, 1)
-    corner = corner_category(closure, [closure.embed_morphism(Morphism("x", "x", (1, 0)))])
+    corner = CornerCategory(closure, [closure.embed_morphism(Morphism("x", "x", (1, 0)))])
     assert corner.cat.hom_dim[("e0", "e0")] == 1
     assert validate(corner.cat) == []
 
@@ -244,7 +243,7 @@ def test_corner_agrees_with_karoubi_homs():
         if meta.carrier == ("x",)
     ]
     eps_list = [meta.idem for _, meta in carriers]
-    corner = corner_category(closure, eps_list)
+    corner = CornerCategory(closure, eps_list)
     for i, (obj_i, _) in enumerate(carriers):
         for j, (obj_j, _) in enumerate(carriers):
             assert (
@@ -352,7 +351,7 @@ def test_corner_restriction_map_refuses_a_map_that_leaves_the_image():
     cat = catalog("prod(3)")
     closure = additive_closure(cat, 1)
     eps = Morphism("(x)", "(x)", (0, 1))
-    corner = corner_category(closure, [eps])
+    corner = CornerCategory(closure, [eps])
     h = representable(cat, "x")
     assert corner.restriction_data(h)[1]["e0"].basis_vectors() == ((0, 1),)
     identity = ModuleMap(h, h, {"x": Mat.identity(3, 2)})
@@ -384,18 +383,46 @@ def test_corner_on_tuple_idempotents_matches_the_induced_module(name):
         if not (closure.block(eps, 0, 1).is_zero() and closure.block(eps, 1, 0).is_zero())
     ]
     assert mixed
-    corner = corner_category(closure, mixed[:3])
+    corner = CornerCategory(closure, mixed[:3])
     assert_restriction_matches_the_induced_module(corner, enumerate_modules(cat, 3))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_corner_actions_match_the_block_action_formula(name, p):
+    # a corner basis morphism o1 -> o2 acts on j* M by the block action of
+    # its closure lift on the image of o2, read column by column in the
+    # image of o1; the corner holds every nonzero idempotent of a base object
+    cat = catalog(name, p)
+    closure = additive_closure(cat, 1)
+    corner = CornerCategory(closure, [eps for t in closure.cat.objects
+                                      for eps in list_idempotents(closure.cat, t) if not eps.is_zero()])
+    for m in enumerate_modules(cat, 3):
+        mod, images = corner.restriction_data(m)
+        assert mod.dims == {o: images[o].dim for o in corner.carrier}
+        for o1, e1 in corner.carrier.items():
+            for o2, e2 in corner.carrier.items():
+                for i in range(corner.cat.hom_dim[(o1, o2)]):
+                    gamma = Morphism(e1.src, e2.src, corner._lift[(o1, o2)].col(i))
+                    moved = closure.act(m, gamma) @ images[o2].basis_matrix()
+                    cols = [images[o1].coords(moved.col(j)) for j in range(moved.cols)]
+                    assert mod.action[(o1, o2, i)] == Mat.from_cols(p, images[o1].dim, cols)
+
+
+def test_corner_objects_must_be_idempotent():
+    closure = additive_closure(catalog("dual(2)"), 1)
+    with pytest.raises(ValueError, match="idempotent"):
+        CornerCategory(closure, [Morphism("(x)", "(x)", (0, 1))])
 
 
 def test_corner_restriction_of_representable():
     cat = catalog("a2cat(2)")
     closure = additive_closure(cat, 1)
     eps = closure.embed_morphism(cat.identity("2"))
-    corner = corner_category(closure, [eps])
+    corner = CornerCategory(closure, [eps])
     from ringoid.modules import representable, validate_module
 
-    jm = corner_restriction(corner, representable(cat, "2"))
+    jm, _ = corner.restriction_data(representable(cat, "2"))
     assert validate_module(jm) == []
     assert jm.dims["e0"] == 1
 
