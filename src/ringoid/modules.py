@@ -374,12 +374,12 @@ def join_closure(bottom, gens, join, key) -> list:
     return list(found.values())
 
 
-def short_exact_sequences(m: FinModule) -> list:
-    """[(incl, proj)]: the inclusion S -> M and the projection M -> M/S of
-    every submodule S, in all_submodules order, built once per module."""
-    return derived(m.cat, ("sequences", m.key()), lambda: [
-        (submodule_module(s)[1], quotient_module(m, s)[1]) for s in all_submodules(m)
-    ])
+def simple_kernel_sequences(m: FinModule):
+    """Yields (incl, proj): the inclusion S -> M and the projection
+    M -> M/S of every simple submodule S, in `simple_submodules` order, one
+    pair at a time.  Not memoized: a caller that rereads them keeps them."""
+    for s in simple_submodules(m):
+        yield submodule_module(s)[1], quotient_module(m, s)[1]
 
 
 def submodule_module(s: Submodule):

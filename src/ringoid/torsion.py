@@ -26,6 +26,7 @@ from .modules import (
     quotient_module,
     representable,
     representable_quotients,
+    simple_kernel_sequences,
     simple_modules,
     simple_submodules,
     submodule_module,
@@ -261,10 +262,10 @@ class ModuleCensus:
     """A census of iso classes over a category, with its decomposition data.
 
     Holds, for every census member M, the class pairs (S, M/S) of its simple
-    submodules S, and the `IsoClasses` index of the classes, which keeps the
-    class index of every module it finds; repeated closure computations
-    share the work.  `module_census` keeps one
-    per category and bound.
+    submodules S, read from `simple_kernel_sequences` and not kept, and the
+    `IsoClasses` index of the classes, which keeps the class index of every
+    module it finds; repeated closure computations share the work.
+    `module_census` keeps one per category and bound.
 
     These pairs generate the same closure as the pairs of all submodules and
     the pairwise direct sums: in finite length, every subquotient and every
@@ -278,12 +279,8 @@ class ModuleCensus:
         self.zero_index = next(i for i, c in enumerate(self.classes) if c.total_dim() == 0)
         self.sub_quot = {}
         for i, m in enumerate(self.classes):
-            pairs = []
-            for sub in simple_submodules(m):
-                n, _ = submodule_module(sub)
-                q, _ = quotient_module(m, sub)
-                pairs.append((self.index.find(n), self.index.find(q)))
-            self.sub_quot[i] = pairs
+            self.sub_quot[i] = [(self.index.find(incl.src), self.index.find(proj.tgt))
+                                for incl, proj in simple_kernel_sequences(m)]
 
     def close(self, member) -> frozenset:
         """The hereditary closure of a set of class indices: the least superset

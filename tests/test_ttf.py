@@ -1,5 +1,6 @@
 import pytest
 
+from ringoid import ttf
 from ringoid.category import CATALOG_NAMES, Morphism, catalog, list_idempotents, validate
 from ringoid.completion import additive_closure, idempotent_subcategory, induce_module
 from ringoid.ideals import (
@@ -14,11 +15,12 @@ from ringoid.modules import (
     FinModule,
     ModuleMap,
     Submodule,
+    all_submodules,
     enumerate_modules,
     hom_space,
     is_iso,
+    quotient_module,
     representable,
-    short_exact_sequences,
     simple_modules,
     submodule_module,
 )
@@ -33,6 +35,13 @@ from ringoid.ttf import (
     recollement_shadows,
     ttf_from_ideal,
 )
+
+
+def short_exact_sequences(m):
+    """Reference: [(incl, proj)] for every submodule S of m, in
+    all_submodules order, where the recollement shadow reads only the simple
+    ones."""
+    return [(submodule_module(s)[1], quotient_module(m, s)[1]) for s in all_submodules(m)]
 
 
 def a2cat_simples():
@@ -477,6 +486,107 @@ def test_recollement_shadows(name):
         data = recollement_data(cat, ideal, bound=2)
         rep = recollement_shadows(data, census_bound=3)
         assert rep["pass"], (name, rep)
+
+
+def witnessed_recollements(cat, bound=3):
+    return [recollement_data(cat, ideal, bound) for ideal in enumerate_idempotent_ideals(cat)
+            if is_trace_of_projectives(cat, ideal, bound) is not None]
+
+
+def inexact_sequences(data, sequences, restrict_map=corner_restriction_map):
+    """The indices of the sequences that j* (by restrict_map) does not carry
+    to short exact sequences: the per-sequence test of the shadow."""
+    out = []
+    for k, (incl, proj) in enumerate(sequences):
+        j_incl = restrict_map(data.corner, incl)
+        j_proj = restrict_map(data.corner, proj)
+        for o in data.corner.cat.objects:
+            inc_mat, proj_mat = j_incl.comps[o], j_proj.comps[o]
+            if (inc_mat.rank() != j_incl.src.dims[o] or proj_mat.rank() != j_proj.tgt.dims[o]
+                    or image_basis(inc_mat) != kernel_basis(proj_mat)):
+                out.append(k)
+                break
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_corner_restriction_is_exact_on_every_submodule_sequence(name, p):
+    # the shadow checks the simple-kernel sequences only; this reference
+    # walks every submodule of every census module, for each witnessed ideal
+    cat = catalog(name, p)
+    sequences = [seq for m in enumerate_modules(cat, 3) for seq in short_exact_sequences(m)]
+    recollements = witnessed_recollements(cat)
+    assert recollements
+    for data in recollements:
+        assert inexact_sequences(data, sequences) == []
+        assert recollement_shadows(data, census_bound=3)["corner_exactness"]
+
+
+def is_simple(m):
+    return len(all_submodules(m)) == 2
+
+
+def dropping_one_vector(which, dropped):
+    """corner_restriction_map, except on the injective maps phi out of a
+    nonzero module with which(phi): there the image of the first basis
+    vector of the first nonzero j* of the source is dropped (its column
+    zeroed), and phi is recorded in dropped."""
+    def mutated(corner, phi):
+        out = corner_restriction_map(corner, phi)
+        injective = all(c.rank() == phi.src.dims[a] for a, c in phi.comps.items())
+        if not (injective and phi.src.total_dim() > 0 and which(phi)):
+            return out
+        o = next((o for o, c in out.comps.items() if c.cols), None)
+        if o is None:
+            return out
+        mat = out.comps[o]
+        cols = [[0] * mat.rows] + [mat.col(j) for j in range(1, mat.cols)]
+        dropped.append(phi)
+        return ModuleMap(out.src, out.tgt, {**out.comps, o: Mat.from_cols(mat.p, mat.rows, cols)})
+
+    return mutated
+
+
+MUTATION_CASES = [("a2cat", 2), ("a2cat", 3), ("prod", 3), ("dual", 2)]
+
+
+@pytest.mark.parametrize("name, p", MUTATION_CASES)
+def test_a_drop_on_a_non_simple_submodule_fails_the_reference(name, p, monkeypatch):
+    # a j* that is not a functor on the proper non-simple inclusions: the
+    # all-submodule reference sees it, the simple-kernel shadow by design
+    # does not (it never moves such a map)
+    cat = catalog(name, p)
+    sequences = [seq for m in enumerate_modules(cat, 3) for seq in short_exact_sequences(m)]
+    dropped = []
+    mutated = dropping_one_vector(
+        lambda phi: phi.src.total_dim() < phi.tgt.total_dim() and not is_simple(phi.src), dropped)
+    monkeypatch.setattr(ttf, "corner_restriction_map", mutated)
+    fired = 0
+    for data in witnessed_recollements(cat):
+        dropped.clear()
+        bad = inexact_sequences(data, sequences, mutated)
+        assert len(bad) == len(dropped)
+        fired += len(bad)
+        dropped.clear()
+        assert recollement_shadows(data, census_bound=3)["pass"]
+        assert dropped == []
+    assert fired
+
+
+@pytest.mark.parametrize("name, p", MUTATION_CASES)
+def test_a_drop_on_a_simple_kernel_fails_the_shadow(name, p, monkeypatch):
+    cat = catalog(name, p)
+    dropped = []
+    mutated = dropping_one_vector(lambda phi: is_simple(phi.src), dropped)
+    monkeypatch.setattr(ttf, "corner_restriction_map", mutated)
+    fired = 0
+    for data in witnessed_recollements(cat):
+        dropped.clear()
+        rep = recollement_shadows(data, census_bound=3)
+        assert rep["corner_exactness"] == (not dropped)
+        fired += bool(dropped)
+    assert fired
 
 
 def test_corner_restrictions_validate():
