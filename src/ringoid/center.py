@@ -26,9 +26,6 @@ class CenterElement:
     def __hash__(self):
         return hash(tuple(self.components[a] for a in self.cat.objects))
 
-    def component(self, a: str) -> Morphism:
-        return self.components[a]
-
     def is_natural(self) -> bool:
         cat = self.cat
         for a in cat.objects:

@@ -45,9 +45,6 @@ class Ideal:
     def total_dim(self) -> int:
         return sum(s.dim for s in self.spaces.values())
 
-    def dim(self, a: str, b: str) -> int:
-        return self.spaces[(a, b)].dim
-
     def contains_morphism(self, f: Morphism) -> bool:
         return self.spaces[(f.src, f.tgt)].contains(f.coords)
 

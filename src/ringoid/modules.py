@@ -629,33 +629,107 @@ def _extensions(s: FinModule, q: FinModule) -> list:
 
 
 def enumerate_modules(cat: FinCat, total_dim_bound: int) -> list:
-    """All modules of total dimension <= bound, one per isomorphism class.
+    """All modules of total dimension <= bound, one per isomorphism class:
+    the classes of `module_census`."""
+    return module_census(cat, total_dim_bound).classes
+
+
+class ModuleCensus:
+    """The modules of total dimension <= bound, one per isomorphism class
+    (`classes`, the zero module first), their `IsoClasses` index, which
+    keeps the class index of every module it finds, and for each class i
+    the set `sub_quot[i]` of the class pairs (S, M/S) of its simple
+    submodules S.  `module_census` keeps one per category and bound.
 
     Crawl: every nonzero module is an extension of a smaller module by a
     simple submodule, so level n is assembled from extensions of level
-    (n - dim S) classes by each simple S, then deduplicated up to iso.
+    (n - dim S) classes by each simple S, deduplicated up to iso and sorted
+    by dims and fingerprint.  The crawl meets every pair (S, M/S): each
+    candidate of `_extensions(s, q)` has its s block as a simple submodule,
+    with quotient q; conversely, for a simple S <= M, M is an extension of
+    M/S by S, the census holds a class q of M/S one level down and a simple
+    s isomorphic to S, and `_extensions(s, q)` lists one candidate per
+    extension class, so one of them is isomorphic to M.
+
+    These pairs generate the same closure as the pairs of all submodules and
+    the pairwise direct sums: in finite length, every subquotient and every
+    extension is assembled one simple submodule at a time, through modules
+    no larger than the census member it starts from (see `close`).
     """
-    return derived(cat, ("modules", total_dim_bound), lambda: _crawl_modules(cat, total_dim_bound))
+
+    def __init__(self, cat: FinCat, bound: int):
+        simples = simple_modules(cat)
+        self.classes = [zero_module(cat)]
+        self.sub_quot = [set()]
+        self.zero_index = 0
+        starts = [0]  # the census index of the first class of each level
+        simple_index = {}  # position in `simples` -> census index
+        for n in range(1, bound + 1):
+            starts.append(len(self.classes))
+            index = IsoClasses([])
+            found = []  # (index in this level's `index`, position of S in `simples`, census index of M/S)
+            for k, s in enumerate(simples):
+                ds = s.total_dim()
+                for q in range(starts[n - ds], starts[n - ds + 1]) if ds <= n else ():
+                    for cand in _extensions(s, self.classes[q]):
+                        idx = index.find(cand)
+                        found.append((index.add(cand) if idx is None else idx, k, q))
+            order = sorted(range(len(index.classes)), key=lambda i: (
+                tuple(index.classes[i].dims[a] for a in cat.objects), index.classes[i].fingerprint()))
+            census_index = {idx: starts[n] + r for r, idx in enumerate(order)}
+            self.classes.extend(index.classes[idx] for idx in order)
+            self.sub_quot.extend(set() for _ in order)
+            for idx, k, q in found:
+                i = census_index[idx]
+                if q == self.zero_index:  # the extension of 0 by S is S
+                    simple_index[k] = i
+                self.sub_quot[i].add((simple_index[k], q))
+        self.index = IsoClasses(self.classes)
+
+    def close(self, member) -> frozenset:
+        """The hereditary closure of a set of class indices: the least superset
+        closed under submodules, quotients, direct sums and extensions, inside
+        the census.
+
+        Two rules reach it: a member M adds S and M/S for each simple S <= M,
+        and a class M joins once some simple S <= M has S and M/S both
+        members.  Each is an instance of a closure property, so the result F
+        lies inside the closure; F is also closed, by induction on length,
+        peeling off one simple S <= M each time:
+        - quotients: for 0 != N <= M in F, take S <= N; M/S is in F and
+          M/N = (M/S)/(N/S) with N/S shorter than N;
+        - submodules: for 0 != N <= M in F, take S <= N; S and M/S are in F,
+          so N/S <= M/S is in F (M/S is shorter than M), and then N is;
+        - extensions: for A -> E -> B with A != 0 and A, B in F, take S <= A;
+          S and A/S are in F, E/S extends A/S (shorter) by B, so E/S is in F,
+          and then E is.  A direct sum is an extension.
+        Every module these steps pass through is a subquotient of a census
+        member, so it lies within the bound and in the census.
+        """
+        member = set(member)
+        sub_quot = self.sub_quot
+        changed = True
+        while changed:
+            changed = False
+            for i in list(member):
+                for s_idx, q_idx in sub_quot[i]:
+                    for j in (s_idx, q_idx):
+                        if j not in member:
+                            member.add(j)
+                            changed = True
+            for i in range(len(self.classes)):
+                if i in member:
+                    continue
+                if any(s in member and q in member for s, q in sub_quot[i]):
+                    member.add(i)
+                    changed = True
+        return frozenset(member)
 
 
-def _crawl_modules(cat: FinCat, total_dim_bound: int) -> list:
-    simples = simple_modules(cat)
-    levels = {0: [zero_module(cat)]}
-    for n in range(1, total_dim_bound + 1):
-        index = IsoClasses([])
-        for s in simples:
-            ds = s.total_dim()
-            if ds > n or (n - ds) not in levels:
-                continue
-            for q in levels[n - ds]:
-                for cand in _extensions(s, q):
-                    if index.find(cand) is None:
-                        index.add(cand)
-        levels[n] = sorted(index.classes, key=lambda m: (tuple(m.dims[a] for a in cat.objects), m.fingerprint()))
-    out = []
-    for n in range(total_dim_bound + 1):
-        out.extend(levels[n])
-    return out
+def module_census(cat: FinCat, bound: int) -> ModuleCensus:
+    """The census of modules of total dimension <= bound, built once per
+    category and bound."""
+    return derived(cat, ("census", bound), lambda: ModuleCensus(cat, bound))
 
 
 def trace(sources, m: FinModule) -> Submodule:

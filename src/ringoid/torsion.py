@@ -17,16 +17,16 @@ from .linalg import Mat, Subspace, check_vector_cap, kernel_basis, preimage
 from .modules import (
     FinModule,
     IsoClasses,
+    ModuleCensus,
     Submodule,
     all_submodules,
     cyclic_submodule,
-    enumerate_modules,
     full_submodule,
     join_closure,
+    module_census,
     quotient_module,
     representable,
     representable_quotients,
-    simple_kernel_sequences,
     simple_modules,
     simple_submodules,
     submodule_module,
@@ -256,76 +256,6 @@ def has_fg_basis(topo: Topology) -> bool:
             if not found:
                 return False
     return True
-
-
-class ModuleCensus:
-    """A census of iso classes over a category, with its decomposition data.
-
-    Holds, for every census member M, the class pairs (S, M/S) of its simple
-    submodules S, read from `simple_kernel_sequences` and not kept, and the
-    `IsoClasses` index of the classes, which keeps the class index of every
-    module it finds; repeated closure computations share the work.
-    `module_census` keeps one per category and bound.
-
-    These pairs generate the same closure as the pairs of all submodules and
-    the pairwise direct sums: in finite length, every subquotient and every
-    extension is assembled one simple submodule at a time, through modules
-    no larger than the census member it starts from (see `close`).
-    """
-
-    def __init__(self, cat: FinCat, bound: int):
-        self.classes = enumerate_modules(cat, bound)
-        self.index = IsoClasses(self.classes)
-        self.zero_index = next(i for i, c in enumerate(self.classes) if c.total_dim() == 0)
-        self.sub_quot = {}
-        for i, m in enumerate(self.classes):
-            self.sub_quot[i] = [(self.index.find(incl.src), self.index.find(proj.tgt))
-                                for incl, proj in simple_kernel_sequences(m)]
-
-    def close(self, member) -> frozenset:
-        """The hereditary closure of a set of class indices: the least superset
-        closed under submodules, quotients, direct sums and extensions, inside
-        the census.
-
-        Two rules reach it: a member M adds S and M/S for each simple S <= M,
-        and a class M joins once some simple S <= M has S and M/S both
-        members.  Each is an instance of a closure property, so the result F
-        lies inside the closure; F is also closed, by induction on length,
-        peeling off one simple S <= M each time:
-        - quotients: for 0 != N <= M in F, take S <= N; M/S is in F and
-          M/N = (M/S)/(N/S) with N/S shorter than N;
-        - submodules: for 0 != N <= M in F, take S <= N; S and M/S are in F,
-          so N/S <= M/S is in F (M/S is shorter than M), and then N is;
-        - extensions: for A -> E -> B with A != 0 and A, B in F, take S <= A;
-          S and A/S are in F, E/S extends A/S (shorter) by B, so E/S is in F,
-          and then E is.  A direct sum is an extension.
-        Every module these steps pass through is a subquotient of a census
-        member, so it lies within the bound and in the census.
-        """
-        member = set(member)
-        sub_quot = self.sub_quot
-        changed = True
-        while changed:
-            changed = False
-            for i in list(member):
-                for s_idx, q_idx in sub_quot[i]:
-                    for j in (s_idx, q_idx):
-                        if j not in member:
-                            member.add(j)
-                            changed = True
-            for i in range(len(self.classes)):
-                if i in member:
-                    continue
-                if any(s in member and q in member for s, q in sub_quot[i]):
-                    member.add(i)
-                    changed = True
-        return frozenset(member)
-
-
-def module_census(cat: FinCat, bound: int) -> ModuleCensus:
-    """The census of modules of total dimension <= bound, built once per
-    category and bound."""
-    return derived(cat, ("census", bound), lambda: ModuleCensus(cat, bound))
 
 
 def topology_seeds(topo: Topology) -> list:

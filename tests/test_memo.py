@@ -91,9 +91,9 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
     # the simples of every category whose modules are listed are read from
     # its representable quotients, and the topologies of a2cat(2) from its own
     quotient_lists = {id(cat) for cat, key in builds if key[0] == "representable-quotients"}
-    assert quotient_lists == {id(cat) for cat, key in builds if key[0] == "modules"}
-    module_lists = Counter((id(cat), key[1]) for cat, key in builds if key[0] == "modules")
-    assert module_lists and set(module_lists.values()) == {1}
+    assert quotient_lists == {id(cat) for cat, key in builds if key[0] == "census"}
+    censuses = Counter((id(cat), key[1]) for cat, key in builds if key[0] == "census")
+    assert censuses and set(censuses.values()) == {1}
     for kind in ("closure", "census"):
         per_bound = Counter((id(cat), bound) for cat, bound in constructed[kind])
         assert per_bound and set(per_bound.values()) == {1}, kind

@@ -7,6 +7,7 @@ from ringoid.linalg import Mat
 from ringoid.modules import (
     FinModule,
     IsoClasses,
+    ModuleCensus,
     ModuleMap,
     Submodule,
     _extensions,
@@ -28,6 +29,7 @@ from ringoid.modules import (
     representable,
     representable_quotients,
     simple_modules,
+    simple_submodules,
     submodule_module,
     trace,
     validate_module,
@@ -177,6 +179,8 @@ QUIVERS = {
                   " field 2 ; maxlen 1 ;",
     "star": "vertices 1 2 3 4 ; arrow a: 1 -> 4 ; arrow b: 2 -> 4 ; arrow c: 3 -> 4 ;"
             " field 2 ; maxlen 1 ;",
+    # k[x]/(x^3) over F_3
+    "kx3": "vertices 1 ; arrow x: 1 -> 1 ; relation x*x*x ; field 3 ; maxlen 3 ;",
 }
 
 
@@ -527,6 +531,26 @@ def test_crawl_keys_match_the_linear_scan_crawl(name, bound):
     simples, classes = linear_crawl(cat, bound)
     assert [m.key() for m in simple_modules(cat)] == [m.key() for m in simples]
     assert [m.key() for m in enumerate_modules(cat, bound)] == [m.key() for m in classes]
+
+
+CENSUS_CASES = ([(f"{n}({p})", 3 if p == 3 and n in ("a2", "a2cat") else 4)
+                 for p in (2, 3) for n in CATALOG_NAMES]
+                + [("a4", 4), ("kronecker3", 4), ("star", 3), ("kx3", 4)])
+
+
+@pytest.mark.parametrize("name, bound", CENSUS_CASES)
+def test_census_pairs_match_the_simple_submodule_reference(name, bound):
+    # the crawl's pairs against the pairs read off every simple submodule S
+    # of every class M, by the class lookups of S and M/S
+    cat = quiver_or_catalog(name)
+    census = ModuleCensus(cat, bound)
+    _, classes = linear_crawl(cat, bound)
+    assert [m.key() for m in census.classes] == [m.key() for m in classes]
+    find = census.index.find
+    reference = [{(find(submodule_module(s)[0]), find(quotient_module(m, s)[0])) for s in simple_submodules(m)}
+                 for m in census.classes]
+    assert census.sub_quot == reference
+    assert census.classes[census.zero_index].total_dim() == 0
 
 
 def test_iso_classes_keep_no_miss_across_an_add():
