@@ -14,6 +14,10 @@ A relation polynomial is ``c1*w1 + c2*w2 + ...`` where each word is a
 first traverse a, then b), and an integer coefficient is optional.  All words
 of one relation must share the same endpoints.
 
+``parse_quiver_dsl`` is the one validator: every refusal is a
+``QuiverSyntaxError`` at the offending token, and a spec it returns is well
+formed, with each relation's endpoints recorded.
+
 ``path_category`` interprets a spec as the category with hom spaces spanned
 by paths of length <= maxlen, modulo the two-sided ideal generated by the
 relations together with every longer path.  There is no completion to a
@@ -23,7 +27,7 @@ Groebner basis: the truncation bound is explicit and part of the input.
 from __future__ import annotations
 
 from .category import FinCat
-from .linalg import Subspace, check_prime, check_vector_cap
+from .linalg import Subspace, check_prime, check_vector_cap, complement_data
 
 
 class QuiverSyntaxError(ValueError):
@@ -34,38 +38,14 @@ class QuiverSyntaxError(ValueError):
 
 
 class QuiverSpec:
+    """A parsed presentation; ``parse_quiver_dsl`` has checked all of it."""
+
     def __init__(self, vertices, arrows, relations, p, maxlen):
         self.vertices = tuple(vertices)
         self.arrows = dict(arrows)  # name -> (source, target)
-        self.relations = [tuple(rel) for rel in relations]  # [(coeff, word tuple), ...]
+        self.relations = list(relations)  # [((x, y), ((coeff, word tuple), ...)), ...]
         self.p = p
         self.maxlen = maxlen
-        check_prime(p)
-        if maxlen < 0:
-            raise ValueError("maxlen must be non-negative")
-        for name, (s, t) in self.arrows.items():
-            if s not in self.vertices or t not in self.vertices:
-                raise ValueError(f"arrow {name} uses an undeclared vertex")
-        for rel in self.relations:
-            self._relation_endpoints(rel)
-
-    def word_endpoints(self, word):
-        if not word:
-            raise ValueError("empty word in relation")
-        src = self.arrows[word[0]][0]
-        at = src
-        for name in word:
-            s, t = self.arrows[name]
-            if s != at:
-                raise ValueError(f"word {'*'.join(word)} is not composable at {name}")
-            at = t
-        return src, at
-
-    def _relation_endpoints(self, rel):
-        ends = {self.word_endpoints(w) for _, w in rel}
-        if len(ends) != 1:
-            raise ValueError("relation terms have mismatched endpoints")
-        return ends.pop()
 
 
 _TOKENS = ("vertices", "arrow", "relation", "field", "maxlen")
@@ -114,6 +94,16 @@ def _tokenize(text):
     return tokens
 
 
+def _number(tok, line, col, what):
+    """A decimal literal: str.isdecimal, since isdigit also passes '²', which int() refuses."""
+    if not tok.isdecimal():
+        raise QuiverSyntaxError(f"{what}, found {tok!r}", line, col)
+    try:
+        return int(tok)
+    except ValueError as e:  # more digits than int() converts
+        raise QuiverSyntaxError(str(e), line, col) from None
+
+
 def parse_quiver_dsl(text: str) -> QuiverSpec:
     tokens = _tokenize(text)
     pos = 0
@@ -134,7 +124,7 @@ def parse_quiver_dsl(text: str) -> QuiverSpec:
 
     vertices = []
     arrows = {}
-    raw_relations = []  # (terms, line, col) resolved after all arrows are known
+    raw_relations = []  # ((x, y), [(coeff, word), ...]), reduced mod p at the end
     p = None
     maxlen = None
 
@@ -145,6 +135,8 @@ def parse_quiver_dsl(text: str) -> QuiverSpec:
                 v, vl, vc = take()
                 if v in _TOKENS or v in (":", "+", "*", "->"):
                     raise QuiverSyntaxError(f"bad vertex id {v!r}", vl, vc)
+                if v in vertices:
+                    raise QuiverSyntaxError(f"duplicate vertex {v!r}", vl, vc)
                 vertices.append(v)
             take(";")
         elif tok == "arrow":
@@ -163,6 +155,7 @@ def parse_quiver_dsl(text: str) -> QuiverSpec:
             arrows[name] = (src, tgt)
         elif tok == "relation":
             terms = []
+            ends = set()
             while True:
                 factors = []
                 while True:
@@ -172,46 +165,42 @@ def parse_quiver_dsl(text: str) -> QuiverSpec:
                         break
                     take("*")
                 coeff = 1
-                if factors[0][0].isdigit() and (len(factors) > 1 or factors[0][0] not in arrows):
-                    coeff = int(factors[0][0])
+                if factors[0][0].isdecimal() and (len(factors) > 1 or factors[0][0] not in arrows):
+                    coeff = _number(*factors[0], "a coefficient")
                     factors = factors[1:]
                 if not factors:
                     raise QuiverSyntaxError("relation term has no arrows", fl, fc)
-                word = []
+                word = tuple(f for f, _, _ in factors)
+                at = None
                 for f, fl, fc in factors:
                     if f not in arrows:
                         raise QuiverSyntaxError(f"undeclared arrow {f!r}", fl, fc)
-                    word.append(f)
-                at = arrows[word[0]][0]
-                for f in word:
                     s, t = arrows[f]
-                    if s != at:
-                        raise QuiverSyntaxError(
-                            f"word {'*'.join(word)} is not composable at {f!r}", fl, fc
-                        )
+                    if at is not None and s != at:
+                        raise QuiverSyntaxError(f"word {'*'.join(word)} is not composable at {f!r}", fl, fc)
                     at = t
-                terms.append((coeff, tuple(word), arrows[word[0]][0], at))
+                terms.append((coeff, word))
+                ends.add((arrows[word[0]][0], at))
                 if peek()[0] == "+":
                     take("+")
                     continue
                 break
             take(";")
-            ends = {(s, t) for _, _, s, t in terms}
             if len(ends) != 1:
                 raise QuiverSyntaxError("relation terms have mismatched endpoints", line, col)
-            raw_relations.append((terms, line, col))
+            raw_relations.append((ends.pop(), terms))
         elif tok == "field":
             v, vl, vc = take()
             take(";")
-            if not v.isdigit():
-                raise QuiverSyntaxError(f"field wants a prime, found {v!r}", vl, vc)
-            p = int(v)
+            p = _number(v, vl, vc, "field wants a prime")
+            try:
+                check_prime(p)
+            except ValueError as e:
+                raise QuiverSyntaxError(str(e), vl, vc) from None
         elif tok == "maxlen":
             v, vl, vc = take()
             take(";")
-            if not v.isdigit():
-                raise QuiverSyntaxError(f"maxlen wants a number, found {v!r}", vl, vc)
-            maxlen = int(v)
+            maxlen = _number(v, vl, vc, "maxlen wants a number")
         else:
             raise QuiverSyntaxError(f"unknown statement {tok!r}", line, col)
 
@@ -220,12 +209,8 @@ def parse_quiver_dsl(text: str) -> QuiverSpec:
     if maxlen is None:
         raise QuiverSyntaxError("missing 'maxlen n;' statement", 1, 1)
 
-    relations = [[(c % p, w) for c, w, _, _ in terms] for terms, _, _ in raw_relations]
-
-    try:
-        return QuiverSpec(vertices, arrows, relations, p, maxlen)
-    except ValueError as e:
-        raise QuiverSyntaxError(str(e), 1, 1)
+    relations = [(ends, tuple((c % p, w) for c, w in terms)) for ends, terms in raw_relations]
+    return QuiverSpec(vertices, arrows, relations, p, maxlen)
 
 
 def _enumerate_paths(spec: QuiverSpec):
@@ -264,8 +249,7 @@ def _padded_relations(spec: QuiverSpec, paths):
     vector, so it is skipped; paths are listed by length, so each loop stops
     at its first such path.
     """
-    for rel in spec.relations:
-        x, y = spec.word_endpoints(rel[0][1])
+    for (x, y), rel in spec.relations:
         room = spec.maxlen - min(len(w) for _, w in rel)
         for c_src in spec.vertices:
             for left in paths[(c_src, x)]:
@@ -283,63 +267,44 @@ def path_category(spec: QuiverSpec) -> FinCat:
 
     Objects are the vertices; A(a, b) is the span of paths a -> b of length
     at most maxlen, modulo the subspace cut out by the relations (padded on
-    both sides by arbitrary paths, with overlong terms dropped).
+    both sides by arbitrary paths, with overlong terms dropped).  The basis of
+    A(a, b) is the paths where the lift of ``complement_data`` has its units,
+    and a path's coordinates are its column of the projection.
     """
     paths = _enumerate_paths(spec)
-    index = {}
-    for pair, plist in paths.items():
-        index[pair] = {w: i for i, w in enumerate(plist)}
-
+    index = {pair: {w: i for i, w in enumerate(plist)} for pair, plist in paths.items()}
     p = spec.p
-
-    def truncated_vector(pair, terms):
-        """Indicator combination of paths, dropping words longer than maxlen."""
-        vec = [0] * len(paths[pair])
-        for coeff, word in terms:
-            if len(word) <= spec.maxlen:
-                vec[index[pair][word]] = (vec[index[pair][word]] + coeff) % p
-        return vec
 
     rel_vectors = {pair: [] for pair in paths}
     for pair, terms in _padded_relations(spec, paths):
-        vec = truncated_vector(pair, terms)
+        vec = [0] * len(paths[pair])
+        for coeff, word in terms:
+            if len(word) <= spec.maxlen:
+                j = index[pair][word]
+                vec[j] = (vec[j] + coeff) % p
         if any(vec):
             rel_vectors[pair].append(vec)
 
-    rel_space = {}
     proj = {}
     basis_paths = {}
     for pair, plist in paths.items():
-        amb = len(plist)
-        s = Subspace.from_vectors(p, amb, rel_vectors[pair])
-        rel_space[pair] = s
-        pivots = [next(j for j, x in enumerate(row) if x != 0) for row in s.mat.entries]
-        nonpiv = [j for j in range(amb) if j not in pivots]
-        basis_paths[pair] = [plist[j] for j in nonpiv]
-
-        def project(vec, s=s, nonpiv=tuple(nonpiv)):
-            r = s.reduce(tuple(vec))
-            return tuple(r[j] for j in nonpiv)
-
-        proj[pair] = project
+        proj[pair], lift = complement_data(Subspace.from_vectors(p, len(plist), rel_vectors[pair]))
+        basis_paths[pair] = [w for w, row in zip(plist, lift.entries) if 1 in row]
 
     hom = {pair: len(bp) for pair, bp in basis_paths.items()}
     vs = spec.vertices
     largest = max((hom[(a, b)] * hom[(b, c)] * hom[(a, c)] for a in vs for b in vs for c in vs), default=0)
     check_vector_cap(largest, "path_category: entries of the largest composition table")
     comp = {}
-    for a in spec.vertices:
-        for b in spec.vertices:
-            for c in spec.vertices:
-                da, db, dc = hom[(a, b)], hom[(b, c)], hom[(a, c)]
-                if da == 0 or db == 0 or dc == 0:
+    for a in vs:
+        for b in vs:
+            for c in vs:
+                if hom[(a, b)] == 0 or hom[(b, c)] == 0 or hom[(a, c)] == 0:
                     continue
-                table = []
-                for w1 in basis_paths[(a, b)]:
-                    row = []
-                    for w2 in basis_paths[(b, c)]:
-                        row.append(proj[(a, c)](truncated_vector((a, c), [(1, w1 + w2)])))
-                    table.append(tuple(row))
-                comp[(a, b, c)] = tuple(table)
-    ids = {v: proj[(v, v)](truncated_vector((v, v), [(1, ())])) for v in spec.vertices}
-    return FinCat(p, spec.vertices, hom, comp, ids, name="path-category")
+                pr, at, zero = proj[(a, c)], index[(a, c)], (0,) * hom[(a, c)]
+                comp[(a, b, c)] = tuple(
+                    tuple(pr.col(at[w1 + w2]) if w1 + w2 in at else zero for w2 in basis_paths[(b, c)])
+                    for w1 in basis_paths[(a, b)]
+                )
+    ids = {v: proj[(v, v)].col(index[(v, v)][()]) for v in vs}
+    return FinCat(p, vs, hom, comp, ids, name="path-category")

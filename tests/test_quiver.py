@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from ringoid import quiver
 from ringoid.category import cat_hash, cats_equal, catalog, validate
+from ringoid.linalg import CapExceeded
 from ringoid.quiver import (
     QuiverSyntaxError,
     parse_quiver_dsl,
@@ -87,6 +90,53 @@ def test_mismatched_relation_endpoints_is_an_error():
         parse_quiver_dsl(text)
 
 
+def refusal(text):
+    """(message, line, column) of the parser's refusal of text."""
+    with pytest.raises(QuiverSyntaxError) as exc:
+        parse_quiver_dsl(text)
+    return str(exc.value).split(": ", 1)[1], exc.value.line, exc.value.col
+
+
+def test_field_zero_is_refused_at_its_token():
+    # the relation's coefficients are reduced mod p only after p is checked
+    text = "vertices 1 ; arrow a: 1 -> 1 ; relation a ; field 0 ; maxlen 1 ;"
+    assert refusal(text) == ("modulus 0 is not prime", 1, text.index(" 0 ") + 2)
+
+
+def test_composite_field_is_refused_at_its_value():
+    assert refusal("vertices 1 ;\n  field 4 ; maxlen 1 ;") == ("modulus 4 is not prime", 2, 9)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("field ² ; maxlen 1 ;", "field wants a prime, found '²'"),
+    ("field 2 ; maxlen ² ;", "maxlen wants a number, found '²'"),
+    ("vertices 1 ; arrow a: 1 -> 1 ; relation ²*a ; field 2 ; maxlen 1 ;", "undeclared arrow '²'"),
+])
+def test_non_ascii_digits_are_refused_at_their_token(text, message):
+    # '²' passes str.isdigit, and int('²') raises a bare ValueError
+    assert refusal(text) == (message, 1, text.index("²") + 1)
+
+
+def test_repeated_vertex_is_refused_at_its_second_token():
+    assert refusal("vertices 1 1 ; field 2 ; maxlen 1 ;") == ("duplicate vertex '1'", 1, 12)
+
+
+def test_noncomposable_word_is_refused_at_the_factor_that_breaks_it():
+    text = "vertices 1 2 ; arrow a: 1 -> 2 ; arrow b: 2 -> 1 ; relation a*a*b ; field 2 ; maxlen 3 ;"
+    assert refusal(text) == ("word a*a*b is not composable at 'a'", 1, text.index("a*a*b") + 3)
+
+
+def test_overlong_number_parses_or_is_refused_at_its_token():
+    # int() refuses more digits than sys.get_int_max_str_digits (4300 by default)
+    text = "field 2 ; maxlen " + "9" * 5000 + " ;"
+    try:
+        spec = parse_quiver_dsl(text)
+    except QuiverSyntaxError as e:
+        assert (e.line, e.col) == (1, 18)
+    else:
+        assert spec.maxlen == 10 ** 5000 - 1
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(QuiverSyntaxError) as exc:
         parse_quiver_dsl("vertices 1 ;\narrow ?: 1 -> 1 ; field 2 ; maxlen 1 ;")
@@ -162,7 +212,7 @@ def test_parser_total_on_arbitrary_text():
     # the parser either returns a spec or raises its own syntax error
     from hypothesis import given, settings, strategies as st
 
-    alphabet = "vertices arrow relation field maxlen 12ab;:->*+\n "
+    alphabet = "vertices arrow relation field maxlen 012²ab;:->*+\n "
 
     @settings(max_examples=200, derandomize=True)
     @given(st.text(alphabet=alphabet, max_size=60))
@@ -208,8 +258,7 @@ RELATION_QUIVERS = [SQUARE_ZERO, CUBE_ZERO, COEFFICIENT, KILL_IDENTITY] + [
 
 def full_padding(spec, paths):
     """Every relation padded on both sides by every pair of paths."""
-    for rel in spec.relations:
-        x, y = spec.word_endpoints(rel[0][1])
+    for (x, y), rel in spec.relations:
         for c_src in spec.vertices:
             for left in paths[(c_src, x)]:
                 for d_tgt in spec.vertices:
@@ -233,3 +282,71 @@ def test_padding_lists_only_pairs_within_maxlen():
     spec = parse_quiver_dsl(TWO_LOOPS.format("a*b", 2, 10))
     paths = quiver._enumerate_paths(spec)
     assert sum(1 for _ in quiver._padded_relations(spec, paths)) == sum((k + 1) * 2 ** k for k in range(9))
+
+
+A4 = ("vertices 1 2 3 4 ; arrow a: 1 -> 2 ; arrow b: 2 -> 3 ; arrow c: 3 -> 4 ;"
+      " relation a*b ; relation b*c ; field 2 ; maxlen 3 ;")
+# the commutative square a*b = c*d over F_3
+SQUARE = ("vertices 1 2 3 4 ; arrow a: 1 -> 2 ; arrow b: 2 -> 4 ; arrow c: 1 -> 3 ; arrow d: 3 -> 4 ;"
+          " relation a*b + 2*c*d ; field 3 ; maxlen 2 ;")
+# cat_hash of each path category, so that a change in how the quotient is
+# read off shows here
+PINNED_HASHES = dict(zip(RELATION_QUIVERS, [
+    "2bb46335571118b1", "9074019a90f39570", "747fc5c0f063f0e6", "2e1f40fbcae8a4aa",
+    "8e54df6bece664be", "988c24f6cd33f17c", "795f5951b1bddd67", "cb8b2de506c5c92b", "a933cf34c6a8bf30",
+    "f8619c1be37566d4", "747fc5c0f063f0e6", "1067a977869d4a7a", "2519d24da55fa0f4", "898fa36afcb90173",
+    "bc7efe1b443cebb1", "fe73158442d34faf",
+]))
+PINNED_HASHES[A4] = "57977d87842415bf"
+PINNED_HASHES[SQUARE] = "332fb57a42bfbbe7"
+
+
+@pytest.mark.parametrize("text", list(PINNED_HASHES))
+def test_path_category_hash_is_pinned(monkeypatch, text):
+    monkeypatch.setenv("RINGOID_CAP_VECTORS", str(28 ** 3))
+    assert cat_hash(path_category(parse_quiver_dsl(text))) == PINNED_HASHES[text]
+
+
+FUZZ_BASE = ("vertices 1 2 3 ; arrow a : 1 -> 2 ; arrow b : 2 -> 3 ; arrow c : 1 -> 3 ; arrow x : 2 -> 2 ;"
+             " relation a * b + 2 * c ; relation x * x ; field 3 ; maxlen 2 ;")
+
+
+def test_mutated_presentations_parse_or_refuse():
+    # mutants that replace, insert or delete a token, or delete, repeat or
+    # swap a statement: each parses or raises QuiverSyntaxError, and each
+    # spec builds or refuses by cap; no other exception gets through
+    rng = random.Random(24)
+    base = [s.split() + [";"] for s in FUZZ_BASE.split(";")[:-1]]
+    pool = sorted({t for s in base for t in s}) + ["0", "4", "7", "²", "٣", "-", "#", "9" * 12, "y"]
+    built = refused = 0
+    for _ in range(20000):
+        stmts = [list(s) for s in base]
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(len(stmts))
+            s = stmts[i]
+            j = rng.randrange(len(s))
+            op = rng.randrange(6)
+            if op == 0:
+                s[j] = rng.choice(pool)
+            elif op == 1:
+                s.insert(j, rng.choice(pool))
+            elif op == 2:
+                del s[j]
+            elif op == 3:
+                del stmts[i]
+            elif op == 4:
+                stmts.insert(i, list(s))
+            else:
+                k = rng.randrange(len(stmts))
+                stmts[i], stmts[k] = stmts[k], stmts[i]
+        try:
+            spec = parse_quiver_dsl(" ".join(t for s in stmts for t in s))
+        except QuiverSyntaxError:
+            refused += 1
+            continue
+        try:
+            path_category(spec)
+        except CapExceeded:
+            pass
+        built += 1
+    assert built > 2000 and refused > 10000
