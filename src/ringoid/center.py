@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .category import FinCat, Morphism, derived
 from .ideals import Ideal, enumerate_ideals
-from .linalg import Mat, check_vector_cap, kernel_basis, matrix_kernel, packed_idempotents, subspace_intersect
+from .linalg import Mat, check_vector_cap, kernel_basis, matrix_kernel, packed_idempotents
 
 
 class CenterElement:
@@ -149,15 +149,7 @@ def summand_bijection_check(cat: FinCat) -> dict:
     summands = []
     complements = {}
     for i in ideals:
-        comps = [
-            j
-            for j in ideals
-            if all(
-                i.spaces[pair].dim + j.spaces[pair].dim == cat.hom_dim[pair]
-                and subspace_intersect(i.spaces[pair], j.spaces[pair]).dim == 0
-                for pair in i.spaces
-            )
-        ]
+        comps = [j for j in ideals if i.sum(j).is_full() and i.intersect(j).is_zero()]
         if comps:
             summands.append(i)
             complements[i.key()] = comps

@@ -22,7 +22,6 @@ from .completion import (CLOSURE_OBJECTS, ENVELOPE_OBJECTS, additive_closure, fi
 from .ideals import (
     enumerate_ideals,
     enumerate_idempotent_ideals,
-    ideal_sum,
     is_idempotent,
     is_trace_of_projectives,
     principal_ideals,
@@ -349,12 +348,12 @@ def lattice_verdict(cat: FinCat, ideals, required=()) -> str:
         and all(i.validate() == [] for i in ideals)
         and {zero_ideal(cat).key(), unit_ideal(cat).key()} <= keys
         and all(i.key() in keys for i in required)
-        and all(ideal_sum(i, j).key() in keys for n, i in enumerate(ideals) for j in ideals[n + 1:])
+        and all(i.sum(j).key() in keys for n, i in enumerate(ideals) for j in ideals[n + 1:])
     )
     return "pass" if ok else "fail"
 
 
-def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
+def cmd_census(cat, args, report):
     """One aggregated classification census for a category."""
     ideals = enumerate_ideals(cat)
     idem = [i for i in ideals if is_idempotent(i)]
@@ -370,14 +369,14 @@ def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
         "pass" if all(roundtrips) else "fail",
         {"count": len(topos)},
     )
-    n_fps, verdict = torsion_fingerprints(cat, topos, dim)
+    n_fps, verdict = torsion_fingerprints(cat, topos, args.dim)
     report.add(
         "torsion-fingerprints",
         "census:topologies-vs-hereditary-classes",
         verdict,
         {"count": n_fps},
     )
-    jrep = jans_roundtrip(cat, dim)
+    jrep = jans_roundtrip(cat, args.dim)
     # every Serre class is the TTF class of A.e.A here, so Gabriel's
     # bijection restricts onto Jans's: as many idempotent ideals as topologies
     report.add(
@@ -386,7 +385,7 @@ def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
         "pass" if jrep["pass"] and jrep["idempotent_ideals"] == len(topos) else "fail",
         {"count": jrep["idempotent_ideals"]},
     )
-    split_flags, _, verdict = split_check(cat, idem, dim)
+    split_flags, _, verdict = split_check(cat, idem, args.dim)
     report.add(
         "split-ttf-count",
         "bijection:central-idempotents-split-ttf",
@@ -396,7 +395,7 @@ def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
     shadows_pass = True
     witnessed = 0
     for ideal in idem:
-        rep = recollement_check(cat, ideal, bound, dim)
+        rep = recollement_check(cat, ideal, args.bound, args.dim)
         if rep is None:
             continue
         witnessed += 1
@@ -408,10 +407,6 @@ def report_census(cat: FinCat, dim: int, bound: int, report: Report) -> Report:
         {"witnessed_ideals": witnessed},
     )
     return report
-
-
-def cmd_census(cat, args, report):
-    return report_census(cat, args.dim, args.bound, report)
 
 
 COMMANDS = {

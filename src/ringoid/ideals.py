@@ -3,64 +3,33 @@
 An ideal assigns a subspace of A(a, b) to every ordered pair, closed under
 composition with arbitrary morphisms on both sides.  Enumeration rests on the
 fact that every ideal is a sum of principal ideals of its elements, so the
-sum-closure of the finitely many principal ideals is the whole ideal lattice.
+joins of the zero ideal with principal ideals are the whole ideal lattice.
 """
 
 from __future__ import annotations
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
 from .completion import additive_closure
-from .linalg import Subspace, check_vector_cap, complement_data, subspace_sum, vector_cap
-from .modules import FinModule, join_closure, module_times_ideal, quotient_module, representable, restrict_along, trace
+from .linalg import Subspace, SubspaceFamily, check_vector_cap, complement_data, vector_cap
+from .modules import FinModule, module_times_ideal, quotient_module, quotient_point_walk, representable, restrict_along, trace
 
 
-class Ideal:
+class Ideal(SubspaceFamily):
     """spaces[(a, b)]: a canonical subspace of the coordinates of A(a, b)."""
 
     def __init__(self, cat: FinCat, spaces):
         self.cat = cat
-        self.spaces = {}
-        for a in cat.objects:
-            for b in cat.objects:
-                s = spaces.get((a, b))
-                if s is None:
-                    s = Subspace.zero(cat.p, cat.hom_dim[(a, b)])
-                if s.ambient != cat.hom_dim[(a, b)]:
-                    raise ValueError(f"ambient mismatch at {(a, b)}")
-                self.spaces[(a, b)] = s
-
-    def key(self):
-        return tuple(self.spaces[(a, b)].key() for a in self.cat.objects for b in self.cat.objects)
-
-    def __eq__(self, other):
-        return isinstance(other, Ideal) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+        super().__init__(cat.p, cat.hom_dim, spaces)
 
     def __repr__(self):
         dims = {pair: s.dim for pair, s in self.spaces.items() if s.dim}
         return f"Ideal(dims={dims or 0})"
 
-    def total_dim(self) -> int:
-        return sum(s.dim for s in self.spaces.values())
-
     def contains_morphism(self, f: Morphism) -> bool:
         return self.spaces[(f.src, f.tgt)].contains(f.coords)
 
-    def contains(self, other: "Ideal") -> bool:
-        return all(
-            self.spaces[pair].contains_subspace(other.spaces[pair]) for pair in self.spaces
-        )
-
     def morphism_basis(self, a: str, b: str):
         return [Morphism(a, b, v) for v in self.spaces[(a, b)].basis_vectors()]
-
-    def is_full(self) -> bool:
-        return all(s.dim == s.ambient for s in self.spaces.values())
-
-    def is_zero(self) -> bool:
-        return all(s.dim == 0 for s in self.spaces.values())
 
     def validate(self) -> list:
         """Two-sided closure on basis elements; violations reported, not raised."""
@@ -87,13 +56,6 @@ def unit_ideal(cat: FinCat) -> Ideal:
     return Ideal(
         cat,
         {(a, b): Subspace.full(cat.p, cat.hom_dim[(a, b)]) for a in cat.objects for b in cat.objects},
-    )
-
-
-def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
-    return Ideal(
-        i.cat,
-        {pair: subspace_sum(i.spaces[pair], j.spaces[pair]) for pair in i.spaces},
     )
 
 
@@ -136,10 +98,16 @@ def is_idempotent(i: Ideal) -> bool:
     return product(i, i) == i
 
 
+def _check_morphism_scan(cat: FinCat) -> None:
+    """The one cap on the principal-ideal scans: their generators are the
+    nonzero morphisms."""
+    check_vector_cap(sum(cat.p ** d - 1 for d in cat.hom_dim.values()), "principal_ideals: nonzero morphisms")
+
+
 def principal_ideals(cat: FinCat) -> list:
     """The distinct principal ideals of the nonzero morphisms, in key order:
     every ideal is a sum of these."""
-    check_vector_cap(sum(cat.p ** d - 1 for d in cat.hom_dim.values()), "principal_ideals: nonzero morphisms")
+    _check_morphism_scan(cat)
     principals = {}
     for a in cat.objects:
         for b in cat.objects:
@@ -152,10 +120,11 @@ def principal_ideals(cat: FinCat) -> list:
 
 
 def enumerate_ideals(cat: FinCat) -> list:
-    """Every two-sided ideal: sum-closure of the principal ideals."""
-    gens = principal_ideals(cat)
-    found = join_closure(zero_ideal(cat), lambda _: gens, ideal_sum, Ideal.key)
-    return sorted(found, key=lambda i: (i.total_dim(), i.key()))
+    """Every two-sided ideal, by `quotient_point_walk` from the zero ideal
+    with the principal ideals (r) of one morphism r per point of each
+    A(a, b) / I(a, b)."""
+    _check_morphism_scan(cat)
+    return quotient_point_walk(zero_ideal(cat), lambda pair, r: principal(cat, Morphism(*pair, r)))
 
 
 def enumerate_idempotent_ideals(cat: FinCat) -> list:
@@ -266,14 +235,14 @@ def _trace_witness(cat: FinCat, ideal: Ideal, bound: int):
     candidates = [(eps, j) for eps, j in scan if ideal.contains(j)]
     total = zero_ideal(cat)
     for _, j in candidates:
-        total = ideal_sum(total, j)
+        total = total.sum(j)
     if total != ideal:
         return None
     witness = []
     acc = zero_ideal(cat)
     for eps, j in candidates:
         if not acc.contains(j):
-            acc = ideal_sum(acc, j)
+            acc = acc.sum(j)
             witness.append(eps)
         if acc == ideal:
             break

@@ -471,6 +471,57 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     return Subspace.from_vectors(u.p, n, inter)
 
 
+class SubspaceFamily:
+    """One canonical Subspace per key of `ambient` (key -> dimension), in
+    that dict's order; a missing key is the zero subspace.  The base of
+    `modules.Submodule` (keys the objects) and `ideals.Ideal` (keys the
+    pairs, objects x objects): their lattice operations, written once."""
+
+    def __init__(self, p: int, ambient: dict, spaces):
+        self.spaces = {}
+        for k, n in ambient.items():
+            s = spaces.get(k)
+            if s is None:
+                s = Subspace.zero(p, n)
+            elif s.ambient != n:
+                raise ValueError(f"ambient mismatch at {k}")
+            self.spaces[k] = s
+
+    def _with(self, spaces) -> "SubspaceFamily":
+        """A family of this type and owner with the given spaces, which hold
+        every key at its ambient, so the constructor's checks are skipped."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, spaces=spaces)
+        return new
+
+    def key(self):
+        return tuple(s.key() for s in self.spaces.values())
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def total_dim(self) -> int:
+        return sum(s.dim for s in self.spaces.values())
+
+    def contains(self, other: "SubspaceFamily") -> bool:
+        return all(s.contains_subspace(other.spaces[k]) for k, s in self.spaces.items())
+
+    def sum(self, other: "SubspaceFamily") -> "SubspaceFamily":
+        return self._with({k: subspace_sum(s, other.spaces[k]) for k, s in self.spaces.items()})
+
+    def intersect(self, other: "SubspaceFamily") -> "SubspaceFamily":
+        return self._with({k: subspace_intersect(s, other.spaces[k]) for k, s in self.spaces.items()})
+
+    def is_full(self) -> bool:
+        return all(s.dim == s.ambient for s in self.spaces.values())
+
+    def is_zero(self) -> bool:
+        return all(s.dim == 0 for s in self.spaces.values())
+
+
 def kernel_basis(m: Mat) -> Subspace:
     """The right kernel {v : m v = 0}, a subspace of F_p^cols."""
     rows, pivots = rref_rows(m.p, [list(r) for r in m.entries], m.cols)

@@ -16,13 +16,13 @@ from .category import FinCat, Morphism, derived
 from .linalg import (
     Mat,
     Subspace,
+    SubspaceFamily,
     check_vector_cap,
     complement_data,
     image_basis,
     kernel_basis,
     matrix_kernel,
     matrix_kernel_dim,
-    subspace_intersect,
     subspace_sum,
 )
 
@@ -206,31 +206,12 @@ def hom_dim(m: FinModule, n: FinModule) -> int:
     return matrix_kernel_dim(m.p, *_naturality_system(m, n))
 
 
-class Submodule:
+class Submodule(SubspaceFamily):
     """A subspace of M(a) for every a, closed under all actions."""
 
     def __init__(self, module: FinModule, spaces):
         self.module = module
-        self.spaces = {}
-        for a in module.cat.objects:
-            s = spaces.get(a)
-            if s is None:
-                s = Subspace.zero(module.p, module.dims[a])
-            if s.ambient != module.dims[a]:
-                raise ValueError(f"ambient mismatch at {a}")
-            self.spaces[a] = s
-
-    def total_dim(self) -> int:
-        return sum(s.dim for s in self.spaces.values())
-
-    def key(self):
-        return tuple(self.spaces[a].key() for a in self.module.cat.objects)
-
-    def __eq__(self, other):
-        return isinstance(other, Submodule) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+        super().__init__(module.p, module.dims, spaces)
 
     def is_closed(self) -> bool:
         m = self.module
@@ -239,23 +220,6 @@ class Submodule:
                 if not self.spaces[a].contains(mat.apply(v)):
                     return False
         return True
-
-    def contains(self, other: "Submodule") -> bool:
-        return all(self.spaces[a].contains_subspace(other.spaces[a]) for a in self.spaces)
-
-    def sum(self, other: "Submodule") -> "Submodule":
-        return Submodule(self.module,
-                         {a: subspace_sum(self.spaces[a], other.spaces[a]) for a in self.spaces})
-
-    def intersect(self, other: "Submodule") -> "Submodule":
-        return Submodule(self.module,
-                         {a: subspace_intersect(self.spaces[a], other.spaces[a]) for a in self.spaces})
-
-    def is_full(self) -> bool:
-        return all(s.dim == s.ambient for s in self.spaces.values())
-
-    def is_zero(self) -> bool:
-        return all(s.dim == 0 for s in self.spaces.values())
 
     def __repr__(self):
         return f"Submodule(dims={ {a: s.dim for a, s in self.spaces.items()} })"
@@ -330,28 +294,37 @@ def _check_submodule_scan(m: FinModule) -> None:
 
 
 def all_submodules(m: FinModule) -> list:
-    """Every submodule, by a breadth-first walk from the zero submodule that
-    joins each submodule X found with A.r for one canonical r per point of
-    M(a)/X(a), at every object a (`Subspace.quotient_points`).
-
-    Complete because a submodule is the sum of the cyclic submodules Av of
-    its elements, so the joins of 0 with cyclic submodules reach every one;
-    and for each X the joins X + Av that leave X are all among the X + A.r:
-    X + Av = X + A.reduce(v), since A.x <= X for x in X(a), and
-    A.(cv) = Av for c != 0.  Each A.r is built once per call.  Output is
-    deduplicated and sorted by (total dim, canonical key).
-    """
+    """Every submodule, by `quotient_point_walk` from the zero submodule
+    with the cyclic submodules A.r."""
     _check_submodule_scan(m)
-    cyclic = {}
+    return quotient_point_walk(zero_submodule(m), lambda a, r: cyclic_submodule(m, a, r))
+
+
+def quotient_point_walk(bottom: SubspaceFamily, cyclic) -> list:
+    """Every family of a lattice whose members are the joins of bottom with
+    cyclic families (submodules with the cyclic submodules A.r, ideals with
+    the principal ideals (r)), by a breadth-first walk from bottom that joins
+    each family X found with cyclic(k, r) for one canonical r per point of
+    X's quotient at every key k (`Subspace.quotient_points`).
+
+    Complete because every member is a join of cyclic families of its
+    elements, so the joins of bottom with cyclic families reach every one;
+    and for each X the joins X + (v) that leave X are all among the
+    X + (r): X + (v) = X + (reduce v), since (x) <= X for x in X(k), and
+    (cv) = (v) for c != 0.  Each cyclic(k, r) is built once per call.
+    Output is deduplicated and sorted by (total dim, canonical key).
+    """
+    made = {}
 
     def points(x):
-        for a in m.cat.objects:
-            for r in x.spaces[a].quotient_points():
-                if (a, r) not in cyclic:
-                    cyclic[(a, r)] = cyclic_submodule(m, a, r)
-                yield cyclic[(a, r)]
+        for k, s in x.spaces.items():
+            for r in s.quotient_points():
+                if (k, r) not in made:
+                    made[(k, r)] = cyclic(k, r)
+                yield made[(k, r)]
 
-    found = join_closure(zero_submodule(m), points, Submodule.sum, Submodule.key)
+    family = type(bottom)
+    found = join_closure(bottom, points, family.sum, family.key)
     return sorted(found, key=lambda s: (s.total_dim(), s.key()))
 
 

@@ -49,6 +49,7 @@ class QuiverSpec:
 
 
 _TOKENS = ("vertices", "arrow", "relation", "field", "maxlen")
+_PUNCTUATION = (";", ":", "+", "*", "->")
 
 
 def _tokenize(text):
@@ -133,7 +134,7 @@ def parse_quiver_dsl(text: str) -> QuiverSpec:
         if tok == "vertices":
             while peek()[0] != ";":
                 v, vl, vc = take()
-                if v in _TOKENS or v in (":", "+", "*", "->"):
+                if v in _TOKENS or v in _PUNCTUATION:
                     raise QuiverSyntaxError(f"bad vertex id {v!r}", vl, vc)
                 if v in vertices:
                     raise QuiverSyntaxError(f"duplicate vertex {v!r}", vl, vc)
@@ -141,6 +142,9 @@ def parse_quiver_dsl(text: str) -> QuiverSpec:
             take(";")
         elif tok == "arrow":
             name, nl, nc = take()
+            # a decimal name would read as a relation coefficient
+            if name in _TOKENS or name in _PUNCTUATION or name.isdecimal():
+                raise QuiverSyntaxError(f"bad arrow name {name!r}", nl, nc)
             take(":")
             src, sl, sc = take()
             take("->")
@@ -165,7 +169,7 @@ def parse_quiver_dsl(text: str) -> QuiverSpec:
                         break
                     take("*")
                 coeff = 1
-                if factors[0][0].isdecimal() and (len(factors) > 1 or factors[0][0] not in arrows):
+                if factors[0][0].isdecimal():
                     coeff = _number(*factors[0], "a coefficient")
                     factors = factors[1:]
                 if not factors:

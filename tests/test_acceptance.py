@@ -21,7 +21,6 @@ from ringoid.ideals import (
     enumerate_ideals,
     enumerate_idempotent_ideals,
     generated_by,
-    ideal_sum,
     is_idempotent,
     is_trace_of_projectives,
     trace_ideal,
@@ -106,7 +105,7 @@ def test_criterion_3_trace_idempotency():
             for subset in itertools.combinations(idems, size):
                 total = zero_ideal(cat)
                 for eps in subset:
-                    total = ideal_sum(total, singles[eps])
+                    total = total.sum(singles[eps])
                 ok = ok and is_idempotent(total)
     report("3 (traces of projectives are idempotent)", ok, time.time() - t0, 10)
 

@@ -12,10 +12,10 @@ from ringoid.ideals import (
     enumerate_idempotent_ideals,
     extend_to_quotient,
     generated_by,
-    ideal_sum,
     is_idempotent,
     is_trace_of_projectives,
     principal,
+    principal_ideals,
     product,
     quotient_category,
     restrict_along_quotient,
@@ -30,6 +30,7 @@ from ringoid.modules import (
     enumerate_modules,
     gen_witness,
     is_iso,
+    join_closure,
     module_times_ideal,
     quotient_module,
     representable,
@@ -123,6 +124,64 @@ def test_ideal_counts(name, total, idem):
     assert len(enumerate_idempotent_ideals(cat)) == idem
 
 
+def join_closure_ideals(cat):
+    """Reference walk: join every ideal found with every distinct principal
+    ideal, until no new ideal appears."""
+    gens = principal_ideals(cat)
+    found = join_closure(zero_ideal(cat), lambda _: gens, Ideal.sum, Ideal.key)
+    return sorted(found, key=lambda i: (i.total_dim(), i.key()))
+
+
+WALK_QUIVERS = {
+    "a4": A4_DSL,
+    "kronecker3": "vertices 1 2 ; arrow a: 1 -> 2 ; arrow b: 1 -> 2 ; arrow c: 1 -> 2 ; field 2 ; maxlen 1 ;",
+    "star": "vertices 1 2 3 4 ; arrow a: 1 -> 4 ; arrow b: 2 -> 4 ; arrow c: 3 -> 4 ; field 2 ; maxlen 1 ;",
+    # k[x]/(x^3) over F_3
+    "kx3": "vertices 1 ; arrow x: 1 -> 1 ; relation x*x*x ; field 3 ; maxlen 3 ;",
+}
+
+
+@pytest.mark.parametrize("name", [f"{n}({p})" for p in (2, 3, 5) for n in CATALOG_NAMES] + sorted(WALK_QUIVERS))
+def test_quotient_walk_matches_the_join_closure_of_principal_ideals(name):
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    cat = path_category(parse_quiver_dsl(WALK_QUIVERS[name])) if name in WALK_QUIVERS else catalog(name)
+    assert [i.key() for i in enumerate_ideals(cat)] == [i.key() for i in join_closure_ideals(cat)]
+
+
+def counting_generated_by(monkeypatch) -> list:
+    """Patches `ideals.generated_by` to append to the returned list once per call."""
+    from ringoid import ideals
+
+    calls = []
+    real_generated_by = ideals.generated_by
+    monkeypatch.setattr(ideals, "generated_by", lambda c, gens: calls.append(1) or real_generated_by(c, gens))
+    return calls
+
+
+def test_quotient_walk_builds_one_principal_ideal_per_point(monkeypatch):
+    # mat2(3) is simple, so every nonzero morphism generates the unit ideal:
+    # the walk builds one principal ideal per line of F_3^4, 40 of them, and
+    # the principal ideals of the reference one per nonzero morphism, 80
+    cat = catalog("mat2(3)")
+    calls = counting_generated_by(monkeypatch)
+    assert (len(enumerate_ideals(cat)), len(calls)) == (2, 40)
+    calls.clear()
+    assert len(join_closure_ideals(cat)) == 2
+    assert len(calls) == 80
+
+
+@pytest.mark.parametrize("name", ["a2(3)", "a2cat(3)", "prod(3)"])
+def test_quotient_walk_builds_each_principal_ideal_once(name, monkeypatch):
+    # one principal ideal per distinct (pair, point) over the ideals found,
+    # though a point of A(a, b) / I(a, b) recurs under many ideals I
+    cat = catalog(name)
+    calls = counting_generated_by(monkeypatch)
+    found = enumerate_ideals(cat)
+    points = {(pair, r) for i in found for pair, s in i.spaces.items() for r in s.quotient_points()}
+    assert len(calls) == len(points)
+
+
 def test_closure_soundness():
     for name in ["a2cat(2)", "prod(2)", "a2(2)"]:
         cat = catalog(name)
@@ -176,7 +235,7 @@ def test_ideal_arithmetic_laws():
             for j in ideals:
                 for k in ideals:
                     assert product(product(i, j), k) == product(i, product(j, k))
-                    assert product(i, ideal_sum(j, k)) == ideal_sum(product(i, j), product(i, k))
+                    assert product(i, j.sum(k)) == product(i, j).sum(product(i, k))
 
 
 def test_quotient_by_zero_is_same_category():
@@ -486,7 +545,7 @@ def test_witness_for_e1_over_a2cat():
     closure = additive_closure(cat, 2)
     regen = zero_ideal(cat)
     for eps in w:
-        regen = ideal_sum(regen, restrict_closure_ideal(closure, generated_by(closure.cat, [eps])))
+        regen = regen.sum(restrict_closure_ideal(closure, generated_by(closure.cat, [eps])))
     assert regen == ideal
 
 

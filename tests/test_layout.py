@@ -12,7 +12,8 @@ other module composes through `FinCat`.  (e) Only `IsoClasses` calls
 through `modules.py`, except the traced `completion.induce_module`.
 (f) Every method of a top-level class is named outside its own definition.
 (g) Only the recollement shadow builds the simple-kernel sequences; the
-module census reads its pairs from its own crawl.
+module census reads its pairs from its own crawl.  (h) `Submodule` and
+`Ideal` define none of the lattice operations of `linalg.SubspaceFamily`.
 """
 
 import ast
@@ -174,3 +175,18 @@ def test_every_method_is_named_outside_its_definition():
                     and everywhere[method.name] == name_counts(method)[method.name]):
                 unnamed.append(f"{mod}.{cls.name}.{method.name}")
     assert not unnamed, f"no reader: {unnamed}"
+
+
+
+SHARED_FAMILY_METHODS = {"key", "__eq__", "__hash__", "total_dim", "contains", "sum", "intersect", "is_full", "is_zero"}
+
+
+def methods(mod: str, cls: str) -> set:
+    node = next(n for n in MODULES[mod].body if isinstance(n, ast.ClassDef) and n.name == cls)
+    return {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+
+
+@pytest.mark.parametrize("mod, cls", [("modules", "Submodule"), ("ideals", "Ideal")])
+def test_submodules_and_ideals_share_one_subspace_family(mod, cls):
+    assert methods("linalg", "SubspaceFamily") >= SHARED_FAMILY_METHODS
+    assert not methods(mod, cls) & SHARED_FAMILY_METHODS

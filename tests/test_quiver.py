@@ -126,6 +126,23 @@ def test_noncomposable_word_is_refused_at_the_factor_that_breaks_it():
     assert refusal(text) == ("word a*a*b is not composable at 'a'", 1, text.index("a*a*b") + 3)
 
 
+@pytest.mark.parametrize("text, name", [
+    ("vertices 1 ; arrow *: 1 -> 1 ; relation * ; field 2 ; maxlen 1 ;", "*"),
+    ("vertices 1 ; arrow maxlen: 1 -> 1 ; field 2 ; maxlen 1 ;", "maxlen"),
+    ("vertices 1 ; arrow ->: 1 -> 1 ; field 2 ; maxlen 1 ;", "->"),
+    ("vertices 1 ; arrow ; field 2 ; maxlen 1 ;", ";"),
+    ("vertices 1 ; arrow 2: 1 -> 1 ; relation 2*2 ; field 3 ; maxlen 2 ;", "2"),
+])
+def test_arrow_name_that_is_a_keyword_punctuation_or_a_number_is_refused_at_its_token(text, name):
+    assert refusal(text) == (f"bad arrow name {name!r}", 1, text.index("arrow ") + 7)
+
+
+def test_arrow_name_with_digits_is_a_word():
+    spec = parse_quiver_dsl("vertices 1 ; arrow x2: 1 -> 1 ; relation 2*x2*x2 ; field 3 ; maxlen 2 ;")
+    assert spec.arrows == {"x2": ("1", "1")}
+    assert spec.relations == [(("1", "1"), ((2, ("x2", "x2")),))]
+
+
 def test_overlong_number_parses_or_is_refused_at_its_token():
     # int() refuses more digits than sys.get_int_max_str_digits (4300 by default)
     text = "field 2 ; maxlen " + "9" * 5000 + " ;"
