@@ -230,13 +230,42 @@ def is_trace_of_projectives(cat: FinCat, ideal: Ideal, bound: int = 3):
 
 
 def _trace_witness(cat: FinCat, ideal: Ideal, bound: int):
-    closure = additive_closure(cat, bound)
-    scan = derived(closure.cat, ("idempotent ideals",), lambda: _closure_idempotent_ideals(closure))
-    candidates = [(eps, j) for eps, j in scan if ideal.contains(j)]
-    total = zero_ideal(cat)
-    for _, j in candidates:
-        total = total.sum(j)
-    if total != ideal:
+    """The greedy witness of the shortest closure whose scan suffices.
+
+    Tuple lengths are climbed from 1 to `bound`, and the closure of each
+    length is built only when the shorter ones fall short, so the closure
+    cap is met only at the length the search reaches.  Each level is an
+    exact search by itself.
+
+    The witness is the one the closure at `bound` gives, where that closure
+    is within the cap.  A tuple's
+    endomorphism space does not depend on the closure it sits in, and
+    closure objects come in length order, so the scan at length L is a
+    prefix of the scan at `bound`, and so are its candidates.  The greedy
+    pick, run on the longer list, has summed the whole prefix by its end;
+    once that sum is the ideal it stops inside the prefix, having picked
+    the same idempotents.
+
+    Length 1 is expected to suffice.  By Jans's correspondence an
+    idempotent ideal is the trace of a finitely generated projective; by
+    Krull-Schmidt that is the sum of the traces of its indecomposable
+    summands, and each of them is the image of an idempotent of a
+    representable H_a, that is of an idempotent of A(a, a), whose trace is
+    the ideal it generates (Jans, Pacific J. Math. 15, 1965; Auslander,
+    Reiten and Smalø, Representation Theory of Artin Algebras, 1995,
+    ch. I-II).  Nothing here relies on it: when length 1 falls short,
+    longer tuples are scanned.
+    """
+    for length in range(1, bound + 1):
+        closure = additive_closure(cat, length)
+        scan = derived(closure.cat, ("idempotent ideals",), lambda: _closure_idempotent_ideals(closure))
+        candidates = [(eps, j) for eps, j in scan if ideal.contains(j)]
+        total = zero_ideal(cat)
+        for _, j in candidates:
+            total = total.sum(j)
+        if total == ideal:
+            break
+    else:
         return None
     witness = []
     acc = zero_ideal(cat)

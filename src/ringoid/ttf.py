@@ -242,7 +242,10 @@ class RecollementData:
         self.bound = bound
         self.witness = witness
         self.quotient = quotient_category(cat, ideal)
-        self.closure = additive_closure(cat, bound)
+        # the closure the witness search stopped at, the shortest holding
+        # every witness tuple; the search has already built and kept it
+        self.closure = next(c for c in (additive_closure(cat, l) for l in range(1, bound + 1))
+                            if all(eps.src in c.tuples for eps in witness))
         self.corner = CornerCategory(self.closure, witness)
         self.triple = ttf_from_ideal(cat, ideal)
 
@@ -267,6 +270,13 @@ class RecollementData:
 
 def recollement_data(cat: FinCat, ideal: Ideal, bound: int = 3) -> RecollementData:
     return RecollementData(cat, ideal, bound)
+
+
+def _hom_dim(m: FinModule, n: FinModule) -> int:
+    """hom_dim, kept in the memo of the modules' own category: the modules
+    that i_*, i^* and i^! give recur across census pairs and ideals, and a
+    base pair and a quotient pair with equal keys stay apart."""
+    return derived(m.cat, ("hom_dim", m.key(), n.key()), lambda: hom_dim(m, n))
 
 
 def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
@@ -324,9 +334,9 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
         em = data.extension(m)
         cm = data.coextension(m)
         for n, i_n in included:
-            if hom_dim(em, n) != hom_dim(m, i_n):
+            if _hom_dim(em, n) != _hom_dim(m, i_n):
                 left_adjunction = False
-            if hom_dim(i_n, m) != hom_dim(n, cm):
+            if _hom_dim(i_n, m) != _hom_dim(n, cm):
                 right_adjunction = False
 
     exactness = True

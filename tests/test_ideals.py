@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from ringoid import ideals
 from ringoid.category import CATALOG_NAMES, Morphism, catalog, list_idempotents, validate
-from ringoid.completion import additive_closure, proj_module_of_idempotent
+from ringoid.completion import additive_closure, proj_module_of_idempotent, tuple_id
 from ringoid.ideals import (
     Ideal,
     _closure_idempotent_ideals,
@@ -23,7 +24,7 @@ from ringoid.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from ringoid.linalg import Subspace, complement_data, enumerate_subspaces, vector_cap
+from ringoid.linalg import CapExceeded, Subspace, complement_data, enumerate_subspaces, vector_cap
 from ringoid.modules import (
     all_submodules,
     annihilator,
@@ -141,11 +142,15 @@ WALK_QUIVERS = {
 }
 
 
-@pytest.mark.parametrize("name", [f"{n}({p})" for p in (2, 3, 5) for n in CATALOG_NAMES] + sorted(WALK_QUIVERS))
-def test_quotient_walk_matches_the_join_closure_of_principal_ideals(name):
+def walk_category(name):
     from ringoid.quiver import parse_quiver_dsl, path_category
 
-    cat = path_category(parse_quiver_dsl(WALK_QUIVERS[name])) if name in WALK_QUIVERS else catalog(name)
+    return path_category(parse_quiver_dsl(WALK_QUIVERS[name])) if name in WALK_QUIVERS else catalog(name)
+
+
+@pytest.mark.parametrize("name", [f"{n}({p})" for p in (2, 3, 5) for n in CATALOG_NAMES] + sorted(WALK_QUIVERS))
+def test_quotient_walk_matches_the_join_closure_of_principal_ideals(name):
+    cat = walk_category(name)
     assert [i.key() for i in enumerate_ideals(cat)] == [i.key() for i in join_closure_ideals(cat)]
 
 
@@ -553,6 +558,112 @@ def test_non_idempotent_radical_has_no_witness():
     cat = catalog("dual(2)")
     ix = generated_by(cat, [Morphism("x", "x", (0, 1))])
     assert is_trace_of_projectives(cat, ix, bound=2) is None
+
+
+def greedy_witness(scan, ideal, require_sum=True):
+    """The witness search of one closure, as it was before the search
+    climbed tuple lengths: the greedy pick, in scan order, of the closure
+    idempotents whose induced ideals lie in the given one, or None when they
+    do not sum to it (unless require_sum is off)."""
+    candidates = [(eps, j) for eps, j in scan if ideal.contains(j)]
+    total = zero_ideal(ideal.cat)
+    for _, j in candidates:
+        total = total.sum(j)
+    if require_sum and total != ideal:
+        return None
+    witness = []
+    acc = zero_ideal(ideal.cat)
+    for eps, j in candidates:
+        if not acc.contains(j):
+            acc = acc.sum(j)
+            witness.append(eps)
+        if acc == ideal:
+            break
+    return witness
+
+
+def witnesses_match_the_bound_3_reference(cat) -> bool:
+    scan = _closure_idempotent_ideals(additive_closure(cat, 3))
+    return all(is_trace_of_projectives(cat, i, 3) == greedy_witness(scan, i)
+               for i in enumerate_idempotent_ideals(cat))
+
+
+def witness_lengths(cat, witness) -> set:
+    tuples = additive_closure(cat, 3).tuples
+    return {len(tuples[eps.src]) for eps in witness}
+
+
+def hiding_singletons(monkeypatch, objects):
+    """Patches the witness scan to list no idempotents on the singleton
+    tuples of the given objects, as if they were skipped."""
+    hidden = {tuple_id((a,)) for a in objects}
+    real = ideals.list_idempotents
+    monkeypatch.setattr(ideals, "list_idempotents", lambda c, t: [] if t in hidden else real(c, t))
+
+
+@pytest.mark.parametrize("name", [f"{n}({p})" for p in (2, 3, 5) for n in CATALOG_NAMES] + sorted(WALK_QUIVERS))
+def test_witness_search_by_length_matches_the_bound_3_search(name):
+    cat = walk_category(name)
+    assert witnesses_match_the_bound_3_reference(cat)
+    # the reference builds the closure at 3; the search finds every witness
+    # on the singletons and builds none at 2
+    assert {key[1] for key, _cap in cat._derived if key[0] == "additive-closure"} <= {1, 3}
+
+
+@pytest.mark.parametrize("name", ["a2cat(2)", "a2cat(3)", "prod(2)", "dual(2)", "a2(2)"])
+def test_a_search_without_singletons_climbs_to_longer_tuples(name, monkeypatch):
+    cat = catalog(name)
+    hiding_singletons(monkeypatch, cat.objects)
+    climbed = 0
+    for ideal in enumerate_idempotent_ideals(cat):
+        w = is_trace_of_projectives(cat, ideal, 3)
+        assert w is not None
+        closure = additive_closure(cat, 3)
+        regen = zero_ideal(cat)
+        for eps in w:
+            regen = regen.sum(closure_idempotent_base_ideal(closure, eps))
+        assert regen == ideal
+        assert witness_lengths(cat, w) <= {2, 3}
+        climbed += bool(w)
+    assert climbed
+
+
+@pytest.mark.parametrize("name", ["a2cat(2)", "a2cat(3)", "prod(2)", "dual(2)"])
+def test_a_search_that_stops_short_fails_the_reference(name, monkeypatch):
+    # with one object's singleton hidden, length 1 falls short of the
+    # ideals through that object; the search climbs on to the witness of
+    # the reference, and a search that returns at length 1 does not
+    cat = catalog(name)
+    hiding_singletons(monkeypatch, cat.objects[:1])
+    assert witnesses_match_the_bound_3_reference(cat)
+    witnesses = [is_trace_of_projectives(cat, i, 3) for i in enumerate_idempotent_ideals(cat)]
+    assert any(witness_lengths(cat, w) - {1} for w in witnesses if w is not None)
+    cat = catalog(name)
+    monkeypatch.setattr(ideals, "_trace_witness", lambda c, ideal, bound: greedy_witness(
+        _closure_idempotent_ideals(additive_closure(c, 1)), ideal, require_sum=False))
+    assert not witnesses_match_the_bound_3_reference(cat)
+
+
+A5_DSL = ("vertices 1 2 3 4 5 ; arrow a: 1 -> 2 ; arrow b: 2 -> 3 ; arrow c: 3 -> 4 ; arrow d: 4 -> 5 ;"
+          " relation a*b ; relation b*c ; relation c*d ; field 2 ; maxlen 3 ;")
+
+
+def test_a5_ideals_are_witnessed_under_the_closure_cap():
+    # the bound-3 closure of A5 would have 1 + 5 + 25 + 125 = 156 objects,
+    # over the cap of 130; every idempotent ideal has a length-1 witness
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    cat = path_category(parse_quiver_dsl(A5_DSL))
+    with pytest.raises(CapExceeded):
+        additive_closure(cat, 3)
+    idem = enumerate_idempotent_ideals(cat)
+    assert len(idem) == 32
+    singletons = additive_closure(cat, 1).tuples
+    for ideal in idem:
+        w = is_trace_of_projectives(cat, ideal, 3)
+        assert w is not None
+        assert all(len(singletons[eps.src]) == 1 for eps in w)
+    assert {key[1] for key, _cap in cat._derived if key[0] == "additive-closure"} == {1}
 
 
 def test_subcategory_roundtrip_a2cat():

@@ -101,6 +101,15 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
     assert kinds["census"] == len(constructed["census"])
 
 
+def test_the_census_builds_no_closure_past_the_witness_length(monkeypatch, capsys):
+    # every idempotent ideal of a2cat(3) has a witness on the singletons
+    cat = catalog("a2cat(3)")
+    monkeypatch.setattr(cli, "load_category", lambda source, p: (cat, []))
+    assert cli.main(["census", "catalog:a2cat", "--p", "3", "--json"]) == 0
+    capsys.readouterr()
+    assert {key[1] for key, _cap in cat._derived if key[0] == "additive-closure"} == {1}
+
+
 def test_the_module_census_keeps_no_submodule_lists():
     # the census walks every submodule once; holding them all for the whole
     # sweep would raise the peak memory of the torsion sweep

@@ -1,8 +1,8 @@
 import pytest
 
-from ringoid import ttf
+from ringoid import cli, ideals, ttf
 from ringoid.category import CATALOG_NAMES, Morphism, catalog, list_idempotents, validate
-from ringoid.completion import additive_closure, idempotent_subcategory, induce_module
+from ringoid.completion import additive_closure, idempotent_subcategory, induce_module, tuple_id
 from ringoid.ideals import (
     enumerate_idempotent_ideals,
     generated_by,
@@ -486,6 +486,72 @@ def test_recollement_shadows(name):
         data = recollement_data(cat, ideal, bound=2)
         rep = recollement_shadows(data, census_bound=3)
         assert rep["pass"], (name, rep)
+
+
+def test_recollement_closure_has_the_witness_length():
+    # every witness of a2cat(3) lies on the singletons, so the corner is
+    # built on the length-1 closure; the datum keeps the requested bound
+    cat = catalog("a2cat(3)")
+    for ideal in enumerate_idempotent_ideals(cat):
+        data = recollement_data(cat, ideal, bound=3)
+        assert (data.bound, data.closure.bound) == (3, 1)
+
+
+def test_recollement_on_longer_witnesses_uses_their_closure(monkeypatch):
+    # with the singletons hidden from the witness scan, every nonzero ideal
+    # is witnessed on pairs, and the datum is built on the length-2 closure
+    cat = catalog("a2cat(2)")
+    hidden = {tuple_id((a,)) for a in cat.objects}
+    real = ideals.list_idempotents
+    monkeypatch.setattr(ideals, "list_idempotents", lambda c, t: [] if t in hidden else real(c, t))
+    for ideal in enumerate_idempotent_ideals(cat):
+        data = recollement_data(cat, ideal, bound=3)
+        assert data.closure.bound == (2 if data.witness else 1)
+        assert recollement_shadows(data, census_bound=3)["pass"]
+
+
+def counting_hom_dim(monkeypatch) -> list:
+    """Patches `ttf.hom_dim` to append the source module's category to the
+    returned list once per call."""
+    calls = []
+    real = ttf.hom_dim
+    monkeypatch.setattr(ttf, "hom_dim", lambda m, n: calls.append(m.cat) or real(m, n))
+    return calls
+
+
+def test_an_off_by_one_quotient_hom_dim_fails_the_left_adjunction(monkeypatch):
+    cat = catalog("a2cat(3)")
+    ideal = generated_by(cat, [cat.identity("2")])
+    assert recollement_shadows(recollement_data(cat, ideal), census_bound=3)["left_adjunction"]
+    data = recollement_data(cat, ideal)
+    real = ttf.hom_dim
+    monkeypatch.setattr(ttf, "hom_dim", lambda m, n: real(m, n) + (m.cat is data.quotient.cat))
+    rep = recollement_shadows(data, census_bound=3)
+    assert not rep["left_adjunction"] and not rep["pass"]
+
+
+def test_zero_ideal_hom_pairs_are_kept_apart_by_category(monkeypatch):
+    # over the zero ideal, i_*, i^* and i^! keep module keys, so each
+    # quotient pair has a base pair with an equal key; both are solved
+    cat = catalog("a2cat(3)")
+    data = recollement_data(cat, zero_ideal(cat))
+    calls = counting_hom_dim(monkeypatch)
+    assert recollement_shadows(data, census_bound=3)["pass"]
+    base = {key for key, _cap in cat._derived if key[0] == "hom_dim"}
+    quotient = {key for key, _cap in data.quotient.cat._derived if key[0] == "hom_dim"}
+    assert base & quotient
+    assert (calls.count(cat), calls.count(data.quotient.cat)) == (len(base), len(quotient))
+    assert len(calls) == len(base) + len(quotient)
+
+
+def test_the_a2cat3_census_solves_each_hom_pair_once(monkeypatch, capsys):
+    # four hom_dim calls per census x quotient-census pair of every ideal,
+    # and the generator adjunction's, were 2,992; the memo solves each
+    # distinct pair of a category once
+    calls = counting_hom_dim(monkeypatch)
+    assert cli.main(["census", "catalog:a2cat", "--p", "3", "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1107
 
 
 def witnessed_recollements(cat, bound=3):
