@@ -10,6 +10,7 @@ morphisms and compose by row-by-column multiplication.
 from __future__ import annotations
 
 import itertools
+import json
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
 from .linalg import CapExceeded, Mat, Subspace, image_basis
@@ -21,20 +22,28 @@ ENVELOPE_OBJECTS = "idempotent_completion: idempotent objects"
 
 
 def tuple_id(components) -> str:
-    return "(" + ",".join(components) + ")"
+    """The object id of a tuple: its components in parentheses, separated by
+    commas.  A component that is empty or holds a comma or a double quote is
+    JSON-quoted, so distinct tuples get distinct ids."""
+    return "(" + ",".join(json.dumps(c) if c == "" or "," in c or '"' in c else c for c in components) + ")"
+
+
+def closure_tuples(objects, bound: int):
+    """The tuples of the closure at `bound`, in closure order: the empty
+    tuple, then lengths 1 .. bound in `itertools.product` order."""
+    if bound < 1:
+        raise ValueError("tuple bound must be at least 1")
+    return itertools.chain([()], *(itertools.product(objects, repeat=l) for l in range(1, bound + 1)))
 
 
 class AdditiveClosure:
-    """The bounded additive closure: tuple objects and matrix morphisms."""
+    """The additive closure on the given tuples: tuple objects and matrix
+    morphisms.  `bound` is the longest tuple length."""
 
-    def __init__(self, base: FinCat, bound: int):
-        if bound < 1:
-            raise ValueError("tuple bound must be at least 1")
+    def __init__(self, base: FinCat, tuples):
+        tuples = list(tuples)
         self.base = base
-        self.bound = bound
-        tuples = [()]
-        for l in range(1, bound + 1):
-            tuples.extend(itertools.product(base.objects, repeat=l))
+        self.bound = max(map(len, tuples), default=0)
         if len(tuples) > MAX_CLOSURE_OBJECTS:
             raise CapExceeded(
                 f"additive closure would have {len(tuples)} objects, over cap {MAX_CLOSURE_OBJECTS}",
@@ -73,17 +82,17 @@ class AdditiveClosure:
                         continue
                     lay2, _, _ = self._layout[(t_id, u_id)]
                     _, offs3, _ = self._layout[(s_id, u_id)]
+                    zero = (0,) * d3
                     table = []
                     for (i, j, k) in lay1:
                         row = []
                         for (j2, l, k2) in lay2:
-                            vec = [0] * d3
-                            if j == j2:
-                                coeffs = base.compose_basis(s[i], t[j], u[l], k, k2)
-                                off = offs3[(i, l)]
-                                for k3, cf in enumerate(coeffs):
-                                    vec[off + k3] = cf
-                            row.append(tuple(vec))
+                            if j != j2:
+                                row.append(zero)
+                                continue
+                            coeffs = base.compose_basis(s[i], t[j], u[l], k, k2)
+                            off = offs3[(i, l)]
+                            row.append(zero[:off] + coeffs + zero[off + len(coeffs):])
                         table.append(tuple(row))
                     comp[(s_id, t_id, u_id)] = tuple(table)
         ids = {}
@@ -96,7 +105,7 @@ class AdditiveClosure:
                     v[off + k] = cf
             ids[s_id] = tuple(v)
         self.cat = FinCat._built(p, objects, hom, comp, ids,
-                                 f"add({base.name},{bound})" if base.name else "additive-closure")
+                                 f"add({base.name},{self.bound})" if base.name else "additive-closure")
 
     def embed_object(self, a: str) -> str:
         return tuple_id((a,))
@@ -136,7 +145,8 @@ class AdditiveClosure:
 
 
 def additive_closure(base: FinCat, bound: int) -> AdditiveClosure:
-    return derived(base, ("additive-closure", bound), lambda: AdditiveClosure(base, bound))
+    return derived(base, ("additive-closure", bound),
+                   lambda: AdditiveClosure(base, closure_tuples(base.objects, bound)))
 
 
 def induce_module(closure: AdditiveClosure, m: FinModule) -> FinModule:
@@ -254,20 +264,13 @@ def find_oplus_generator(base: FinCat, bound: int):
     """A tuple g such that every identity factors through a power of g.
 
     Factorization through some finite power is a span condition: id_a must lie
-    in the span of composites (g -> a) . (a -> g).  Returns the first tuple in
-    the deterministic object order, or None within the bound.
+    in the span of composites (g -> a) . (a -> g), which is the span of the
+    sandwiches of the id_{g_i} in A(a, a).  Returns the first tuple in
+    closure order, or None within the bound.
     """
-    closure = additive_closure(base, bound)
-    ccat = closure.cat
-    for g_id in ccat.objects:
-        ok = True
-        for a in base.objects:
-            a_id = closure.embed_object(a)
-            vecs = ccat.sandwich_span(ccat.identity(g_id), a_id, a_id)
-            span = Subspace.from_vectors(base.p, base.hom_dim[(a, a)], vecs)
-            if not span.contains(base.id_coords[a]):
-                ok = False
-                break
-        if ok:
-            return closure.tuples[g_id]
+    through = {(c, a): base.sandwich_span(base.identity(c), a, a) for c in base.objects for a in base.objects}
+    for g in closure_tuples(base.objects, bound):
+        if all(Subspace.from_vectors(base.p, base.hom_dim[(a, a)], [v for c in g for v in through[(c, a)]])
+               .contains(base.id_coords[a]) for a in base.objects):
+            return g
     return None

@@ -9,7 +9,7 @@ joins of the zero ideal with principal ideals are the whole ideal lattice.
 from __future__ import annotations
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
-from .completion import additive_closure
+from .completion import AdditiveClosure, closure_tuples, tuple_id
 from .linalg import Subspace, SubspaceFamily, check_vector_cap, complement_data, vector_cap
 from .modules import FinModule, module_times_ideal, quotient_module, quotient_point_walk, representable, restrict_along, trace
 
@@ -184,67 +184,37 @@ def trace_ideal(cat: FinCat, modules) -> Ideal:
     return Ideal(cat, spaces)
 
 
-def closure_idempotent_base_ideal(closure, eps: Morphism) -> Ideal:
-    """The ideal of the base category induced by a closure idempotent: the
-    restriction to singleton pairs of the closure ideal it generates.
-
-    Only the singleton components are ever needed, so the sandwich spans are
-    computed on those pairs alone."""
-    base, span = closure.base, closure.cat.sandwich_span
-    embed = closure.embed_object
-    return Ideal(base, {
-        (a, b): Subspace.from_vectors(base.p, base.hom_dim[(a, b)], span(eps, embed(a), embed(b)))
-        for a in base.objects for b in base.objects
-    })
-
-
-def _closure_idempotent_ideals(closure) -> list:
-    """(eps, induced base ideal) for the first nonzero closure idempotent of
-    each induced base ideal, in scan order.  The list does not depend on the
-    ideal a witness is sought for, so it is kept in the closure's memo.
-
-    Endo spaces whose element count exceeds the vector cap are skipped; that
-    is the documented bounded-search caveat.
-    """
-    ccat = closure.cat
-    cap = vector_cap()
-    out = []
-    seen = set()
-    for t_id in ccat.objects:
-        if ccat.p ** ccat.hom_dim[(t_id, t_id)] > cap:
-            continue
-        for eps in list_idempotents(ccat, t_id):
-            if eps.is_zero():
-                continue
-            j = closure_idempotent_base_ideal(closure, eps)
-            if j.key() not in seen:
-                seen.add(j.key())
-                out.append((eps, j))
-    return out
-
-
 def is_trace_of_projectives(cat: FinCat, ideal: Ideal, bound: int = 3):
-    """A witness set of idempotent endomorphisms in the bounded additive
-    closure whose generated ideal is the given one, or None within the bound."""
+    """A witness set of idempotent endomorphisms of tuple objects, of length
+    at most `bound`, whose generated ideal is the given one, or None."""
     return derived(cat, ("witness", ideal.key(), bound), lambda: _trace_witness(cat, ideal, bound))
 
 
+def _tuple_idempotent_ideals(cat: FinCat, t: tuple) -> list:
+    """(eps, base ideal it generates) for the first nonzero idempotent eps of
+    End(t) that generates each distinct ideal, in `list_idempotents` order.
+
+    End(t) is read on a closure of t alone.  The projective that eps cuts
+    out has as trace the ideal generated by the entries eps_ij, since
+    y . eps . x = sum_ij y_j . eps_ij . x_i.  An End(t) whose element count
+    exceeds the vector cap is skipped; that is the documented bounded-search
+    caveat.
+    """
+    if cat.p ** sum(cat.hom_dim[(a, b)] for a in t for b in t) > vector_cap():
+        return []
+    closure = AdditiveClosure(cat, [t])
+    out = {}
+    for eps in list_idempotents(closure.cat, tuple_id(t)):
+        if not eps.is_zero():
+            j = generated_by(cat, [closure.block(eps, i, k) for i in range(len(t)) for k in range(len(t))])
+            out.setdefault(j.key(), (eps, j))
+    return list(out.values())
+
+
 def _trace_witness(cat: FinCat, ideal: Ideal, bound: int):
-    """The greedy witness of the shortest closure whose scan suffices.
-
-    Tuple lengths are climbed from 1 to `bound`, and the closure of each
-    length is built only when the shorter ones fall short, so the closure
-    cap is met only at the length the search reaches.  Each level is an
-    exact search by itself.
-
-    The witness is the one the closure at `bound` gives, where that closure
-    is within the cap.  A tuple's
-    endomorphism space does not depend on the closure it sits in, and
-    closure objects come in length order, so the scan at length L is a
-    prefix of the scan at `bound`, and so are its candidates.  The greedy
-    pick, run on the longer list, has summed the whole prefix by its end;
-    once that sum is the ideal it stops inside the prefix, having picked
-    the same idempotents.
+    """The greedy witness: one pass over the tuples in closure order, picking
+    each idempotent whose base ideal lies in the given one and is not yet in
+    the sum of those picked, until that sum is the ideal.
 
     Length 1 is expected to suffice.  By Jans's correspondence an
     idempotent ideal is the trace of a finitely generated projective; by
@@ -256,23 +226,13 @@ def _trace_witness(cat: FinCat, ideal: Ideal, bound: int):
     ch. I-II).  Nothing here relies on it: when length 1 falls short,
     longer tuples are scanned.
     """
-    for length in range(1, bound + 1):
-        closure = additive_closure(cat, length)
-        scan = derived(closure.cat, ("idempotent ideals",), lambda: _closure_idempotent_ideals(closure))
-        candidates = [(eps, j) for eps, j in scan if ideal.contains(j)]
-        total = zero_ideal(cat)
-        for _, j in candidates:
-            total = total.sum(j)
-        if total == ideal:
-            break
-    else:
-        return None
     witness = []
     acc = zero_ideal(cat)
-    for eps, j in candidates:
-        if not acc.contains(j):
-            acc = acc.sum(j)
-            witness.append(eps)
+    for t in closure_tuples(cat.objects, bound):
+        for eps, j in derived(cat, ("tuple idempotent ideals", t), lambda: _tuple_idempotent_ideals(cat, t)):
+            if ideal.contains(j) and not acc.contains(j):
+                acc = acc.sum(j)
+                witness.append(eps)
         if acc == ideal:
-            break
-    return witness
+            return witness
+    return None

@@ -242,8 +242,8 @@ class RecollementData:
         self.bound = bound
         self.witness = witness
         self.quotient = quotient_category(cat, ideal)
-        # the closure the witness search stopped at, the shortest holding
-        # every witness tuple; the search has already built and kept it
+        # the shortest closure holding every witness tuple, built here:
+        # the witness search builds no closure
         self.closure = next(c for c in (additive_closure(cat, l) for l in range(1, bound + 1))
                             if all(eps.src in c.tuples for eps in witness))
         self.corner = CornerCategory(self.closure, witness)

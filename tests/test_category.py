@@ -18,7 +18,7 @@ from ringoid.category import (
     transfer_category,
     validate,
 )
-from ringoid.completion import AdditiveClosure, additive_closure, idempotent_completion
+from ringoid.completion import AdditiveClosure, additive_closure, closure_tuples, idempotent_completion
 from ringoid.ideals import enumerate_idempotent_ideals, is_trace_of_projectives, quotient_category
 from ringoid.linalg import Mat, Subspace, vector_cap
 from ringoid.ttf import CornerCategory
@@ -415,7 +415,7 @@ def _trusted_and_validated(build, monkeypatch):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_trusted_closure_equals_validated(name, p, bound, monkeypatch):
     cat = catalog(name, p)
-    _trusted_and_validated(lambda: AdditiveClosure(cat, bound), monkeypatch)
+    _trusted_and_validated(lambda: AdditiveClosure(cat, closure_tuples(cat.objects, bound)), monkeypatch)
 
 
 @pytest.mark.parametrize("p", [2, 3])

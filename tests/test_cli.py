@@ -546,6 +546,7 @@ REPORT_SHA256 = {
     "complete-idempotents-dual-p2-bound2": (
         ["complete", "catalog:dual", "--p", "2", "--bound", "2", "--idempotents"], "3ba47bde0570988b"
     ),
+    "complete-a2cat-p3-bound3": (["complete", "catalog:a2cat", "--p", "3", "--bound", "3"], "a2fdf0a0eddc5a38"),
     "complete-idempotents-mat2-p3": (
         ["complete", "catalog:mat2", "--p", "3", "--bound", "1", "--idempotents"], "afcdbc4206fc816d"
     ),
@@ -567,6 +568,27 @@ def test_complete_json_embeds_the_interchange_document(capsys):
     assert code == 0
     emitted = json.loads(out)["emitted"]
     assert emitted == json.loads(cat_to_json(additive_closure(catalog("dual(2)"), 2).cat))
+
+
+@pytest.mark.parametrize("idempotents,objects", [([], 13), (["--idempotents"], 55)])
+def test_complete_on_object_ids_with_commas(tmp_path, capsys, idempotents, objects):
+    # objects a, b and "a,b": the closure tuples (a,b) and ("a,b") get
+    # distinct ids, and the emitted category reloads and validates
+    from ringoid.category import cat_from_json, validate
+
+    path = tmp_path / "commas.json"
+    path.write_text(json.dumps({
+        "p": 2,
+        "objects": ["a", "b", "a,b"],
+        "hom": {f"{o}|{o}": 1 for o in ("a", "b", "a,b")},
+        "comp": {f"{o}|{o}|{o}": [[[1]]] for o in ("a", "b", "a,b")},
+        "id": {o: [1] for o in ("a", "b", "a,b")},
+    }))
+    code, out = run_cli(["complete", str(path), "--bound", "2", "--json", *idempotents], capsys)
+    assert code == 0
+    emitted = cat_from_json(json.dumps(json.loads(out)["emitted"]))
+    assert len(emitted.objects) == objects
+    assert validate(emitted) == []
 
 
 @pytest.mark.parametrize("flag", ["--enumerate", "--roundtrip"])

@@ -1,10 +1,12 @@
 import functools
+import json
 
 import pytest
 
-from ringoid.category import FinCat, Morphism, catalog, list_idempotents, validate
+from ringoid.category import CATALOG_NAMES, FinCat, Morphism, cat_from_json, catalog, list_idempotents, validate
 from ringoid.completion import (
     additive_closure,
+    closure_tuples,
     find_oplus_generator,
     idempotent_completion,
     induce_module,
@@ -209,6 +211,60 @@ def test_oplus_generator_none_within_bound():
     # singletons, so the search comes back empty
     cat = catalog("a2cat(2)")
     assert find_oplus_generator(cat, 1) is None
+
+
+A4_DSL = ("vertices 1 2 3 4 ; arrow a: 1 -> 2 ; arrow b: 2 -> 3 ; arrow c: 3 -> 4 ;"
+          " relation a*b ; relation b*c ; field 2 ; maxlen 3 ;")
+
+
+def closure_oplus_generator(base, bound):
+    """The generator search as the closure reads it: the first closure
+    object g whose identity, sandwiched into each singleton (a), spans id_a."""
+    closure = additive_closure(base, bound)
+    ccat = closure.cat
+    for g_id in ccat.objects:
+        if all(Subspace.from_vectors(base.p, base.hom_dim[(a, a)], ccat.sandwich_span(
+                ccat.identity(g_id), closure.embed_object(a), closure.embed_object(a))).contains(base.id_coords[a])
+               for a in base.objects):
+            return closure.tuples[g_id]
+    return None
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("name", [f"{n}({p})" for p in (2, 3) for n in CATALOG_NAMES] + ["a4"])
+def test_oplus_generator_matches_the_closure_search(name, bound):
+    cat = path_category(parse_quiver_dsl(A4_DSL)) if name == "a4" else catalog(name)
+    found = find_oplus_generator(cat, bound)
+    assert not any(key[0] == "additive-closure" for key, _cap in cat._derived)
+    assert found == closure_oplus_generator(cat, bound)
+    if (name, bound) == ("a2cat(3)", 3):
+        assert found == ("1", "2")
+
+
+def test_closure_order_lists_the_empty_tuple_then_each_length():
+    assert list(closure_tuples(["a", "b"], 2)) == [(), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    with pytest.raises(ValueError):
+        closure_tuples(["a"], 0)
+
+
+# objects a, b and "a,b", each with endomorphisms F_2 and no other morphisms
+COMMA_OBJECTS = json.dumps({
+    "p": 2,
+    "objects": ["a", "b", "a,b"],
+    "hom": {f"{o}|{o}": 1 for o in ("a", "b", "a,b")},
+    "comp": {f"{o}|{o}|{o}": [[[1]]] for o in ("a", "b", "a,b")},
+    "id": {o: [1] for o in ("a", "b", "a,b")},
+})
+
+
+def test_tuple_ids_are_injective():
+    closure = additive_closure(cat_from_json(COMMA_OBJECTS), 2)
+    assert len(closure.cat.objects) == len(set(closure.cat.objects)) == 13
+    assert tuple_id(("a", "b")) == "(a,b)" and tuple_id(("a,b",)) == '("a,b")'
+    assert tuple_id(()) != tuple_id(("",))
+    # names without a comma or a double quote keep their ids
+    assert tuple_id(("x", "1", "(y)")) == "(x,1,(y))"
+    assert validate(closure.cat) == []
 
 
 def test_induce_restrict_roundtrip():

@@ -4,11 +4,10 @@ import pytest
 
 from ringoid import ideals
 from ringoid.category import CATALOG_NAMES, Morphism, catalog, list_idempotents, validate
-from ringoid.completion import additive_closure, proj_module_of_idempotent, tuple_id
+from ringoid.completion import AdditiveClosure, additive_closure, closure_tuples, proj_module_of_idempotent, tuple_id
 from ringoid.ideals import (
     Ideal,
-    _closure_idempotent_ideals,
-    closure_idempotent_base_ideal,
+    _tuple_idempotent_ideals,
     enumerate_ideals,
     enumerate_idempotent_ideals,
     extend_to_quotient,
@@ -483,9 +482,9 @@ def subcategory_from_ideal(cat, ideal, bound=3):
 
 
 def sandwich_base_ideal(closure, eps):
-    """Reference for `closure_idempotent_base_ideal`: the span of
-    post . eps . pre over basis pre: a -> eps.src and post: eps.tgt -> b,
-    in (pre, post) order, two generic compose calls per pair."""
+    """The base ideal of a closure idempotent as the closure reads it: the
+    span of post . eps . pre over basis pre: a -> eps.src and post: eps.tgt
+    -> b, in (pre, post) order, two generic compose calls per pair."""
     ccat, base = closure.cat, closure.base
     spaces = {}
     for a in base.objects:
@@ -501,38 +500,36 @@ def sandwich_base_ideal(closure, eps):
     return Ideal(base, spaces)
 
 
+def entries_ideal(closure, eps):
+    """The ideal generated by the entries eps_ij of a closure idempotent."""
+    n = len(closure.tuples[eps.src])
+    return generated_by(closure.base, [closure.block(eps, i, j) for i in range(n) for j in range(n)])
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_closure_idempotent_base_ideal_matches_compose_reference(name, p):
-    # bound 3 is the census default; endo spaces over the vector cap are
-    # skipped, as the witness scan skips them
-    closure = additive_closure(catalog(name, p), 3)
+def test_entries_generate_the_closure_ideal_of_every_tuple_idempotent(name, p):
+    # every tuple up to length 3, the census default; endo spaces over the
+    # vector cap are skipped, as the witness search skips them.  The search
+    # keeps the first idempotent of each distinct ideal, in scan order
+    cat = catalog(name, p)
+    closure = additive_closure(cat, 3)
     ccat = closure.cat
     checked = 0
-    for t in ccat.objects:
-        if p ** ccat.hom_dim[(t, t)] > vector_cap():
+    for t_id, t in closure.tuples.items():
+        if p ** ccat.hom_dim[(t_id, t_id)] > vector_cap():
+            assert _tuple_idempotent_ideals(cat, t) == []
             continue
-        for eps in list_idempotents(ccat, t):
-            ideal = closure_idempotent_base_ideal(closure, eps)
-            assert ideal.key() == sandwich_base_ideal(closure, eps).key(), eps
-            checked += 1
-    assert checked
-
-
-def test_closure_idempotent_ideals_keep_their_scan_order():
-    # the first idempotent of each distinct induced ideal, in scan order
-    closure = additive_closure(catalog("a2cat(2)"), 3)
-    ccat = closure.cat
-    expected, seen = [], set()
-    for t in ccat.objects:
-        if 2 ** ccat.hom_dim[(t, t)] > vector_cap():
-            continue
-        for eps in list_idempotents(ccat, t):
+        expected = {}
+        for eps in list_idempotents(ccat, t_id):
             key = sandwich_base_ideal(closure, eps).key()
-            if not eps.is_zero() and key not in seen:
-                seen.add(key)
-                expected.append((eps, key))
-    assert [(eps, j.key()) for eps, j in _closure_idempotent_ideals(closure)] == expected
+            assert entries_ideal(closure, eps).key() == key, eps
+            if not eps.is_zero():
+                expected.setdefault(key, eps)
+            checked += 1
+        assert [(eps, j.key()) for eps, j in _tuple_idempotent_ideals(cat, t)] == \
+            [(eps, key) for key, eps in expected.items()]
+    assert checked
 
 
 def test_witnesses_for_trivial_ideals():
@@ -560,11 +557,36 @@ def test_non_idempotent_radical_has_no_witness():
     assert is_trace_of_projectives(cat, ix, bound=2) is None
 
 
+def closure_scan(closure):
+    """The witness scan of one closure, the reference for the search: (eps,
+    base ideal) for the first nonzero closure idempotent of each base ideal,
+    in closure object order, the ideal read through the closure's sandwich
+    spans on singleton pairs.  Idempotents are listed through
+    `ideals.list_idempotents`, so a patch hiding tuples from the search
+    hides them here too."""
+    ccat, base = closure.cat, closure.base
+    embed = closure.embed_object
+    out, seen = [], set()
+    for t_id in ccat.objects:
+        if ccat.p ** ccat.hom_dim[(t_id, t_id)] > vector_cap():
+            continue
+        for eps in ideals.list_idempotents(ccat, t_id):
+            if eps.is_zero():
+                continue
+            j = Ideal(base, {
+                (a, b): Subspace.from_vectors(base.p, base.hom_dim[(a, b)], ccat.sandwich_span(eps, embed(a), embed(b)))
+                for a in base.objects for b in base.objects
+            })
+            if j.key() not in seen:
+                seen.add(j.key())
+                out.append((eps, j))
+    return out
+
+
 def greedy_witness(scan, ideal, require_sum=True):
-    """The witness search of one closure, as it was before the search
-    climbed tuple lengths: the greedy pick, in scan order, of the closure
-    idempotents whose induced ideals lie in the given one, or None when they
-    do not sum to it (unless require_sum is off)."""
+    """The witness search of one closure: the greedy pick, in scan order, of
+    the closure idempotents whose induced ideals lie in the given one, or
+    None when they do not sum to it (unless require_sum is off)."""
     candidates = [(eps, j) for eps, j in scan if ideal.contains(j)]
     total = zero_ideal(ideal.cat)
     for _, j in candidates:
@@ -582,15 +604,22 @@ def greedy_witness(scan, ideal, require_sum=True):
     return witness
 
 
+def closure_keys(cat) -> set:
+    return {key[1] for key, _cap in cat._derived if key[0] == "additive-closure"}
+
+
 def witnesses_match_the_bound_3_reference(cat) -> bool:
-    scan = _closure_idempotent_ideals(additive_closure(cat, 3))
-    return all(is_trace_of_projectives(cat, i, 3) == greedy_witness(scan, i)
-               for i in enumerate_idempotent_ideals(cat))
+    """The search, run first, builds no closure; the reference then scans
+    the bound-3 closure."""
+    witnesses = [is_trace_of_projectives(cat, i, 3) for i in enumerate_idempotent_ideals(cat)]
+    assert closure_keys(cat) == set()
+    scan = closure_scan(additive_closure(cat, 3))
+    return witnesses == [greedy_witness(scan, i) for i in enumerate_idempotent_ideals(cat)]
 
 
 def witness_lengths(cat, witness) -> set:
-    tuples = additive_closure(cat, 3).tuples
-    return {len(tuples[eps.src]) for eps in witness}
+    lengths = {tuple_id(t): len(t) for t in closure_tuples(cat.objects, 3)}
+    return {lengths[eps.src] for eps in witness}
 
 
 def hiding_singletons(monkeypatch, objects):
@@ -602,26 +631,23 @@ def hiding_singletons(monkeypatch, objects):
 
 
 @pytest.mark.parametrize("name", [f"{n}({p})" for p in (2, 3, 5) for n in CATALOG_NAMES] + sorted(WALK_QUIVERS))
-def test_witness_search_by_length_matches_the_bound_3_search(name):
-    cat = walk_category(name)
-    assert witnesses_match_the_bound_3_reference(cat)
-    # the reference builds the closure at 3; the search finds every witness
-    # on the singletons and builds none at 2
-    assert {key[1] for key, _cap in cat._derived if key[0] == "additive-closure"} <= {1, 3}
+def test_witness_search_matches_the_bound_3_closure_search(name):
+    assert witnesses_match_the_bound_3_reference(walk_category(name))
 
 
 @pytest.mark.parametrize("name", ["a2cat(2)", "a2cat(3)", "prod(2)", "dual(2)", "a2(2)"])
 def test_a_search_without_singletons_climbs_to_longer_tuples(name, monkeypatch):
     cat = catalog(name)
     hiding_singletons(monkeypatch, cat.objects)
+    assert witnesses_match_the_bound_3_reference(cat)
+    closure = additive_closure(cat, 3)
     climbed = 0
     for ideal in enumerate_idempotent_ideals(cat):
         w = is_trace_of_projectives(cat, ideal, 3)
         assert w is not None
-        closure = additive_closure(cat, 3)
         regen = zero_ideal(cat)
         for eps in w:
-            regen = regen.sum(closure_idempotent_base_ideal(closure, eps))
+            regen = regen.sum(sandwich_base_ideal(closure, eps))
         assert regen == ideal
         assert witness_lengths(cat, w) <= {2, 3}
         climbed += bool(w)
@@ -631,7 +657,7 @@ def test_a_search_without_singletons_climbs_to_longer_tuples(name, monkeypatch):
 @pytest.mark.parametrize("name", ["a2cat(2)", "a2cat(3)", "prod(2)", "dual(2)"])
 def test_a_search_that_stops_short_fails_the_reference(name, monkeypatch):
     # with one object's singleton hidden, length 1 falls short of the
-    # ideals through that object; the search climbs on to the witness of
+    # ideals through that object; the search goes on to the witness of
     # the reference, and a search that returns at length 1 does not
     cat = catalog(name)
     hiding_singletons(monkeypatch, cat.objects[:1])
@@ -640,7 +666,7 @@ def test_a_search_that_stops_short_fails_the_reference(name, monkeypatch):
     assert any(witness_lengths(cat, w) - {1} for w in witnesses if w is not None)
     cat = catalog(name)
     monkeypatch.setattr(ideals, "_trace_witness", lambda c, ideal, bound: greedy_witness(
-        _closure_idempotent_ideals(additive_closure(c, 1)), ideal, require_sum=False))
+        closure_scan(AdditiveClosure(c, closure_tuples(c.objects, 1))), ideal, require_sum=False))
     assert not witnesses_match_the_bound_3_reference(cat)
 
 
@@ -650,7 +676,8 @@ A5_DSL = ("vertices 1 2 3 4 5 ; arrow a: 1 -> 2 ; arrow b: 2 -> 3 ; arrow c: 3 -
 
 def test_a5_ideals_are_witnessed_under_the_closure_cap():
     # the bound-3 closure of A5 would have 1 + 5 + 25 + 125 = 156 objects,
-    # over the cap of 130; every idempotent ideal has a length-1 witness
+    # over the cap of 130; every idempotent ideal has a length-1 witness,
+    # and the search builds no closure
     from ringoid.quiver import parse_quiver_dsl, path_category
 
     cat = path_category(parse_quiver_dsl(A5_DSL))
@@ -658,12 +685,12 @@ def test_a5_ideals_are_witnessed_under_the_closure_cap():
         additive_closure(cat, 3)
     idem = enumerate_idempotent_ideals(cat)
     assert len(idem) == 32
-    singletons = additive_closure(cat, 1).tuples
+    singletons = {tuple_id((a,)) for a in cat.objects}
     for ideal in idem:
         w = is_trace_of_projectives(cat, ideal, 3)
         assert w is not None
-        assert all(len(singletons[eps.src]) == 1 for eps in w)
-    assert {key[1] for key, _cap in cat._derived if key[0] == "additive-closure"} == {1}
+        assert all(eps.src in singletons for eps in w)
+    assert closure_keys(cat) == set()
 
 
 def test_subcategory_roundtrip_a2cat():

@@ -66,15 +66,17 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
 
     constructed = {"closure": [], "census": []}
 
-    def counting_init(kind, init):
-        def wrapped(self, cat, bound, *args):
-            constructed[kind].append((cat, bound))
-            init(self, cat, bound, *args)
+    def counting_init(kind, init, freeze=lambda arg: arg):
+        def wrapped(self, cat, arg, *args):
+            arg = freeze(arg)
+            constructed[kind].append((cat, arg))
+            init(self, cat, arg, *args)
 
         return wrapped
 
+    # a closure is keyed by its tuples, a census by its bound
     monkeypatch.setattr(completion.AdditiveClosure, "__init__",
-                        counting_init("closure", completion.AdditiveClosure.__init__))
+                        counting_init("closure", completion.AdditiveClosure.__init__, tuple))
     monkeypatch.setattr(torsion.ModuleCensus, "__init__",
                         counting_init("census", torsion.ModuleCensus.__init__))
 
@@ -95,14 +97,19 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
     censuses = Counter((id(cat), key[1]) for cat, key in builds if key[0] == "census")
     assert censuses and set(censuses.values()) == {1}
     for kind in ("closure", "census"):
-        per_bound = Counter((id(cat), bound) for cat, bound in constructed[kind])
-        assert per_bound and set(per_bound.values()) == {1}, kind
-    assert kinds["additive-closure"] == len(constructed["closure"])
+        per_arg = Counter((id(cat), arg) for cat, arg in constructed[kind])
+        assert per_arg and set(per_arg.values()) == {1}, kind
+    # the witness search builds a closure of each tuple alone, under its
+    # memo of the tuple's idempotent ideals (no endo space of a2cat(2) is
+    # over the vector cap), and never the memoized closure at a bound
+    assert kinds["additive-closure"] + kinds["tuple idempotent ideals"] == len(constructed["closure"])
+    assert kinds["tuple idempotent ideals"] > 0
     assert kinds["census"] == len(constructed["census"])
 
 
 def test_the_census_builds_no_closure_past_the_witness_length(monkeypatch, capsys):
-    # every idempotent ideal of a2cat(3) has a witness on the singletons
+    # every idempotent ideal of a2cat(3) has a witness on the singletons, so
+    # each recollement datum builds its corner on the length-1 closure
     cat = catalog("a2cat(3)")
     monkeypatch.setattr(cli, "load_category", lambda source, p: (cat, []))
     assert cli.main(["census", "catalog:a2cat", "--p", "3", "--json"]) == 0
