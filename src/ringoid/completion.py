@@ -145,8 +145,15 @@ class AdditiveClosure:
 
 
 def additive_closure(base: FinCat, bound: int) -> AdditiveClosure:
-    return derived(base, ("additive-closure", bound),
-                   lambda: AdditiveClosure(base, closure_tuples(base.objects, bound)))
+    """The closure on every tuple of length at most `bound`."""
+    return closure_on(base, closure_tuples(base.objects, bound))
+
+
+def closure_on(base: FinCat, tuples) -> AdditiveClosure:
+    """The closure on the given tuples, built once per category and tuple
+    list."""
+    tuples = tuple(tuples)
+    return derived(base, ("additive-closure", tuples), lambda: AdditiveClosure(base, tuples))
 
 
 def induce_module(closure: AdditiveClosure, m: FinModule) -> FinModule:

@@ -89,6 +89,16 @@ def zero_vec(n: int) -> Vec:
     return (0,) * n
 
 
+def is_line_first(v: Vec) -> bool:
+    """v is zero or its first nonzero entry is 1: the first vector of its
+    line, which `itertools.product(range(p), repeat=n)` reaches before every
+    other nonzero multiple of it."""
+    for x in v:
+        if x:
+            return x == 1
+    return True
+
+
 class Mat:
     """An immutable rows x cols matrix over F_p.
 
@@ -141,17 +151,22 @@ class Mat:
         """The block matrix with blocks[(i, j)] in block row i and block column j.
 
         Block (i, j) is row_sizes[i] x col_sizes[j]; absent blocks are zero.
+        The blocks are matrices over F_p, so their entries are already
+        reduced and the result is built without another pass.
         """
+        check_prime(p)
         nrows, ncols = sum(row_sizes), sum(col_sizes)
         rows = [[0] * ncols for _ in range(nrows)]
         for (i, j), blk in blocks.items():
             if not (0 <= i < len(row_sizes) and 0 <= j < len(col_sizes)
                     and (blk.rows, blk.cols) == (row_sizes[i], col_sizes[j])):
                 raise DimensionMismatch(f"a {blk.rows}x{blk.cols} block does not fit at ({i}, {j})")
+            if blk.p != p:
+                raise DimensionMismatch(f"a block over F_{blk.p} in a matrix over F_{p}")
             c0 = sum(col_sizes[:j])
             for r, row in enumerate(blk.entries, sum(row_sizes[:i])):
                 rows[r][c0:c0 + blk.cols] = row
-        return cls(p, nrows, ncols, rows)
+        return cls._new(p, nrows, ncols, tuple(map(tuple, rows)))
 
     @classmethod
     def zero(cls, p: int, rows: int, cols: int) -> "Mat":

@@ -20,6 +20,7 @@ from .linalg import (
     check_vector_cap,
     complement_data,
     image_basis,
+    is_line_first,
     kernel_basis,
     matrix_kernel,
     matrix_kernel_dim,
@@ -74,8 +75,15 @@ class FinModule:
 
     def fingerprint(self):
         """Iso-invariant: dims plus the rank profile of every basis action,
-        refined by element-wise rank profiles on small hom spaces."""
+        refined by element-wise rank profiles on small hom spaces.
+
+        rank M(c f) = rank M(f) for c != 0, so an element-wise profile
+        computes one rank per line of A(a, b), at the line's first vector
+        (`is_line_first`), and copies it to the other multiples.  The zero
+        element has rank 0 and a basis element the cached rank of its
+        action."""
         if self._fingerprint is None:
+            p = self.cat.p
             dims = tuple(self.dims[a] for a in self.cat.objects)
             ranks = []
             for a in self.cat.objects:
@@ -83,10 +91,25 @@ class FinModule:
                     d = self.cat.hom_dim[(a, b)]
                     if d == 0:
                         continue
-                    if self.cat.p ** d <= 81:
-                        prof = tuple(self.act(f).rank() for f in self.cat.elements(a, b))
+                    basis_ranks = tuple(self.action[(a, b, i)].rank() for i in range(d))
+                    if p ** d <= 81:
+                        line_rank = {}
+                        for f in self.cat.elements(a, b):
+                            v = f.coords
+                            if not is_line_first(v):
+                                continue
+                            nonzero = [i for i, x in enumerate(v) if x]
+                            if not nonzero:
+                                r = 0
+                            elif len(nonzero) == 1:
+                                r = basis_ranks[nonzero[0]]
+                            else:
+                                r = self.act(f).rank()
+                            for c in range(1, p):
+                                line_rank[tuple(c * x % p for x in v)] = r
+                        prof = tuple(line_rank[f.coords] for f in self.cat.elements(a, b))
                     else:
-                        prof = tuple(self.action[(a, b, i)].rank() for i in range(d))
+                        prof = basis_ranks
                     ranks.append(((a, b), prof))
             self._fingerprint = (dims, tuple(ranks))
         return self._fingerprint
@@ -256,13 +279,17 @@ def image(phi: ModuleMap) -> Submodule:
 def cyclic_submodules(m: FinModule) -> list:
     """[(sub, a, v)]: each distinct cyclic submodule Av, with the first
     nonzero v in M(a) (objects in order, vectors in `itertools.product`
-    order) that generates it."""
+    order) that generates it.
+
+    A(cv) = Av for c != 0, and the first vector of each line comes before
+    its other multiples, so only the first vectors (`is_line_first`) are
+    scanned: one cyclic submodule per line of M(a)."""
     _check_submodule_scan(m)
     out = []
     seen = set()
     for a in m.cat.objects:
         for v in itertools.product(range(m.p), repeat=m.dims[a]):
-            if not any(v):
+            if not any(v) or not is_line_first(v):
                 continue
             s = cyclic_submodule(m, a, v)
             if s.key() not in seen:
@@ -542,10 +569,16 @@ def simple_modules(cat: FinCat) -> list:
 
 
 def _extensions(s: FinModule, q: FinModule) -> list:
-    """All modules with submodule block s and quotient block q.
+    """Modules with submodule block s and quotient block q, one candidate
+    per line of extension classes.
 
-    The off-diagonal blocks C form the solution space of a linear system
-    (functoriality and identity constraints); each solution is one candidate.
+    The off-diagonal blocks C form the solution space Z^1 of a linear system
+    (functoriality and identity constraints).  A basis change
+    [[I, h], [0, I]] shifts C by a coboundary, so each class of Z^1/B^1
+    gives one candidate, at its reduced vector.  Conjugating by
+    diag(cI, I) carries the extension of C to that of cC (E_C ~ E_cC), so
+    of each line of reduced vectors only the first (`is_line_first`) is
+    kept; in sorted order it comes before its other multiples.
     """
     cat = s.cat
     p = cat.p
@@ -569,24 +602,33 @@ def _extensions(s: FinModule, q: FinModule) -> list:
                         terms.append((-1, s.action[(a, b, i)], (b, c, j), None))
                         terms.append((-1, None, (a, b, i), q.action[(b, c, j)]))
                         equations.append(terms)
-    sol, pack, unpack = matrix_kernel(p, shapes, equations)
+    sol, _, unpack = matrix_kernel(p, shapes, equations)
     check_vector_cap(p ** sol.dim, "extension scan: p^dim cocycles")
-    # a basis change [[I, h], [0, I]] shifts the off-diagonal blocks by a
-    # coboundary, so only one representative per coset yields a new module
+    # the coboundary S(alpha) h_b - h_a Q(alpha) of the unit h = E_uv at
+    # object o, written straight into the packed vector (each block
+    # row-major, in `shapes` order): when b = o, column u of S(alpha) goes
+    # into column v; when a = o, row v of Q(alpha) is subtracted in row u
+    offs = {}
+    total = 0
+    for key, (r, c) in shapes.items():
+        offs[key] = total
+        total += r * c
     cob_vecs = []
-    zero_h = {o: Mat.zero(p, s.dims[o], q.dims[o]) for o in cat.objects}
     for o in cat.objects:
         for u in range(s.dims[o]):
             for v in range(q.dims[o]):
-                unit = [[0] * q.dims[o] for _ in range(s.dims[o])]
-                unit[u][v] = 1
-                h = {**zero_h, o: Mat(p, s.dims[o], q.dims[o], unit)}
-                cob_vecs.append(pack({
-                    (a, b, i): s.action[(a, b, i)] @ h[b] - h[a] @ q.action[(a, b, i)]
-                    for a, b, i in shapes
-                }))
+                vec = [0] * total
+                for (a, b, i), off in offs.items():
+                    width = q.dims[b]
+                    if b == o:
+                        for r, row in enumerate(s.action[(a, b, i)].entries):
+                            vec[off + r * width + v] += row[u]
+                    if a == o:
+                        for j, x in enumerate(q.action[(a, b, i)].entries[v], off + u * width):
+                            vec[j] -= x
+                cob_vecs.append(vec)
     cob = Subspace.from_vectors(p, sol.ambient, cob_vecs)
-    reps = sorted({cob.reduce(vec) for vec in sol.vectors()})
+    reps = sorted(filter(is_line_first, {cob.reduce(vec) for vec in sol.vectors()}))
     dims = {a: s.dims[a] + q.dims[a] for a in cat.objects}
     out = []
     for vec in reps:
@@ -622,7 +664,8 @@ class ModuleCensus:
     with quotient q; conversely, for a simple S <= M, M is an extension of
     M/S by S, the census holds a class q of M/S one level down and a simple
     s isomorphic to S, and `_extensions(s, q)` lists one candidate per
-    extension class, so one of them is isomorphic to M.
+    line of extension classes, each isomorphic to the other classes of its
+    line, so one of them is isomorphic to M.
 
     These pairs generate the same closure as the pairs of all submodules and
     the pairwise direct sums: in finite length, every subquotient and every

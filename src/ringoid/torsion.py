@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .category import FinCat, Morphism, derived
-from .linalg import Mat, Subspace, check_vector_cap, kernel_basis, preimage
+from .linalg import Mat, Subspace, check_vector_cap, is_line_first, kernel_basis, preimage
 from .modules import (
     FinModule,
     IsoClasses,
@@ -93,9 +93,11 @@ def check_topology(cat: FinCat, topo: Topology) -> list:
     """Violations of the identity, pullback, and glueing axioms.
 
     Glueing quantifies over every submodule of every representable, read
-    from `representable_quotients`.  The pullback and glueing loops need no
-    cap of their own: they run over vectors of H_a, and `all_submodules(H_a)`
-    has capped those vectors."""
+    from `representable_quotients`, and over the morphisms r of each
+    covering submodule, one per line (`is_line_first`): the pullback along
+    cr is the pullback along r for c != 0.  The pullback and glueing loops
+    need no cap of their own: they run over vectors of H_a, and
+    `all_submodules(H_a)` has capped those vectors."""
     report = []
     for a in cat.objects:
         h = representable(cat, a)
@@ -116,7 +118,7 @@ def check_topology(cat: FinCat, topo: Topology) -> list:
         for ssub in topo.families[a]:
             hypothesis = True
             for a2 in cat.objects:
-                for v in ssub.spaces[a2].vectors():
+                for v in filter(is_line_first, ssub.spaces[a2].vectors()):
                     r = Morphism(a2, a, v)
                     if not topo.covers(a2, pullback_submodule(cat, r, rsub)):
                         hypothesis = False
@@ -145,12 +147,14 @@ def yoneda_kernel(cat: FinCat, m: FinModule, a: str, v) -> Submodule:
 
 def torsion_membership(topo: Topology, m: FinModule) -> bool:
     """Membership in the torsion class: every element of every value space
-    classifies a map out of a representable with covering kernel."""
+    classifies a map out of a representable with covering kernel.  The map
+    of cv has the kernel of the map of v for c != 0, so one element per
+    line (`is_line_first`) is tested."""
     cat = topo.cat
     for a in cat.objects:
         check_vector_cap(cat.p ** m.dims[a], f"torsion_membership: p^dim M({a})")
         for v in itertools.product(range(cat.p), repeat=m.dims[a]):
-            if not topo.covers(a, yoneda_kernel(cat, m, a, v)):
+            if is_line_first(v) and not topo.covers(a, yoneda_kernel(cat, m, a, v)):
                 return False
     return True
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from .category import FinCat, Morphism, derived
 from .center import center_idempotents, compute_center, ideal_of_idempotent
-from .completion import AdditiveClosure, additive_closure, idempotent_subcategory, proj_module_of_idempotent
+from .completion import (AdditiveClosure, closure_on, closure_tuples, idempotent_subcategory,
+                         proj_module_of_idempotent, tuple_id)
 from .ideals import (
     Ideal,
     enumerate_idempotent_ideals,
@@ -242,10 +243,19 @@ class RecollementData:
         self.bound = bound
         self.witness = witness
         self.quotient = quotient_category(cat, ideal)
-        # the shortest closure holding every witness tuple, built here:
-        # the witness search builds no closure
-        self.closure = next(c for c in (additive_closure(cat, l) for l in range(1, bound + 1))
-                            if all(eps.src in c.tuples for eps in witness))
+        # the closure on the zero tuple, the singletons (which
+        # `restrict_module` reads) and the witness tuples, in closure order:
+        # the corner reads no other tuple, and the witness search builds no
+        # closure
+        wanted = {eps.src for eps in witness}
+        tuples = []
+        for t in closure_tuples(cat.objects, bound):
+            if len(t) > 1 and not wanted:
+                break
+            if len(t) <= 1 or tuple_id(t) in wanted:
+                tuples.append(t)
+                wanted.discard(tuple_id(t))
+        self.closure = closure_on(cat, tuples)
         self.corner = CornerCategory(self.closure, witness)
         self.triple = ttf_from_ideal(cat, ideal)
 

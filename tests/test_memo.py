@@ -109,12 +109,13 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
 
 def test_the_census_builds_no_closure_past_the_witness_length(monkeypatch, capsys):
     # every idempotent ideal of a2cat(3) has a witness on the singletons, so
-    # each recollement datum builds its corner on the length-1 closure
+    # each recollement datum builds its corner on the length-1 closure, kept
+    # under its tuples: the zero tuple and the singletons
     cat = catalog("a2cat(3)")
     monkeypatch.setattr(cli, "load_category", lambda source, p: (cat, []))
     assert cli.main(["census", "catalog:a2cat", "--p", "3", "--json"]) == 0
     capsys.readouterr()
-    assert {key[1] for key, _cap in cat._derived if key[0] == "additive-closure"} == {1}
+    assert {key[1] for key, _cap in cat._derived if key[0] == "additive-closure"} == {((), ("1",), ("2",))}
 
 
 def test_the_module_census_keeps_no_submodule_lists():

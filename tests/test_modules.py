@@ -560,3 +560,200 @@ def test_iso_classes_keep_no_miss_across_an_add():
     assert index.find(direct_sum(s2, s1)) is None
     assert index.add(direct_sum(s1, s2)) == 1
     assert index.find(direct_sum(s2, s1)) == 1
+
+
+# Differential references for the census crawl: the scans as they were before
+# they visited one vector per line of F_p^n.
+
+def all_vector_cyclic_submodules(m):
+    """`cyclic_submodules` scanning every nonzero vector of every M(a)."""
+    out = []
+    seen = set()
+    for a in m.cat.objects:
+        for v in itertools.product(range(m.p), repeat=m.dims[a]):
+            if any(v):
+                s = cyclic_submodule(m, a, v)
+                if s.key() not in seen:
+                    seen.add(s.key())
+                    out.append((s, a, v))
+    return out
+
+
+def all_class_extensions(s, q):
+    """`_extensions` with one candidate per class of Z^1/B^1, its
+    coboundaries from the `Mat` products S(alpha) h_b - h_a Q(alpha)."""
+    from ringoid.linalg import Subspace, matrix_kernel
+
+    cat = s.cat
+    p = cat.p
+    shapes = {(a, b, i): (s.dims[a], q.dims[b]) for a, b, i in sorted(s.action)}
+    equations = []
+    for a in cat.objects:
+        if cat.hom_dim[(a, a)]:
+            equations.append([(cf, None, (a, a, i), None) for i, cf in enumerate(cat.id_coords[a]) if cf])
+    for a in cat.objects:
+        for b in cat.objects:
+            for i in range(cat.hom_dim[(a, b)]):
+                for c in cat.objects:
+                    for j in range(cat.hom_dim[(b, c)]):
+                        terms = [(cf, None, (a, c, k), None)
+                                 for k, cf in enumerate(cat.compose_basis(a, b, c, i, j)) if cf]
+                        terms.append((-1, s.action[(a, b, i)], (b, c, j), None))
+                        terms.append((-1, None, (a, b, i), q.action[(b, c, j)]))
+                        equations.append(terms)
+    sol, pack, unpack = matrix_kernel(p, shapes, equations)
+    cob_vecs = []
+    zero_h = {o: Mat.zero(p, s.dims[o], q.dims[o]) for o in cat.objects}
+    for o in cat.objects:
+        for u in range(s.dims[o]):
+            for v in range(q.dims[o]):
+                unit = [[0] * q.dims[o] for _ in range(s.dims[o])]
+                unit[u][v] = 1
+                h = {**zero_h, o: Mat(p, s.dims[o], q.dims[o], unit)}
+                cob_vecs.append(pack({key: s.action[key] @ h[key[1]] - h[key[0]] @ q.action[key]
+                                      for key in shapes}))
+    cob = Subspace.from_vectors(p, sol.ambient, cob_vecs)
+    dims = {a: s.dims[a] + q.dims[a] for a in cat.objects}
+    out = []
+    for vec in sorted({cob.reduce(vec) for vec in sol.vectors()}):
+        action = {
+            (a, b, i): Mat.from_blocks(p, (s.dims[a], q.dims[a]), (s.dims[b], q.dims[b]),
+                                       {(0, 0): s.action[(a, b, i)], (0, 1): blk, (1, 1): q.action[(a, b, i)]})
+            for (a, b, i), blk in unpack(vec).items()
+        }
+        out.append(FinModule(cat, dims, action))
+    return out
+
+
+def element_fingerprint(m):
+    """`FinModule.fingerprint` with one rank per element of each small hom
+    space, each from its own matrix M(f)."""
+    cat = m.cat
+    ranks = []
+    for a in cat.objects:
+        for b in cat.objects:
+            d = cat.hom_dim[(a, b)]
+            if d == 0:
+                continue
+            if cat.p ** d <= 81:
+                prof = tuple(m.act(f).rank() for f in cat.elements(a, b))
+            else:
+                prof = tuple(m.action[(a, b, i)].rank() for i in range(d))
+            ranks.append(((a, b), prof))
+    return (tuple(m.dims[a] for a in cat.objects), tuple(ranks))
+
+
+def cached_element_fingerprint(m):
+    """`element_fingerprint`, kept on the module like `FinModule.fingerprint`."""
+    if "_element_fingerprint" not in m.__dict__:
+        m._element_fingerprint = element_fingerprint(m)
+    return m._element_fingerprint
+
+
+def census_record(census):
+    """What a census produces: its class keys in order, their fingerprints
+    and the class pairs (S, M/S)."""
+    return ([m.key() for m in census.classes], [m.fingerprint() for m in census.classes], census.sub_quot)
+
+
+def reference_census(cat, bound, monkeypatch):
+    """The census crawled with the all-vector, all-class and element-wise
+    references in place of the line scans."""
+    from ringoid import modules
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "cyclic_submodules", all_vector_cyclic_submodules)
+        patch.setattr(modules, "_extensions", all_class_extensions)
+        patch.setattr(FinModule, "fingerprint", cached_element_fingerprint)
+        return census_record(ModuleCensus(cat, bound))
+
+
+def walk_quiver(name, p):
+    """The walk quiver of `QUIVERS` over F_p."""
+    import re
+
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    return path_category(parse_quiver_dsl(re.sub(r"field \d+", f"field {p}", QUIVERS[name])))
+
+
+LINE_CASES = ([(f"{n}({p})", p, {2: 4, 3: 3 if n in ("a2", "a2cat") else 4, 5: 3}[p])
+               for p in (2, 3, 5) for n in CATALOG_NAMES]
+              + [(q, p, 3 if q in ("star", "kronecker3") and p == 3 else 4)
+                 for p in (2, 3) for q in ("a4", "kronecker3", "star", "kx3")])
+
+
+@pytest.mark.parametrize("name, p, bound", LINE_CASES)
+def test_line_scans_give_the_census_of_the_all_vector_scans(name, p, bound, monkeypatch):
+    def fresh():
+        return catalog(name) if "(" in name else walk_quiver(name, p)
+
+    reference = reference_census(fresh(), bound, monkeypatch)
+    assert census_record(ModuleCensus(fresh(), bound)) == reference
+
+
+def test_line_scans_match_the_all_vector_scans_on_each_module():
+    for m in enumerate_modules(catalog("dual(3)"), 4):
+        assert ([(s.key(), a, v) for s, a, v in cyclic_submodules(m)]
+                == [(s.key(), a, v) for s, a, v in all_vector_cyclic_submodules(m)])
+        assert m.fingerprint() == element_fingerprint(m)
+
+
+def test_a_crawl_that_keeps_the_last_vector_of_each_line_fails_the_reference(monkeypatch):
+    # the extension of the last vector of a line is isomorphic to that of
+    # the first but has another key, so the census keeps other
+    # representatives
+    from ringoid import modules
+
+    reference = reference_census(catalog("dual(3)"), 4, monkeypatch)
+    # over F_3 the last vector of a line has first nonzero entry 2
+    monkeypatch.setattr(modules, "is_line_first", lambda v: next((x for x in v if x), 2) == 2)
+    mutant = census_record(ModuleCensus(catalog("dual(3)"), 4))
+    assert mutant[0] != reference[0]
+
+
+def counting_candidates(monkeypatch, extensions) -> list:
+    """Patches `modules._extensions` with `extensions`, appending each
+    call's candidate count to the returned list."""
+    from ringoid import modules
+
+    counts = []
+    monkeypatch.setattr(modules, "_extensions", lambda s, q: counts.append(len(out := extensions(s, q))) or out)
+    return counts
+
+
+@pytest.mark.parametrize("name, p, bound, lines, classes", [
+    ("dual(3)", 3, 4, 25, 44),
+    ("a2(3)", 3, 3, 20, 26),
+    ("a2cat(3)", 3, 3, 20, 26),
+    # over F_2 every nonzero vector is the first of its line
+    ("a4", 2, 4, 296, 296),
+])
+def test_extension_candidates_one_per_line_of_classes(name, p, bound, lines, classes, monkeypatch):
+    cat = catalog(name) if "(" in name else walk_quiver(name, p)
+    counts = counting_candidates(monkeypatch, _extensions)
+    ModuleCensus(cat, bound)
+    assert sum(counts) == lines
+    counts = counting_candidates(monkeypatch, all_class_extensions)
+    ModuleCensus(cat, bound)
+    assert sum(counts) == classes
+
+
+def test_census_p3_iso_tests(monkeypatch):
+    # the six base censuses of a census-p3 round: 35 `is_iso` calls, where
+    # one candidate per extension class made 66
+    from ringoid import modules
+
+    calls = []
+    real = modules.is_iso
+    monkeypatch.setattr(modules, "is_iso", lambda m, n: calls.append(1) or real(m, n))
+    cases = [("pt", 4), ("dual", 4), ("prod", 4), ("mat2", 4), ("a2", 3), ("a2cat", 3)]
+    for name, bound in cases:
+        ModuleCensus(catalog(name, 3), bound)
+    assert len(calls) == 35
+    calls.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "_extensions", all_class_extensions)
+        for name, bound in cases:
+            ModuleCensus(catalog(name, 3), bound)
+    assert len(calls) == 66

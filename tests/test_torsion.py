@@ -35,6 +35,7 @@ from ringoid.torsion import (
     topology_from_class,
     torsion_membership,
     torsion_radical,
+    yoneda_kernel,
 )
 from ringoid.ttf import ttf_from_ideal
 
@@ -266,6 +267,22 @@ def test_closure_oracle_matches_topology_membership():
         oracle = hereditary_closure_oracle(cat, seeds, 4)
         for m in census:
             assert oracle(m) == torsion_membership(topo, m)
+
+
+def all_element_membership(topo, m):
+    """`torsion_membership` testing every element of every M(a), each
+    nonzero multiple of a line included."""
+    cat = topo.cat
+    return all(topo.covers(a, yoneda_kernel(cat, m, a, v))
+               for a in cat.objects for v in itertools.product(range(cat.p), repeat=m.dims[a]))
+
+
+@pytest.mark.parametrize("name", [f"{n}({p})" for p in (3, 5) for n in CATALOG_NAMES])
+def test_membership_by_lines_matches_the_all_element_test(name):
+    cat = catalog(name)
+    census = enumerate_modules(cat, 3)
+    for topo in enumerate_topologies(cat):
+        assert [torsion_membership(topo, m) for m in census] == [all_element_membership(topo, m) for m in census]
 
 
 def test_census_equality_counts():

@@ -499,15 +499,21 @@ def test_recollement_closure_has_the_witness_length():
 
 def test_recollement_on_longer_witnesses_uses_their_closure(monkeypatch):
     # with the singletons hidden from the witness scan, every nonzero ideal
-    # is witnessed on pairs, and the datum is built on the length-2 closure
+    # is witnessed on pairs, and the datum is built on the zero tuple, the
+    # singletons and the witness pairs alone: 3, 4, 4 and 5 objects, where
+    # the whole length-2 closure has 7
     cat = catalog("a2cat(2)")
     hidden = {tuple_id((a,)) for a in cat.objects}
     real = ideals.list_idempotents
     monkeypatch.setattr(ideals, "list_idempotents", lambda c, t: [] if t in hidden else real(c, t))
+    sizes = []
     for ideal in enumerate_idempotent_ideals(cat):
         data = recollement_data(cat, ideal, bound=3)
         assert data.closure.bound == (2 if data.witness else 1)
+        assert set(data.closure.tuples) == {"()", "(1)", "(2)"} | {eps.src for eps in data.witness}
+        sizes.append(len(data.closure.cat.objects))
         assert recollement_shadows(data, census_bound=3)["pass"]
+    assert sizes == [3, 4, 4, 5]
 
 
 def counting_hom_dim(monkeypatch) -> list:
