@@ -140,12 +140,20 @@ def ideal_of_idempotent(cat: FinCat, eps: CenterElement):
     return Ideal(cat, fixed), Ideal(cat, killed)
 
 
+def central_idempotent_ideals(cat: FinCat) -> list:
+    """(coords, eps, I_eps, I'_eps) for every central idempotent, in
+    `center_idempotents` order, built once per category."""
+    return derived(cat, ("central idempotent ideals",), lambda: [
+        (coords, eps, *ideal_of_idempotent(cat, eps))
+        for coords, eps in center_idempotents(compute_center(cat))
+    ])
+
+
 def summand_bijection_check(cat: FinCat) -> dict:
     """Compare the direct summands of the regular bimodule with the central
     idempotents: counts match, complements are unique, every summand is I_e."""
     ideals = enumerate_ideals(cat)
-    z = compute_center(cat)
-    idems = center_idempotents(z)
+    idems = central_idempotent_ideals(cat)
     summands = []
     complements = {}
     for i in ideals:
@@ -153,10 +161,7 @@ def summand_bijection_check(cat: FinCat) -> dict:
         if comps:
             summands.append(i)
             complements[i.key()] = comps
-    images = {}
-    for coords, eps in idems:
-        i_eps, i_comp = ideal_of_idempotent(cat, eps)
-        images[i_eps.key()] = (coords, i_comp)
+    images = {i_eps.key(): (coords, i_comp) for coords, _, i_eps, i_comp in idems}
     report = {
         "summands": len(summands),
         "central_idempotents": len(idems),

@@ -16,7 +16,7 @@ import sys
 import time
 
 from .category import FinCat, cat_document, cat_from_json, cat_hash, cat_to_json, catalog, validate
-from .center import center_idempotents, compute_center, summand_bijection_check
+from .center import central_idempotent_ideals, center_idempotents, compute_center, summand_bijection_check
 from .completion import (CLOSURE_OBJECTS, ENVELOPE_OBJECTS, additive_closure, find_oplus_generator,
                          idempotent_completion)
 from .ideals import (
@@ -253,7 +253,7 @@ def split_check(cat, ideals, census_bound):
         rep = is_split(cat, ttf_from_ideal(cat, ideal), census_bound)
         split_flags.append(rep["split"])
         agree = agree and rep["agree"] and rep.get("class_formulas", True)
-    n_central = len(center_idempotents(compute_center(cat)))
+    n_central = len(central_idempotent_ideals(cat))
     return split_flags, n_central, "pass" if agree and sum(split_flags) == n_central else "fail"
 
 
@@ -296,7 +296,8 @@ class UsageError(Exception):
 
 
 def _select_ideals(cat, selector: str):
-    ideals = enumerate_idempotent_ideals(cat)
+    """(index, ideal) for the idempotent ideals that --ideal selects."""
+    ideals = list(enumerate(enumerate_idempotent_ideals(cat)))
     if selector == "all":
         return ideals
     if not (selector.isdecimal() and int(selector) < len(ideals)):
@@ -314,8 +315,7 @@ def recollement_check(cat, ideal, bound, census_bound):
 
 
 def cmd_recollement(cat, args, report):
-    ideals = _select_ideals(cat, args.ideal)
-    for n, ideal in enumerate(ideals):
+    for n, ideal in _select_ideals(cat, args.ideal):
         rep = recollement_check(cat, ideal, args.bound, args.dim)
         if rep is None:
             report.add(

@@ -36,6 +36,13 @@ def closure_tuples(objects, bound: int):
     return itertools.chain([()], *(itertools.product(objects, repeat=l) for l in range(1, bound + 1)))
 
 
+def check_closure_objects(count: int) -> None:
+    """Refuse a closure of more than MAX_CLOSURE_OBJECTS tuple objects."""
+    if count > MAX_CLOSURE_OBJECTS:
+        raise CapExceeded(f"additive closure would have {count} objects, over cap {MAX_CLOSURE_OBJECTS}",
+                          CLOSURE_OBJECTS, count, MAX_CLOSURE_OBJECTS)
+
+
 class AdditiveClosure:
     """The additive closure on the given tuples: tuple objects and matrix
     morphisms.  `bound` is the longest tuple length."""
@@ -44,11 +51,7 @@ class AdditiveClosure:
         tuples = list(tuples)
         self.base = base
         self.bound = max(map(len, tuples), default=0)
-        if len(tuples) > MAX_CLOSURE_OBJECTS:
-            raise CapExceeded(
-                f"additive closure would have {len(tuples)} objects, over cap {MAX_CLOSURE_OBJECTS}",
-                CLOSURE_OBJECTS, len(tuples), MAX_CLOSURE_OBJECTS,
-            )
+        check_closure_objects(len(tuples))
         self.tuples = {tuple_id(t): t for t in tuples}
         objects = [tuple_id(t) for t in tuples]
         self._layout = {}
@@ -145,7 +148,9 @@ class AdditiveClosure:
 
 
 def additive_closure(base: FinCat, bound: int) -> AdditiveClosure:
-    """The closure on every tuple of length at most `bound`."""
+    """The closure on every tuple of length at most `bound`, refused from the
+    count 1 + n + ... + n^bound of n objects before any tuple is listed."""
+    check_closure_objects(sum(len(base.objects) ** l for l in range(bound + 1)))
     return closure_on(base, closure_tuples(base.objects, bound))
 
 

@@ -10,7 +10,7 @@ the finite intersection computes the honest infinite one.
 from __future__ import annotations
 
 from .category import FinCat, Morphism, derived
-from .center import center_idempotents, compute_center, ideal_of_idempotent
+from .center import central_idempotent_ideals
 from .completion import (AdditiveClosure, closure_on, closure_tuples, idempotent_subcategory,
                          proj_module_of_idempotent, tuple_id)
 from .ideals import (
@@ -31,7 +31,6 @@ from .modules import (
     hom_dim,
     killed_by,
     module_times_ideal,
-    quotient_module,
     restrict_along,
     simple_kernel_sequences,
     submodule_module,
@@ -60,11 +59,9 @@ class TTFTriple:
         return annihilator(m, self.ideal).is_zero()
 
     def radicals(self, m: FinModule):
-        """(c(M), t(M), M / t(M)): the two radicals and the torsionfree coradical."""
-        c = module_times_ideal(m, self.ideal)
-        t = annihilator(m, self.ideal)
-        coradical, _ = quotient_module(m, t)
-        return c, t, coradical
+        """(c(M), t(M)): the closed radical M.I and the torsion radical, the
+        largest submodule killed by the ideal."""
+        return module_times_ideal(m, self.ideal), annihilator(m, self.ideal)
 
     def census_fingerprint(self, census) -> tuple:
         return tuple(self.in_torsion(m) for m in census)
@@ -131,20 +128,11 @@ def is_split(cat: FinCat, triple: TTFTriple, census_bound: int = 4) -> dict:
     (3) the closed and free classes agree on the census.
     """
     census = enumerate_modules(cat, census_bound)
-    z = compute_center(cat)
-    central = None
-    for coords, eps in center_idempotents(z):
-        i_eps, _ = ideal_of_idempotent(cat, eps)
-        if i_eps == triple.ideal:
-            central = (coords, eps)
-            break
-    decomposes = True
-    for m in census:
-        c, t, _ = triple.radicals(m)
-        if not (c.sum(t).is_full() and c.intersect(t).is_zero()):
-            decomposes = False
-            break
-    classes_agree = all(triple.in_closed(m) == triple.in_free(m) for m in census)
+    central = next((eps for _, eps, i_eps, _ in central_idempotent_ideals(cat) if i_eps == triple.ideal), None)
+    # M is closed when c(M) = M, free when t(M) = 0 and torsion when t(M) = M
+    radicals = [triple.radicals(m) for m in census]
+    decomposes = all(c.sum(t).is_full() and c.intersect(t).is_zero() for c, t in radicals)
+    classes_agree = all(c.is_full() == t.is_zero() for c, t in radicals)
     verdicts = {
         "decomposition": decomposes,
         "central_idempotent": central is not None,
@@ -156,13 +144,10 @@ def is_split(cat: FinCat, triple: TTFTriple, census_bound: int = 4) -> dict:
         "split": central is not None,
     }
     if central is not None:
-        _, eps = central
         report["class_formulas"] = all(
-            triple.in_closed(m)
-            == all(m.act(eps.components[a]).rank() == m.dims[a] for a in cat.objects)
-            and triple.in_torsion(m)
-            == all(m.act(eps.components[a]).is_zero() for a in cat.objects)
-            for m in census
+            c.is_full() == all(m.act(central.components[a]).rank() == m.dims[a] for a in cat.objects)
+            and t.is_full() == all(m.act(central.components[a]).is_zero() for a in cat.objects)
+            for m, (c, t) in zip(census, radicals)
         )
     return report
 

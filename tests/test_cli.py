@@ -235,6 +235,7 @@ def test_recollement_single_index(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["findings"]) == 1
+    assert doc["findings"][0]["statement_id"] == "recollement-1"
 
 
 def test_center_command(capsys):

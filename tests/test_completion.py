@@ -87,6 +87,25 @@ def test_closure_object_cap():
         additive_closure(catalog("a2cat(2)"), 7)
 
 
+def test_closure_object_cap_refuses_before_listing_tuples(monkeypatch):
+    # bound 18 over two objects: 2^19 - 1 tuples, refused from their count
+    # before one more than the cap is drawn from closure_tuples
+    from ringoid import completion
+
+    real = completion.closure_tuples
+
+    def guarded(objects, bound):
+        for n, t in enumerate(real(objects, bound)):
+            assert n < completion.MAX_CLOSURE_OBJECTS, "tuples listed past the cap"
+            yield t
+
+    monkeypatch.setattr(completion, "closure_tuples", guarded)
+    with pytest.raises(CapExceeded) as refusal:
+        additive_closure(catalog("a2cat(2)"), 18)
+    e = refusal.value
+    assert (e.operation, e.needed, e.cap) == (completion.CLOSURE_OBJECTS, 2 ** 19 - 1, 130)
+
+
 def test_maxlen_one_recovers_base():
     cat = catalog("dual(2)")
     closure = additive_closure(cat, 1)

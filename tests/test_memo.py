@@ -87,6 +87,7 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
     assert set(per_key.values()) == {1}
     kinds = Counter(key[0] for _, key in builds)
     assert kinds["center"] == 1
+    assert kinds["central idempotent ideals"] == 1
     assert kinds["sequences"] > 0
     assert kinds["representable"] > 0
     assert kinds["pullback"] > 0

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ringoid import cli, ideals, ttf
@@ -16,9 +18,11 @@ from ringoid.modules import (
     ModuleMap,
     Submodule,
     all_submodules,
+    annihilator,
     enumerate_modules,
     hom_space,
     is_iso,
+    module_times_ideal,
     quotient_module,
     representable,
     simple_modules,
@@ -118,7 +122,7 @@ def test_radical_of_representable_is_ideal_values():
             from ringoid.modules import representable
 
             h = representable(cat, a)
-            c, _, _ = triple.radicals(h)
+            c, _ = triple.radicals(h)
             expected = Submodule(h, {b: ideal.spaces[(b, a)] for b in cat.objects})
             assert c.key() == expected.key()
 
@@ -129,12 +133,11 @@ def test_radical_class_memberships():
     for ideal in enumerate_idempotent_ideals(cat):
         triple = ttf_from_ideal(cat, ideal)
         for m in census:
-            c, t, coradical = triple.radicals(m)
+            c, t = triple.radicals(m)
             c_mod, _ = submodule_module(c)
             t_mod, _ = submodule_module(t)
-            from ringoid.modules import quotient_module
-
             m_over_c, _ = quotient_module(m, c)
+            coradical, _ = quotient_module(m, t)
             assert triple.in_closed(c_mod)
             assert triple.in_torsion(m_over_c)
             assert triple.in_torsion(t_mod)
@@ -221,6 +224,104 @@ def test_split_counts(name, split_count):
             assert rep["class_formulas"]
             found += 1
     assert found == split_count
+
+
+def reference_is_split(cat, triple, census_bound=4):
+    """Reference: the split check that scans the central idempotents for the
+    ideal, rebuilding each one's ideal, and reads the classes one module at
+    a time."""
+    from ringoid.center import center_idempotents, compute_center, ideal_of_idempotent
+
+    census = enumerate_modules(cat, census_bound)
+    central = None
+    for coords, eps in center_idempotents(compute_center(cat)):
+        i_eps, _ = ideal_of_idempotent(cat, eps)
+        if i_eps == triple.ideal:
+            central = (coords, eps)
+            break
+    decomposes = True
+    for m in census:
+        c, t = module_times_ideal(m, triple.ideal), annihilator(m, triple.ideal)
+        if not (c.sum(t).is_full() and c.intersect(t).is_zero()):
+            decomposes = False
+            break
+    classes_agree = all(triple.in_closed(m) == triple.in_free(m) for m in census)
+    verdicts = {
+        "decomposition": decomposes,
+        "central_idempotent": central is not None,
+        "closed_equals_free": classes_agree,
+    }
+    report = {**verdicts, "agree": len(set(verdicts.values())) == 1, "split": central is not None}
+    if central is not None:
+        _, eps = central
+        report["class_formulas"] = all(
+            triple.in_closed(m)
+            == all(m.act(eps.components[a]).rank() == m.dims[a] for a in cat.objects)
+            and triple.in_torsion(m)
+            == all(m.act(eps.components[a]).is_zero() for a in cat.objects)
+            for m in census
+        )
+    return report
+
+
+WALK_QUIVERS = {
+    "a4": "vertices 1 2 3 4 ; arrow a: 1 -> 2 ; arrow b: 2 -> 3 ; arrow c: 3 -> 4 ;"
+          " relation a*b ; relation b*c ; field 2 ; maxlen 3 ;",
+    "kronecker3": "vertices 1 2 ; arrow a: 1 -> 2 ; arrow b: 1 -> 2 ; arrow c: 1 -> 2 ; field 2 ; maxlen 1 ;",
+    "star": "vertices 1 2 3 4 ; arrow a: 1 -> 4 ; arrow b: 2 -> 4 ; arrow c: 3 -> 4 ; field 2 ; maxlen 1 ;",
+    # k[x]/(x^3) over F_3
+    "kx3": "vertices 1 ; arrow x: 1 -> 1 ; relation x*x*x ; field 3 ; maxlen 3 ;",
+}
+
+
+@pytest.mark.parametrize("name, bound", [(f"{n}({p})", 3 if p == 5 else 4) for p in (2, 3, 5)
+                                         for n in CATALOG_NAMES] + [(q, 4) for q in sorted(WALK_QUIVERS)])
+def test_split_reports_match_the_reference(name, bound):
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    cat = path_category(parse_quiver_dsl(WALK_QUIVERS[name])) if name in WALK_QUIVERS else catalog(name)
+    for ideal in enumerate_idempotent_ideals(cat):
+        triple = ttf_from_ideal(cat, ideal)
+        assert is_split(cat, triple, bound) == reference_is_split(cat, triple, bound)
+
+
+def test_the_census_builds_each_central_idempotent_ideal_once(monkeypatch, capsys):
+    from ringoid import center
+
+    cat = catalog("prod(2)")
+    calls = []
+    real = center.ideal_of_idempotent
+
+    def counting(c, eps):
+        calls.append(eps)
+        return real(c, eps)
+
+    # a module that imported the function by name is counted too
+    for mod in (center, ttf, cli):
+        monkeypatch.setattr(mod, "ideal_of_idempotent", counting, raising=False)
+    monkeypatch.setattr(cli, "load_category", lambda source, p: (cat, []))
+    assert cli.main(["census", "catalog:prod", "--p", "2", "--json"]) == 0
+    capsys.readouterr()
+    idempotents = [eps for _, eps in center.center_idempotents(center.compute_center(cat))]
+    assert len(idempotents) == 4
+    assert calls == idempotents
+
+
+def test_is_split_multiplies_each_census_module_by_the_ideal_once(monkeypatch):
+    cat = catalog("a2cat(2)")
+    census = enumerate_modules(cat, 3)
+    calls = []
+    real = ttf.module_times_ideal
+
+    def counting(m, ideal):
+        calls.append((m.key(), ideal.key()))
+        return real(m, ideal)
+
+    monkeypatch.setattr(ttf, "module_times_ideal", counting)
+    ideals = enumerate_idempotent_ideals(cat)
+    for ideal in ideals:
+        is_split(cat, ttf_from_ideal(cat, ideal), 3)
+    assert Counter(calls) == Counter((m.key(), i.key()) for i in ideals for m in census)
 
 
 def test_corner_of_identity_is_endo_algebra():
