@@ -122,9 +122,9 @@ def _build_center(cat: FinCat) -> CenterAlgebra:
 
 def center_idempotents(z: CenterAlgebra) -> list:
     """All solutions of e * e = e in the center, by exhaustive scan of the
-    packed multiplication table (`packed_idempotents`)."""
+    packed multiplication table (`packed_idempotents`), once per category."""
     check_vector_cap(z.cat.p ** z.dim, "center_idempotents: p^dim Z")
-    return [(coords, z.element(coords)) for coords in packed_idempotents(z.cat.p, z.mult)]
+    return derived(z.cat, ("center idempotents",), lambda: [(c, z.element(c)) for c in packed_idempotents(z.cat.p, z.mult)])
 
 
 def ideal_of_idempotent(cat: FinCat, eps: CenterElement):

@@ -14,7 +14,7 @@ import json
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
 from .linalg import CapExceeded, Mat, Subspace, image_basis
-from .modules import FinModule, ModuleMap, image, representable, restrict_along, submodule_module
+from .modules import FinModule, ModuleMap, direct_sum, image, representable, restrict_along, submodule_module, zero_module
 
 MAX_CLOSURE_OBJECTS = 130
 CLOSURE_OBJECTS = "additive_closure: tuple objects"
@@ -262,13 +262,16 @@ def idempotent_completion(base: FinCat, bound: int) -> IdempotentCompletion:
 
 def proj_module_of_idempotent(closure: AdditiveClosure, eps: Morphism):
     """The finitely generated projective base module cut out by an idempotent
-    endomorphism of a tuple object: the image of postcomposition with it."""
-    ccat = closure.cat
-    if ccat.compose(eps, eps) != eps:
+    endomorphism of a tuple object t: the image of eps on H_t1 + ... + H_tk,
+    whose block (l, j) at a is postcomposition with eps_jl: t_j -> t_l."""
+    if closure.cat.compose(eps, eps) != eps:
         raise ValueError("not an idempotent")
-    # the base module c -> closure(c, eps.src), a coproduct of representables
-    amb = restrict_module(closure, representable(ccat, eps.src))
-    comps = {a: ccat.postcompose_matrix(eps, closure.embed_object(a)) for a in closure.base.objects}
+    base, t = closure.base, closure.tuples[eps.src]
+    amb = direct_sum(*(representable(base, c) for c in t)) if t else zero_module(base)
+    sizes = {a: [base.hom_dim[(a, c)] for c in t] for a in base.objects}
+    comps = {a: Mat.from_blocks(base.p, sizes[a], sizes[a], {
+        (l, j): base.postcompose_matrix(closure.block(eps, j, l), a) for j in range(len(t)) for l in range(len(t))
+    }) for a in base.objects}
     return submodule_module(image(ModuleMap(amb, amb, comps)))
 
 

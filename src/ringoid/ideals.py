@@ -9,7 +9,7 @@ joins of the zero ideal with principal ideals are the whole ideal lattice.
 from __future__ import annotations
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
-from .completion import AdditiveClosure, closure_tuples, tuple_id
+from .completion import closure_on, closure_tuples, tuple_id
 from .linalg import Subspace, SubspaceFamily, check_vector_cap, complement_data, vector_cap
 from .modules import FinModule, module_times_ideal, quotient_module, quotient_point_walk, representable, restrict_along, trace
 
@@ -194,15 +194,16 @@ def _tuple_idempotent_ideals(cat: FinCat, t: tuple) -> list:
     """(eps, base ideal it generates) for the first nonzero idempotent eps of
     End(t) that generates each distinct ideal, in `list_idempotents` order.
 
-    End(t) is read on a closure of t alone.  The projective that eps cuts
-    out has as trace the ideal generated by the entries eps_ij, since
+    End(t) is read on the `closure_on` closure of t alone, which a datum
+    witnessed on t reuses.  The projective that eps cuts out has as trace
+    the ideal generated by the entries eps_ij, since
     y . eps . x = sum_ij y_j . eps_ij . x_i.  An End(t) whose element count
     exceeds the vector cap is skipped; that is the documented bounded-search
     caveat.
     """
     if cat.p ** sum(cat.hom_dim[(a, b)] for a in t for b in t) > vector_cap():
         return []
-    closure = AdditiveClosure(cat, [t])
+    closure = closure_on(cat, [t])
     out = {}
     for eps in list_idempotents(closure.cat, tuple_id(t)):
         if not eps.is_zero():

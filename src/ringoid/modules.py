@@ -428,13 +428,14 @@ def restrict_along(cat: FinCat, dims, act, image, name: str) -> FinModule:
     return FinModule(cat, dims, action, name=name)
 
 
-def direct_sum(m: FinModule, n: FinModule) -> FinModule:
-    cat = m.cat
-    dims = {a: m.dims[a] + n.dims[a] for a in cat.objects}
+def direct_sum(*modules: FinModule) -> FinModule:
+    """M_1 + ... + M_k (k >= 1), each basis morphism acting block diagonally."""
+    cat = modules[0].cat
+    dims = {a: sum(m.dims[a] for m in modules) for a in cat.objects}
     action = {
-        (a, b, i): Mat.from_blocks(cat.p, (m.dims[a], n.dims[a]), (m.dims[b], n.dims[b]),
-                                   {(0, 0): ma, (1, 1): n.action[(a, b, i)]})
-        for (a, b, i), ma in m.action.items()
+        (a, b, i): Mat.from_blocks(cat.p, [m.dims[a] for m in modules], [m.dims[b] for m in modules],
+                                   {(n, n): m.action[(a, b, i)] for n, m in enumerate(modules)})
+        for (a, b, i) in modules[0].action
     }
     return FinModule(cat, dims, action)
 

@@ -228,19 +228,11 @@ class RecollementData:
         self.bound = bound
         self.witness = witness
         self.quotient = quotient_category(cat, ideal)
-        # the closure on the zero tuple, the singletons (which
-        # `restrict_module` reads) and the witness tuples, in closure order:
-        # the corner reads no other tuple, and the witness search builds no
-        # closure
-        wanted = {eps.src for eps in witness}
-        tuples = []
-        for t in closure_tuples(cat.objects, bound):
-            if len(t) > 1 and not wanted:
-                break
-            if len(t) <= 1 or tuple_id(t) in wanted:
-                tuples.append(t)
-                wanted.discard(tuple_id(t))
-        self.closure = closure_on(cat, tuples)
+        # the closure on the witness tuples alone, in the closure order the
+        # search picked them in: one pass over the tuples up to the last
+        tuples = closure_tuples(cat.objects, bound)
+        self.closure = closure_on(cat, [next(t for t in tuples if tuple_id(t) == s)
+                                        for s in dict.fromkeys(eps.src for eps in witness)])
         self.corner = CornerCategory(self.closure, witness)
         self.triple = ttf_from_ideal(cat, ideal)
 
@@ -312,9 +304,8 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
     )
 
     generator_adjunction = True
-    for eps in data.witness:
+    for o, eps in data.corner.carrier.items():
         p_mod, _ = proj_module_of_idempotent(data.closure, eps)
-        o = next(o for o, e in data.corner.carrier.items() if e == eps)
         for m in census:
             if hom_dim(p_mod, m) != data.corner_image(m).dims[o]:
                 generator_adjunction = False

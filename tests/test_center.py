@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from ringoid import center, cli
 from ringoid.category import CATALOG_NAMES, catalog
 from ringoid.center import (
     center_idempotents,
@@ -58,6 +59,17 @@ def test_center_idempotent_counts():
     assert len(center_idempotents(compute_center(catalog("pt(3)")))) == 2
     assert len(center_idempotents(compute_center(catalog("prod(2)")))) == 4
     assert len(center_idempotents(compute_center(catalog("dual(2)")))) == 2
+
+
+def test_center_with_idempotents_and_summands_scans_the_idempotents_once(monkeypatch, capsys):
+    # the coordinates of the report and the table of central idempotent
+    # ideals read one scan
+    calls = []
+    real = center.packed_idempotents
+    monkeypatch.setattr(center, "packed_idempotents", lambda p, mult: calls.append(p) or real(p, mult))
+    assert cli.main(["center", "catalog:prod", "--p", "2", "--idempotents", "--summands", "--json"]) == 0
+    capsys.readouterr()
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("name", CATALOG)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ringoid import completion
 from ringoid.category import CATALOG_NAMES, FinCat, Morphism, cat_from_json, catalog, list_idempotents, validate
 from ringoid.completion import (
     additive_closure,
@@ -14,8 +15,9 @@ from ringoid.completion import (
     restrict_module,
     tuple_id,
 )
-from ringoid.linalg import CapExceeded, Subspace
-from ringoid.modules import enumerate_modules, hom_space, validate_module
+from ringoid.linalg import CapExceeded, DimensionMismatch, Subspace, vector_cap
+from ringoid.modules import (ModuleMap, enumerate_modules, hom_space, image, representable, submodule_module,
+                             validate_module)
 from ringoid.quiver import parse_quiver_dsl, path_category
 
 CATALOG = ["pt(2)", "dual(2)", "a2cat(2)", "prod(2)", "mat2(2)", "a2(2)"]
@@ -313,10 +315,65 @@ def test_block_action_is_the_induced_module_action(name):
 def test_proj_module_of_identity_is_representable():
     cat = catalog("a2cat(2)")
     closure = additive_closure(cat, 1)
-    from ringoid.modules import is_iso, representable
+    from ringoid.modules import is_iso
 
     p_mod, _ = proj_module_of_idempotent(closure, closure.embed_morphism(cat.identity("2")))
     assert is_iso(p_mod, representable(cat, "2"))
+
+
+def reference_proj_module(closure, eps):
+    """P_e through the closure: its representable at eps.src, restricted
+    along the singleton embedding to the base module c -> closure(c, eps.src),
+    cut by postcomposition with eps in the closure."""
+    ccat = closure.cat
+    amb = restrict_module(closure, representable(ccat, eps.src))
+    comps = {a: ccat.postcompose_matrix(eps, closure.embed_object(a)) for a in closure.base.objects}
+    return submodule_module(image(ModuleMap(amb, amb, comps)))
+
+
+def bound_2_idempotents(p):
+    """(closure, eps) for every idempotent of every bound-2 catalog closure
+    at p, skipping the End spaces over the vector cap."""
+    for name in CATALOG_NAMES:
+        closure = additive_closure(catalog(name, p), 2)
+        ccat = closure.cat
+        for t in ccat.objects:
+            if p ** ccat.hom_dim[(t, t)] <= vector_cap():
+                for eps in list_idempotents(ccat, t):
+                    yield closure, eps
+
+
+def proj_module_mismatches(p):
+    """(idempotents compared, those whose P_e or inclusion differs from the
+    closure route)."""
+    seen = differ = 0
+    for closure, eps in bound_2_idempotents(p):
+        (p_mod, incl), (ref_mod, ref_incl) = proj_module_of_idempotent(closure, eps), reference_proj_module(closure, eps)
+        seen += 1
+        differ += (p_mod.key(), incl.comps) != (ref_mod.key(), ref_incl.comps)
+    return seen, differ
+
+
+def test_proj_module_from_the_base_is_the_closure_route():
+    # 530 idempotents, 12 of them the zero endomorphism of the zero tuple
+    assert [proj_module_mismatches(p) for p in (2, 3)] == [(432, 0), (98, 0)]
+
+
+def test_proj_module_with_transposed_blocks_fails_the_closure_route(monkeypatch):
+    # reading the component t_l -> t_j into block (l, j) breaks P_e on
+    # tuples of one repeated object, and refuses a block of the wrong shape
+    # on the others
+    real = completion.AdditiveClosure.block
+    monkeypatch.setattr(completion.AdditiveClosure, "block", lambda self, f, i, j: real(self, f, j, i))
+    cat = catalog("a2cat(2)")
+    closure = additive_closure(cat, 2)
+    same = [eps for t_id, t in closure.tuples.items() if len(set(t)) == 1
+            for eps in list_idempotents(closure.cat, t_id)]
+    assert any(proj_module_of_idempotent(closure, eps)[1].comps != reference_proj_module(closure, eps)[1].comps
+               for eps in same)
+    with pytest.raises(DimensionMismatch):
+        proj_module_of_idempotent(closure, closure.from_blocks(("1", "2"), ("1", "2"), {
+            (0, 0): cat.identity("1"), (1, 1): cat.identity("2")}))
 
 
 def test_yoneda_dim_identity_on_projective_cut():

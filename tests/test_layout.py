@@ -12,7 +12,8 @@ other module composes through `FinCat`.  (e) Only `IsoClasses` calls
 through `modules.py`, except the traced `completion.induce_module`.
 (f) Every method of a top-level class is named outside its own definition.
 (g) Only the recollement shadow builds the simple-kernel sequences; the
-module census reads its pairs from its own crawl.  (h) `Submodule` and
+module census reads its pairs from its own crawl, and only `closure_on`
+builds an additive closure, under its memo.  (h) `Submodule` and
 `Ideal` define none of the lattice operations of `linalg.SubspaceFamily`.
 """
 
@@ -35,12 +36,12 @@ TESTS = ROOT / "tests"
 TEST_READERS = {
     "cats_equal": "test_category.py",
     "check_naturality": "test_modules.py",
-    "direct_sum": "test_modules.py",
     "enumerate_subspaces": "test_linalg.py",
     "full_topology": "test_torsion.py",
     "gen_witness": "test_modules.py",
     "kernel": "test_properties.py",
     "maximal_topology": "test_torsion.py",
+    "restrict_module": "test_completion.py",
     "solve_matrix": "test_modules.py",
     "torsion_radical": "test_torsion.py",
     "trace_ideal": "test_ideals.py",
@@ -152,6 +153,10 @@ def test_only_iso_classes_calls_is_iso():
 
 def test_only_modules_builds_modules_for_the_functors():
     assert callers("FinModule", ["ideals", "completion", "ttf"]) == ["completion.induce_module"]
+
+
+def test_only_closure_on_builds_an_additive_closure():
+    assert callers("AdditiveClosure", MODULES) == ["completion.closure_on"]
 
 
 def test_only_the_recollement_shadow_builds_simple_kernel_sequences():

@@ -100,23 +100,25 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
     for kind in ("closure", "census"):
         per_arg = Counter((id(cat), arg) for cat, arg in constructed[kind])
         assert per_arg and set(per_arg.values()) == {1}, kind
-    # the witness search builds a closure of each tuple alone, under its
-    # memo of the tuple's idempotent ideals (no endo space of a2cat(2) is
-    # over the vector cap), and never the memoized closure at a bound
-    assert kinds["additive-closure"] + kinds["tuple idempotent ideals"] == len(constructed["closure"])
+    # every closure, the witness search's closure of each tuple alone
+    # included, is built under its memo key
+    assert kinds["additive-closure"] == len(constructed["closure"])
     assert kinds["tuple idempotent ideals"] > 0
     assert kinds["census"] == len(constructed["census"])
 
 
 def test_the_census_builds_no_closure_past_the_witness_length(monkeypatch, capsys):
-    # every idempotent ideal of a2cat(3) has a witness on the singletons, so
-    # each recollement datum builds its corner on the length-1 closure, kept
-    # under its tuples: the zero tuple and the singletons
+    # every idempotent ideal of a2cat(3) has a witness on the singletons;
+    # the witness search keeps the closure of each tuple it scans, the zero
+    # tuple and the singletons, and each recollement datum the closure of
+    # its witness tuples: none for the zero ideal, one singleton (the
+    # search's own) for e1 and e2, both singletons for the unit ideal
     cat = catalog("a2cat(3)")
     monkeypatch.setattr(cli, "load_category", lambda source, p: (cat, []))
     assert cli.main(["census", "catalog:a2cat", "--p", "3", "--json"]) == 0
     capsys.readouterr()
-    assert {key[1] for key, _cap in cat._derived if key[0] == "additive-closure"} == {((), ("1",), ("2",))}
+    assert {key[1] for key, _cap in cat._derived if key[0] == "additive-closure"} == {
+        (), ((),), (("1",),), (("2",),), (("1",), ("2",))}
 
 
 def test_the_module_census_keeps_no_submodule_lists():

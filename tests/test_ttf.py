@@ -4,7 +4,7 @@ import pytest
 
 from ringoid import cli, ideals, ttf
 from ringoid.category import CATALOG_NAMES, Morphism, catalog, list_idempotents, validate
-from ringoid.completion import additive_closure, idempotent_subcategory, induce_module, tuple_id
+from ringoid.completion import additive_closure, closure_on, idempotent_subcategory, induce_module, tuple_id
 from ringoid.ideals import (
     enumerate_idempotent_ideals,
     generated_by,
@@ -591,18 +591,42 @@ def test_recollement_shadows(name):
 
 def test_recollement_closure_has_the_witness_length():
     # every witness of a2cat(3) lies on the singletons, so the corner is
-    # built on the length-1 closure; the datum keeps the requested bound
+    # built on a closure of singletons, the zero ideal's on no tuple; the
+    # datum keeps the requested bound
     cat = catalog("a2cat(3)")
+    sizes = []
     for ideal in enumerate_idempotent_ideals(cat):
         data = recollement_data(cat, ideal, bound=3)
-        assert (data.bound, data.closure.bound) == (3, 1)
+        assert (data.bound, data.closure.bound) == (3, 1 if data.witness else 0)
+        sizes.append(len(data.closure.cat.objects))
+    assert sizes == [0, 1, 1, 2]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_recollement_closure_holds_the_witness_tuples_alone(p):
+    # in witness order, and a witness on one tuple reuses the closure the
+    # search kept for that tuple
+    for name in CATALOG_NAMES:
+        cat = catalog(name, p)
+        for data in witnessed_recollements(cat):
+            ids = list(dict.fromkeys(eps.src for eps in data.witness))
+            assert list(data.closure.tuples) == ids
+            if len(ids) == 1:
+                assert data.closure is closure_on(cat, data.closure.tuples.values())
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_zero_ideal_datum_has_no_closure_object(name):
+    cat = catalog(name, 2)
+    data = recollement_data(cat, zero_ideal(cat), bound=3)
+    assert (data.closure.tuples, len(data.corner.cat.objects)) == ({}, 0)
+    assert recollement_shadows(data, census_bound=3)["pass"]
 
 
 def test_recollement_on_longer_witnesses_uses_their_closure(monkeypatch):
     # with the singletons hidden from the witness scan, every nonzero ideal
-    # is witnessed on pairs, and the datum is built on the zero tuple, the
-    # singletons and the witness pairs alone: 3, 4, 4 and 5 objects, where
-    # the whole length-2 closure has 7
+    # is witnessed on pairs, and the datum is built on the witness pairs
+    # alone: 0, 1, 1 and 2 objects, where the whole length-2 closure has 7
     cat = catalog("a2cat(2)")
     hidden = {tuple_id((a,)) for a in cat.objects}
     real = ideals.list_idempotents
@@ -610,11 +634,11 @@ def test_recollement_on_longer_witnesses_uses_their_closure(monkeypatch):
     sizes = []
     for ideal in enumerate_idempotent_ideals(cat):
         data = recollement_data(cat, ideal, bound=3)
-        assert data.closure.bound == (2 if data.witness else 1)
-        assert set(data.closure.tuples) == {"()", "(1)", "(2)"} | {eps.src for eps in data.witness}
+        assert data.closure.bound == (2 if data.witness else 0)
+        assert set(data.closure.tuples) == {eps.src for eps in data.witness}
         sizes.append(len(data.closure.cat.objects))
         assert recollement_shadows(data, census_bound=3)["pass"]
-    assert sizes == [3, 4, 4, 5]
+    assert sizes == [0, 1, 1, 2]
 
 
 def counting_hom_dim(monkeypatch) -> list:
