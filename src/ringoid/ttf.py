@@ -2,9 +2,9 @@
 and canonical recollement data.
 
 The bijection with idempotent ideals is exercised exactly: the reverse map
-evaluates the torsion vanishing condition on a census that provably contains
-the canonical test modules (the quotients of representables by the ideal), so
-the finite intersection computes the honest infinite one.
+evaluates the torsion vanishing condition on the quotients of the
+representables, which hold the canonical test modules (the quotients by the
+ideal), so the finite intersection computes the honest infinite one.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .modules import (
     hom_dim,
     killed_by,
     module_times_ideal,
+    representable_quotients,
     restrict_along,
     simple_kernel_sequences,
     submodule_module,
@@ -72,17 +73,12 @@ def ttf_from_ideal(cat: FinCat, ideal: Ideal) -> TTFTriple:
 
 
 def ideal_from_ttf(cat: FinCat, membership) -> Ideal:
-    """The ideal of morphisms killed by every torsion module.
+    """The ideal of morphisms killed by every module of a class closed under
+    submodules, such as a torsion class.
 
-    The test census of all modules with dimension up to the largest
-    representable contains the canonical witnesses, which makes the finite
-    intersection exact."""
-    bound = max(
-        (sum(cat.hom_dim[(a, b)] for a in cat.objects) for b in cat.objects),
-        default=0,
-    )
-    census = enumerate_modules(cat, bound)
-    members = [m for m in census if membership(m)]
+    Each v in M(b) spans a cyclic submodule, a copy of some H_b/R, so the
+    quotients of the representables test exactly; H_b/H_b.I is among them."""
+    members = [q for _, _, q in representable_quotients(cat) if membership(q)]
     spaces = {}
     for a in cat.objects:
         for b in cat.objects:
@@ -270,7 +266,9 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
     """The finite shadows of the recollement axioms on the module census:
     Ker(j^*) is the torsion class, both adjunction dimension identities hold
     on census pairs, and j^* is exact on the census sequences
-    0 -> S -> M -> M/S -> 0 with S simple.
+    0 -> S -> M -> M/S -> 0 with S simple.  The A/I modules of the pairs are
+    the census classes killed by I, read over A/I: i_* is full and faithful
+    onto the A-modules killed by I, which is invariant under isomorphism.
 
     Exactness on these gives exactness on every short exact sequence
     0 -> N -> M -> M/N -> 0 with M within the bound, because j^* is additive
@@ -297,10 +295,10 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
     """
     cat = data.cat
     census = enumerate_modules(cat, census_bound)
-    qcensus = enumerate_modules(data.quotient.cat, census_bound)
+    torsion = [data.triple.in_torsion(m) for m in census]
 
     kernel_matches = all(
-        (data.corner_image(m).total_dim() == 0) == data.triple.in_torsion(m) for m in census
+        (data.corner_image(m).total_dim() == 0) == t for m, t in zip(census, torsion)
     )
 
     generator_adjunction = True
@@ -315,9 +313,9 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
 
     left_adjunction = True
     right_adjunction = True
-    included = [(n, data.inclusion(n)) for n in qcensus]
-    for m in census:
-        em = data.extension(m)
+    extended = [data.extension(m) for m in census]
+    included = [(n, data.inclusion(n)) for n, t in zip(extended, torsion) if t]
+    for m, em in zip(census, extended):
         cm = data.coextension(m)
         for n, i_n in included:
             if _hom_dim(em, n) != _hom_dim(m, i_n):

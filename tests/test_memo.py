@@ -80,9 +80,18 @@ def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):
     monkeypatch.setattr(torsion.ModuleCensus, "__init__",
                         counting_init("census", torsion.ModuleCensus.__init__))
 
+    loaded = []
+    real_load = cli.load_category
+    monkeypatch.setattr(cli, "load_category", lambda source, p: loaded.append(real_load(source, p)) or loaded[-1])
+
     assert cli.main(["census", "catalog:a2cat", "--p", "2", "--json"]) == 0
     capsys.readouterr()
 
+    # one module census, of the loaded category at the default --dim: the
+    # Jans reverse map reads the representable quotients, and the shadows
+    # read each quotient category's census off the base one
+    (loaded_cat, _), = loaded
+    assert constructed["census"] == [(loaded_cat, 4)]
     per_key = Counter((id(cat), key) for cat, key in builds)
     assert set(per_key.values()) == {1}
     kinds = Counter(key[0] for _, key in builds)

@@ -6,6 +6,7 @@ from ringoid import cli, ideals, ttf
 from ringoid.category import CATALOG_NAMES, Morphism, catalog, list_idempotents, validate
 from ringoid.completion import additive_closure, closure_on, idempotent_subcategory, induce_module, tuple_id
 from ringoid.ideals import (
+    Ideal,
     enumerate_idempotent_ideals,
     generated_by,
     is_trace_of_projectives,
@@ -15,6 +16,7 @@ from ringoid.ideals import (
 from ringoid.linalg import Mat, Subspace, image_basis, kernel_basis
 from ringoid.modules import (
     FinModule,
+    IsoClasses,
     ModuleMap,
     Submodule,
     all_submodules,
@@ -102,6 +104,58 @@ def test_ideal_from_ttf_roundtrip_single():
     ideal = generated_by(cat, [cat.identity("1")])
     triple = ttf_from_ideal(cat, ideal)
     assert ideal_from_ttf(cat, triple.in_torsion) == ideal
+
+
+def census_ideal_from_ttf(cat, membership):
+    """Reference: the ideal of morphisms killed by every member of the
+    census up to the dimension of the largest representable, a census that
+    holds the canonical witnesses H_b/H_b.I."""
+    bound = max(
+        (sum(cat.hom_dim[(a, b)] for a in cat.objects) for b in cat.objects),
+        default=0,
+    )
+    members = [m for m in enumerate_modules(cat, bound) if membership(m)]
+    spaces = {}
+    for a in cat.objects:
+        for b in cat.objects:
+            d = cat.hom_dim[(a, b)]
+            rows = []
+            for m in members:
+                for row_idx in range(m.dims[a]):
+                    for col_idx in range(m.dims[b]):
+                        rows.append(
+                            [m.action[(a, b, i)].entries[row_idx][col_idx] for i in range(d)]
+                        )
+            spaces[(a, b)] = kernel_basis(Mat(cat.p, len(rows), d, rows))
+    return Ideal(cat, spaces)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_ideal_from_ttf_matches_the_census_reference(name, p):
+    cat = catalog(name, p)
+    for ideal in enumerate_idempotent_ideals(cat):
+        in_torsion = ttf_from_ideal(cat, ideal).in_torsion
+        back = ideal_from_ttf(cat, in_torsion)
+        assert back.key() == census_ideal_from_ttf(cat, in_torsion).key() == ideal.key()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_ideal_from_ttf_needs_the_canonical_witnesses(name, p, monkeypatch):
+    # with every H_b/H_b.I hidden from the test modules, the roundtrip misses
+    # some ideal of every catalog category but mat2.  The ideals of mat2 are
+    # 0 and the unit: H_b = S + S keeps a faithful simple quotient S in place
+    # of H_b, and hiding H_b/H_b = 0 leaves no member, so no row
+    cat = catalog(name, p)
+    real = ttf.representable_quotients
+    missed = 0
+    for ideal in enumerate_idempotent_ideals(cat):
+        canonical = {(b, module_times_ideal(representable(cat, b), ideal)) for b in cat.objects}
+        monkeypatch.setattr(ttf, "representable_quotients",
+                            lambda c: [(b, r, q) for b, r, q in real(c) if (b, r) not in canonical])
+        missed += ideal_from_ttf(cat, ttf_from_ideal(cat, ideal).in_torsion) != ideal
+    assert bool(missed) == (name != "mat2")
 
 
 @pytest.mark.parametrize(
@@ -688,6 +742,20 @@ def test_the_a2cat3_census_solves_each_hom_pair_once(monkeypatch, capsys):
 def witnessed_recollements(cat, bound=3):
     return [recollement_data(cat, ideal, bound) for ideal in enumerate_idempotent_ideals(cat)
             if is_trace_of_projectives(cat, ideal, bound) is not None]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_killed_census_classes_are_the_quotient_census(name, p):
+    # the shadows read the A/I census off the base census; the crawl of the
+    # quotient category is the reference, matched one for one up to iso
+    cat = catalog(name, p)
+    census = enumerate_modules(cat, 3)
+    for data in witnessed_recollements(cat):
+        crawled = IsoClasses(enumerate_modules(data.quotient.cat, 3))
+        found = [crawled.find(data.extension(m)) for m in census if data.triple.in_torsion(m)]
+        assert None not in found
+        assert sorted(found) == list(range(len(crawled.classes)))
 
 
 def inexact_sequences(data, sequences, restrict_map=corner_restriction_map):
