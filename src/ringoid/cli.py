@@ -392,19 +392,22 @@ def cmd_census(cat, args, report):
         verdict,
         {"count": sum(split_flags)},
     )
+    # a bijection onto the recollements: every idempotent ideal witnessed,
+    # the shadows of each passing, and the kernels Ker j^* pairwise distinct
     shadows_pass = True
-    witnessed = 0
+    kernels = []
     for ideal in idem:
-        rep = recollement_check(cat, ideal, args.bound, args.dim)
-        if rep is None:
+        if is_trace_of_projectives(cat, ideal, args.bound) is None:
             continue
-        witnessed += 1
-        shadows_pass = shadows_pass and rep["pass"]
+        data = recollement_data(cat, ideal, args.bound)
+        shadows_pass = shadows_pass and recollement_shadows(data, args.dim)["pass"]
+        kernels.append(data.corner_kernel(args.dim))
+    bijective = len(kernels) == len(idem) and len(set(kernels)) == len(kernels)
     report.add(
         "recollement-shadows",
         "structure:recollement-shadows",
-        "pass" if shadows_pass else "fail",
-        {"witnessed_ideals": witnessed},
+        "pass" if shadows_pass and bijective else "fail",
+        {"witnessed_ideals": len(kernels)},
     )
     return report
 

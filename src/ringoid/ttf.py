@@ -9,6 +9,8 @@ ideal), so the finite intersection computes the honest infinite one.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .category import FinCat, Morphism, derived
 from .center import central_idempotent_ideals
 from .completion import (AdditiveClosure, closure_on, closure_tuples, idempotent_subcategory,
@@ -229,8 +231,13 @@ class RecollementData:
         tuples = closure_tuples(cat.objects, bound)
         self.closure = closure_on(cat, [next(t for t in tuples if tuple_id(t) == s)
                                         for s in dict.fromkeys(eps.src for eps in witness)])
-        self.corner = CornerCategory(self.closure, witness)
         self.triple = ttf_from_ideal(cat, ideal)
+
+    @cached_property
+    def corner(self) -> CornerCategory:
+        """The corner category on the witnesses; the shadows read each
+        witness on its own corner instead (`corner_facts`)."""
+        return CornerCategory(self.closure, self.witness)
 
     def inclusion(self, n: FinModule) -> FinModule:
         """i_*: a module over A/I viewed over A."""
@@ -250,6 +257,18 @@ class RecollementData:
         """j^*: restriction to the corner category."""
         return self.corner.restriction_data(m)[0]
 
+    def witness_facts(self, census_bound: int) -> list:
+        """The `corner_facts` of each witness idempotent, in witness order."""
+        return [corner_facts(self.cat, self.closure.tuples[eps.src], eps.coords, census_bound)
+                for eps in self.witness]
+
+    def corner_kernel(self, census_bound: int) -> tuple:
+        """Ker j^* on the census up to census_bound, as a fingerprint: for
+        each census module, whether its image is zero at every witness."""
+        dims = [d for d, _, _ in self.witness_facts(census_bound)]
+        census = enumerate_modules(self.cat, census_bound)
+        return tuple(all(d[i] == 0 for d in dims) for i in range(len(census)))
+
 
 def recollement_data(cat: FinCat, ideal: Ideal, bound: int = 3) -> RecollementData:
     return RecollementData(cat, ideal, bound)
@@ -262,6 +281,45 @@ def _hom_dim(m: FinModule, n: FinModule) -> int:
     return derived(m.cat, ("hom_dim", m.key(), n.key()), lambda: hom_dim(m, n))
 
 
+def corner_facts(cat: FinCat, t: tuple, coords: tuple, census_bound: int) -> tuple:
+    """(dims, generator, exact) for the idempotent e with coordinates
+    `coords` in End(t), on the census up to census_bound: dim M(e) for each
+    census module, and whether the generator identity and exactness hold at
+    e.  Built once per category, idempotent and bound.
+
+    End(t) has a basis that depends on t alone, so `coords` name the same
+    idempotent eps in every closure holding t, and j^* at eps is the same
+    functor M -> M(eps) there.  The facts are read on the one-object corner
+    of eps over the closure of t alone, the closure the witness search kept
+    for t.
+    """
+    return derived(cat, ("corner facts", t, coords, census_bound),
+                   lambda: _corner_facts(cat, t, coords, census_bound))
+
+
+def _corner_facts(cat: FinCat, t: tuple, coords: tuple, census_bound: int) -> tuple:
+    closure = closure_on(cat, [t])
+    eps = Morphism(tuple_id(t), tuple_id(t), coords)
+    corner = CornerCategory(closure, [eps])
+    (o,) = corner.cat.objects
+    census = enumerate_modules(cat, census_bound)
+    dims = tuple(corner.restriction_data(m)[0].dims[o] for m in census)
+    p_mod, _ = proj_module_of_idempotent(closure, eps)
+    generator = all(hom_dim(p_mod, m) == d for m, d in zip(census, dims))
+
+    def exact(incl: ModuleMap, proj: ModuleMap) -> bool:
+        inc = corner_restriction_map(corner, incl).comps[o]
+        pro = corner_restriction_map(corner, proj).comps[o]
+        r_inc, r_pro = inc.rank(), pro.rank()
+        return (r_inc == inc.cols and r_pro == pro.rows and (pro @ inc).is_zero()
+                and r_inc + r_pro == inc.rows)
+
+    exactness = all(exact(incl, proj) for m in census
+                    for incl, proj in derived(cat, ("sequences", m.key()),
+                                              lambda: list(simple_kernel_sequences(m))))
+    return dims, generator, exactness
+
+
 def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
     """The finite shadows of the recollement axioms on the module census:
     Ker(j^*) is the torsion class, both adjunction dimension identities hold
@@ -269,6 +327,13 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
     0 -> S -> M -> M/S -> 0 with S simple.  The A/I modules of the pairs are
     the census classes killed by I, read over A/I: i_* is full and faithful
     onto the A-modules killed by I, which is invariant under isomorphism.
+
+    The corner side breaks down by corner object: j^* M is zero when it is
+    zero at every witness, the generator identity dim Hom(P_e, M) =
+    dim M(e) holds per witness e, and so does exactness, as j^* M(e) is the
+    image of M(e).  Those facts are built once per witness idempotent by
+    `corner_facts` and shared by every ideal it witnesses.  The adjunction
+    side is read per ideal, through A/I.
 
     Exactness on these gives exactness on every short exact sequence
     0 -> N -> M -> M/N -> 0 with M within the bound, because j^* is additive
@@ -288,28 +353,17 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
     induction, M/S being shorter than M), and the middle row stays a
     complex; by the nine lemma the middle row is exact.
 
-    The maps are still moved by `corner_restriction_map` and their images and
-    kernels compared, not read off j^* on modules by a rank count.  What
-    this check cannot see is a j^* on maps that is not a functor, exact on
-    the simple kernels only; a test walks every submodule for that.
+    The maps are moved by `corner_restriction_map`.  A sequence is
+    exact at a witness when j^*(incl) is injective, j^*(proj) surjective,
+    their composite zero and their ranks add up to dim j^*M: the image of
+    j^*(incl) then lies in the kernel of j^*(proj) with the same dimension.
+    What this check cannot see is a j^* on maps that is not a functor,
+    exact on the simple kernels only; a test walks every submodule for that.
     """
     cat = data.cat
     census = enumerate_modules(cat, census_bound)
     torsion = [data.triple.in_torsion(m) for m in census]
-
-    kernel_matches = all(
-        (data.corner_image(m).total_dim() == 0) == t for m, t in zip(census, torsion)
-    )
-
-    generator_adjunction = True
-    for o, eps in data.corner.carrier.items():
-        p_mod, _ = proj_module_of_idempotent(data.closure, eps)
-        for m in census:
-            if hom_dim(p_mod, m) != data.corner_image(m).dims[o]:
-                generator_adjunction = False
-                break
-        if not generator_adjunction:
-            break
+    facts = data.witness_facts(census_bound)
 
     left_adjunction = True
     right_adjunction = True
@@ -323,32 +377,12 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
             if _hom_dim(i_n, m) != _hom_dim(n, cm):
                 right_adjunction = False
 
-    exactness = True
-    for m in census:
-        sequences = derived(cat, ("sequences", m.key()), lambda: list(simple_kernel_sequences(m)))
-        for incl, proj in sequences:
-            j_incl = corner_restriction_map(data.corner, incl)
-            j_proj = corner_restriction_map(data.corner, proj)
-            for o in data.corner.cat.objects:
-                inc_mat = j_incl.comps[o]
-                proj_mat = j_proj.comps[o]
-                if inc_mat.rank() != j_incl.src.dims[o]:
-                    exactness = False
-                if proj_mat.rank() != j_proj.tgt.dims[o]:
-                    exactness = False
-                if image_basis(inc_mat) != kernel_basis(proj_mat):
-                    exactness = False
-            if not exactness:
-                break
-        if not exactness:
-            break
-
     report = {
-        "kernel_of_corner_is_torsion": kernel_matches,
-        "generator_adjunction": generator_adjunction,
+        "kernel_of_corner_is_torsion": data.corner_kernel(census_bound) == tuple(torsion),
+        "generator_adjunction": all(generator for _, generator, _ in facts),
         "left_adjunction": left_adjunction,
         "right_adjunction": right_adjunction,
-        "corner_exactness": exactness,
+        "corner_exactness": all(exact for _, _, exact in facts),
     }
     report["pass"] = all(report.values())
     return report

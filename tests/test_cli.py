@@ -379,6 +379,45 @@ def test_census_check_catches_a_dropped_idempotent_ideal(monkeypatch, capsys, na
     assert next(f for f in findings if f["statement_id"] == "ttf-roundtrips")["witness"] == {"count": 3}
 
 
+@pytest.mark.parametrize("name", ["prod", "a2cat"])
+def test_census_recollements_fail_when_an_ideal_has_no_witness(monkeypatch, capsys, name):
+    # the shadows of the other ideals still pass; only the count of the
+    # witnessed ideals against the idempotent ideals sees the hidden one
+    real = cli.is_trace_of_projectives
+    monkeypatch.setattr(cli, "is_trace_of_projectives",
+                        lambda cat, ideal, bound=3: None if ideal.is_full() else real(cat, ideal, bound))
+    code, out = run_cli(["census", f"catalog:{name}", "--p", "2", "--json"], capsys)
+    assert code == 1
+    findings = json.loads(out)["findings"]
+    assert [f["statement_id"] for f in findings if f["verdict"] == "fail"] == ["recollement-shadows"]
+    assert findings[-1]["witness"] == {"witnessed_ideals": 3}
+
+
+@pytest.mark.parametrize("name", ["prod", "a2cat"])
+def test_census_recollements_fail_when_two_ideals_share_a_corner(monkeypatch, capsys, name):
+    # the second nonzero idempotent ideal is given the witness of the first,
+    # so both data have the same corner and the same kernel Ker j^*; the
+    # shadows would fail too (that kernel is not the second ideal's torsion
+    # class), so they are passed here and only the distinct kernels see it
+    from ringoid import ttf
+    from ringoid.ideals import enumerate_idempotent_ideals
+
+    real = cli.is_trace_of_projectives
+
+    def sharing(cat, ideal, bound=3):
+        first, second = [i for i in enumerate_idempotent_ideals(cat) if not i.is_zero()][:2]
+        return real(cat, first if ideal == second else ideal, bound)
+
+    monkeypatch.setattr(cli, "is_trace_of_projectives", sharing)
+    monkeypatch.setattr(ttf, "is_trace_of_projectives", sharing)
+    monkeypatch.setattr(cli, "recollement_shadows", lambda data, census_bound: {"pass": True})
+    code, out = run_cli(["census", f"catalog:{name}", "--p", "2", "--json"], capsys)
+    assert code == 1
+    findings = json.loads(out)["findings"]
+    assert [f["statement_id"] for f in findings if f["verdict"] == "fail"] == ["recollement-shadows"]
+    assert findings[-1]["witness"] == {"witnessed_ideals": 4}
+
+
 def test_census_check_fails_when_the_bound_merges_topologies(capsys):
     # mat2 has one simple module, of dimension 2: at census bound 1 both
     # topologies close to the class of the zero module alone

@@ -11,10 +11,10 @@ other module composes through `FinCat`.  (e) Only `IsoClasses` calls
 `is_iso`, and `ideals.py`, `completion.py` and `ttf.py` build modules
 through `modules.py`, except the traced `completion.induce_module`.
 (f) Every method of a top-level class is named outside its own definition.
-(g) Only the recollement shadow builds the simple-kernel sequences; the
-module census reads its pairs from its own crawl, and only `closure_on`
-builds an additive closure, under its memo.  (h) `Submodule` and
-`Ideal` define none of the lattice operations of `linalg.SubspaceFamily`.
+(g) Only the recollement shadow, through its per-idempotent corner facts,
+builds the simple-kernel sequences; the module census reads its pairs from
+its own crawl, and only `closure_on` builds an additive closure, under its
+memo.  (h) `Submodule` and `Ideal` define none of the lattice operations of `linalg.SubspaceFamily`.
 """
 
 import ast
@@ -160,7 +160,8 @@ def test_only_closure_on_builds_an_additive_closure():
 
 
 def test_only_the_recollement_shadow_builds_simple_kernel_sequences():
-    assert callers("simple_kernel_sequences", MODULES) == ["ttf.recollement_shadows"]
+    # the corner facts of a witness idempotent are the shadow's corner side
+    assert callers("simple_kernel_sequences", MODULES) == ["ttf._corner_facts"]
 
 
 def test_every_method_is_named_outside_its_definition():

@@ -130,6 +130,20 @@ def test_the_census_builds_no_closure_past_the_witness_length(monkeypatch, capsy
         (), ((),), (("1",),), (("2",),), (("1",), ("2",))}
 
 
+def test_the_census_reads_the_corner_once_per_witness_idempotent(monkeypatch, capsys):
+    # prod(3) is k x k on one object x: its three nonzero idempotent ideals
+    # are witnessed by the two idempotents of End(x), the unit ideal by
+    # both, so the census builds two sets of corner facts
+    cat = catalog("prod(3)")
+    monkeypatch.setattr(cli, "load_category", lambda source, p: (cat, []))
+    assert cli.main(["census", "catalog:prod", "--p", "3", "--json"]) == 0
+    capsys.readouterr()
+    witnesses = [ideals.is_trace_of_projectives(cat, i) for i in ideals.enumerate_idempotent_ideals(cat)]
+    assert [len(w) for w in witnesses] == [0, 1, 1, 2]
+    facts = [key for key, _cap in cat._derived if key[0] == "corner facts"]
+    assert sorted(key[1:] for key in facts) == [(("x",), (0, 1), 4), (("x",), (1, 0), 4)]
+
+
 def test_the_module_census_keeps_no_submodule_lists():
     # the census walks every submodule once; holding them all for the whole
     # sweep would raise the peak memory of the torsion sweep
