@@ -736,7 +736,3 @@ def json_ints(value, depth: int, what: str):
 
 def cat_hash(cat: FinCat) -> str:
     return hashlib.sha256(cat_to_json(cat).encode()).hexdigest()[:16]
-
-
-def cats_equal(a: FinCat, b: FinCat) -> bool:
-    return cat_to_json(a) == cat_to_json(b)

@@ -26,15 +26,6 @@ class CenterElement:
     def __hash__(self):
         return hash(tuple(self.components[a] for a in self.cat.objects))
 
-    def is_natural(self) -> bool:
-        cat = self.cat
-        for a in cat.objects:
-            for b in cat.objects:
-                for u in cat.basis(a, b):
-                    if cat.compose(self.components[b], u) != cat.compose(u, self.components[a]):
-                        return False
-        return True
-
     def __repr__(self):
         return f"CenterElement({ {a: m.coords for a, m in self.components.items()} })"
 
@@ -62,19 +53,6 @@ class CenterAlgebra:
                     m = cat.add(m, cat.scale(c, z.components[a]))
             comps[a] = m
         return CenterElement(cat, comps)
-
-    def multiply(self, x, y):
-        p = self.cat.p
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, c in enumerate(self.mult[i][j]):
-                    out[k] = (out[k] + xi * yj * c) % p
-        return tuple(out)
 
 
 def compute_center(cat: FinCat) -> CenterAlgebra:

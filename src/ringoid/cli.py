@@ -126,6 +126,8 @@ def load_category(source: str, p: int | None):
     else:
         with open(source, "r", encoding="utf-8") as fh:
             cat = cat_from_json(fh.read())
+        if p is not None and p != cat.p:
+            raise ValueError(f"--p {p} conflicts with the prime {cat.p} of {source}")
     violations = validate(cat)
     return cat, violations
 
@@ -306,18 +308,20 @@ def _select_ideals(cat, selector: str):
 
 
 def recollement_check(cat, ideal, bound, census_bound):
-    """The recollement shadows of an idempotent ideal on the census up to
-    census_bound, or None when no idempotent witnesses the ideal as a trace
-    of projectives within the tuple bound."""
+    """(datum, shadows) for an idempotent ideal: its recollement datum and
+    that datum's shadows on the census up to census_bound, or None when no
+    idempotent witnesses the ideal as a trace of projectives within the
+    tuple bound."""
     if is_trace_of_projectives(cat, ideal, bound) is None:
         return None
-    return recollement_shadows(recollement_data(cat, ideal, bound), census_bound)
+    data = recollement_data(cat, ideal, bound)
+    return data, recollement_shadows(data, census_bound)
 
 
 def cmd_recollement(cat, args, report):
     for n, ideal in _select_ideals(cat, args.ideal):
-        rep = recollement_check(cat, ideal, args.bound, args.dim)
-        if rep is None:
+        checked = recollement_check(cat, ideal, args.bound, args.dim)
+        if checked is None:
             report.add(
                 f"recollement-{n}",
                 "structure:recollement-shadows",
@@ -326,6 +330,7 @@ def cmd_recollement(cat, args, report):
                 " trace of finitely generated projective modules",
             )
             continue
+        _, rep = checked
         report.add(
             f"recollement-{n}",
             "structure:recollement-shadows",
@@ -394,14 +399,15 @@ def cmd_census(cat, args, report):
     )
     # a bijection onto the recollements: every idempotent ideal witnessed,
     # the shadows of each passing, and the kernels Ker j^* pairwise distinct
+    # (each datum is dropped once read: its quotient category keeps a memo)
     shadows_pass = True
     kernels = []
     for ideal in idem:
-        if is_trace_of_projectives(cat, ideal, args.bound) is None:
-            continue
-        data = recollement_data(cat, ideal, args.bound)
-        shadows_pass = shadows_pass and recollement_shadows(data, args.dim)["pass"]
-        kernels.append(data.corner_kernel(args.dim))
+        checked = recollement_check(cat, ideal, args.bound, args.dim)
+        if checked is not None:
+            data, rep = checked
+            shadows_pass = shadows_pass and rep["pass"]
+            kernels.append(data.corner_kernel(args.dim))
     bijective = len(kernels) == len(idem) and len(set(kernels)) == len(kernels)
     report.add(
         "recollement-shadows",
@@ -451,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("source", help="category JSON file or catalog:<name>, e.g. catalog:a2cat")
-    parser.add_argument("--p", type=int, default=None, help="prime for catalog names")
+    parser.add_argument("--p", type=int, default=None, help="prime for catalog names; a JSON source's own p if given")
     parser.add_argument("--bound", type=_int_at_least(1), default=3,
                         help="tuple length bound for completions")
     parser.add_argument("--dim", type=_int_at_least(0), default=4, help="module census total dimension bound")
@@ -497,7 +503,8 @@ def _run(argv) -> int:
     try:
         cat, violations = load_category(args.source, args.p)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as e:
-        print(f"cannot load category: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        print(f"cannot load category: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
     params = {

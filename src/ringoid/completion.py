@@ -14,7 +14,7 @@ import json
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
 from .linalg import CapExceeded, Mat, Subspace, image_basis
-from .modules import FinModule, ModuleMap, direct_sum, image, representable, restrict_along, submodule_module, zero_module
+from .modules import FinModule, ModuleMap, direct_sum, image, representable, submodule_module, zero_module
 
 MAX_CLOSURE_OBJECTS = 130
 CLOSURE_OBJECTS = "additive_closure: tuple objects"
@@ -173,14 +173,6 @@ def induce_module(closure: AdditiveClosure, m: FinModule) -> FinModule:
             )
     dims = {t_id: sum(sz) for t_id, sz in sizes.items()}
     return FinModule(closure.cat, dims, action, name=f"ind({m.name})" if m.name else "")
-
-
-def restrict_module(closure: AdditiveClosure, n: FinModule) -> FinModule:
-    """Restriction along the singleton embedding."""
-    base = closure.base
-    units = {pair: Mat.identity(base.p, d) for pair, d in base.hom_dim.items()}
-    return restrict_along(base, {a: n.dims[closure.embed_object(a)] for a in base.objects},
-                          lambda f: n.act(closure.embed_morphism(f)), units, f"res({n.name})" if n.name else "")
 
 
 def idempotent_subcategory(closure: AdditiveClosure, idempotents, name: str):

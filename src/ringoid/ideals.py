@@ -11,7 +11,7 @@ from __future__ import annotations
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
 from .completion import closure_on, closure_tuples, tuple_id
 from .linalg import Subspace, SubspaceFamily, check_vector_cap, complement_data, vector_cap
-from .modules import FinModule, module_times_ideal, quotient_module, quotient_point_walk, representable, restrict_along, trace
+from .modules import FinModule, module_times_ideal, quotient_module, quotient_point_walk, restrict_along
 
 
 class Ideal(SubspaceFamily):
@@ -169,19 +169,6 @@ def extend_to_quotient(qdata: QuotientCategory, m: FinModule) -> FinModule:
     same action."""
     q, _ = quotient_module(m, module_times_ideal(m, qdata.ideal))
     return restrict_along(qdata.cat, q.dims, q.act, qdata.lift, f"{m.name}/MI" if m.name else "")
-
-
-def trace_ideal(cat: FinCat, modules) -> Ideal:
-    """The trace of a family of modules in the regular bimodule:
-    I(a, b) = trace of the family in H_b, evaluated at a."""
-    modules = list(modules)
-    spaces = {}
-    for b in cat.objects:
-        hb = representable(cat, b)
-        t = trace(modules, hb)
-        for a in cat.objects:
-            spaces[(a, b)] = t.spaces[a]
-    return Ideal(cat, spaces)
 
 
 def is_trace_of_projectives(cat: FinCat, ideal: Ideal, bound: int = 3):

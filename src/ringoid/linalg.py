@@ -47,7 +47,7 @@ def vector_cap() -> int:
 def check_vector_cap(count: int, what: str) -> None:
     """Refuse a scan of `count` items before it starts; the one place that
     raises for the vector cap.  `what` names the operation and the quantity
-    counted, e.g. "enumerate_subspaces: p^n"."""
+    counted, e.g. "center_idempotents: p^dim Z"."""
     cap = vector_cap()
     if count > cap:
         raise CapExceeded(f"{what} = {count} exceeds cap {cap} (raise {_ENV_CAP} to override)",
@@ -688,17 +688,6 @@ def solve(m: Mat, v: Vec):
     return tuple(x)
 
 
-def solve_matrix(m: Mat, b: Mat):
-    """X with m @ X = b, solved column by column; None if any column fails."""
-    cols = []
-    for j in range(b.cols):
-        x = solve(m, b.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return Mat.from_cols(m.p, m.cols, cols)
-
-
 def complement_data(s: Subspace):
     """(proj, lift) for the quotient F^n / S in the non-pivot coordinates.
 
@@ -731,29 +720,3 @@ def preimage(m: Mat, s: Subspace) -> Subspace:
         raise DimensionMismatch("subspace ambient must match matrix rows")
     proj, _ = complement_data(s)
     return kernel_basis(proj @ m)
-
-
-def enumerate_subspaces(n: int, p: int) -> list:
-    """Every subspace of F_p^n exactly once, via direct RREF-shape generation.
-
-    Refuses when p^n exceeds the cap, since callers downstream scan vectors
-    of the ambient space at comparable cost.
-    """
-    check_vector_cap(p ** n, "enumerate_subspaces: p^n")
-    out = []
-    for k in range(n + 1):
-        for pivots in itertools.combinations(range(n), k):
-            free = []
-            for i in range(k):
-                for j in range(pivots[i] + 1, n):
-                    if j not in pivots:
-                        free.append((i, j))
-            for vals in itertools.product(range(p), repeat=len(free)):
-                rows = [[0] * n for _ in range(k)]
-                for i in range(k):
-                    rows[i][pivots[i]] = 1
-                for (i, j), x in zip(free, vals):
-                    rows[i][j] = x
-                out.append(Subspace(p, n, Mat(p, k, n, rows)))
-    out.sort(key=lambda s: (s.dim, s.key()))
-    return out

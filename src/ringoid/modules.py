@@ -5,7 +5,7 @@ element; contravariance reads ``mat(M(beta . alpha)) = mat(M(alpha)) @ mat(M(bet
 in the column convention.  Everything a torsion theory needs lives here:
 representables, hom spaces (solved as the naturality linear system), the full
 submodule lattice, quotients, exhaustive enumeration up to isomorphism with a
-simple-plus-extension crawl, traces, ideal action, and annihilators.
+simple-plus-extension crawl, ideal action, and annihilators.
 """
 
 from __future__ import annotations
@@ -123,27 +123,6 @@ def zero_module(cat: FinCat) -> FinModule:
     return FinModule(cat, {}, {}, name="0")
 
 
-def validate_module(m: FinModule) -> list:
-    """Identity actions and contravariant functoriality on all basis pairs."""
-    cat = m.cat
-    report = []
-    for a in cat.objects:
-        if m.act(cat.identity(a)) != Mat.identity(cat.p, m.dims[a]):
-            report.append({"kind": "identity-action", "object": a})
-    for a in cat.objects:
-        for b in cat.objects:
-            for i in range(cat.hom_dim[(a, b)]):
-                f = cat.basis(a, b)[i]
-                for c in cat.objects:
-                    for j in range(cat.hom_dim[(b, c)]):
-                        g = cat.basis(b, c)[j]
-                        lhs = m.act(cat.compose(g, f))
-                        rhs = m.action[(a, b, i)] @ m.action[(b, c, j)]
-                        if lhs != rhs:
-                            report.append({"kind": "functoriality", "pair": ((a, b, i), (b, c, j))})
-    return report
-
-
 def representable(cat: FinCat, t: str) -> FinModule:
     """H_t = A(-, t): dims are hom dims into t, actions are precomposition.
     Built once per category and object; callers share it unmutated."""
@@ -188,18 +167,6 @@ class ModuleMap:
 
     def __repr__(self):
         return f"ModuleMap({ {a: (m.rows, m.cols) for a, m in self.comps.items()} })"
-
-
-def check_naturality(phi: ModuleMap) -> bool:
-    cat = phi.src.cat
-    for a in cat.objects:
-        for b in cat.objects:
-            for i in range(cat.hom_dim[(a, b)]):
-                lhs = phi.comps[a] @ phi.src.action[(a, b, i)]
-                rhs = phi.tgt.action[(a, b, i)] @ phi.comps[b]
-                if lhs != rhs:
-                    return False
-    return True
 
 
 def _naturality_system(m: FinModule, n: FinModule):
@@ -266,10 +233,6 @@ def cyclic_submodule(m: FinModule, a: str, v) -> Submodule:
             vecs.append(m.action[(b, a, i)].apply(v))
         spaces[b] = Subspace.from_vectors(m.p, m.dims[b], vecs)
     return Submodule(m, spaces)
-
-
-def kernel(phi: ModuleMap) -> Submodule:
-    return Submodule(phi.src, {a: kernel_basis(phi.comps[a]) for a in phi.comps})
 
 
 def image(phi: ModuleMap) -> Submodule:
@@ -749,15 +712,6 @@ def module_census(cat: FinCat, bound: int) -> ModuleCensus:
     return derived(cat, ("census", bound), lambda: ModuleCensus(cat, bound))
 
 
-def trace(sources, m: FinModule) -> Submodule:
-    """Sum of the images of every map from the given modules into M."""
-    t = zero_submodule(m)
-    for s in sources:
-        for phi in hom_space(s, m):
-            t = t.sum(image(phi))
-    return t
-
-
 def ideal_actions(m: FinModule, ideal):
     """(a, b, M(w)) for every basis vector w of every I(a, b): the matrices
     M(w): M(b) -> M(a) by which the ideal acts, pair by pair."""
@@ -785,23 +739,3 @@ def annihilator(m: FinModule, ideal) -> Submodule:
     for _, b, mat in ideal_actions(m, ideal):
         rows[b].extend(mat.entries)
     return Submodule(m, {a: kernel_basis(Mat(m.p, len(r), m.dims[a], r)) for a, r in rows.items()})
-
-
-def gen_witness(generators, m: FinModule):
-    """Greedy epi witness for membership in Gen(generators), or None.
-
-    Collects basis maps from the generators until their images sum to all of
-    M; returns the witness list when they do.
-    """
-    t = zero_submodule(m)
-    witness = []
-    for g in generators:
-        for phi in hom_space(g, m):
-            u = t.sum(image(phi))
-            if u.total_dim() > t.total_dim():
-                t = u
-                witness.append((g, phi))
-            if t.is_full():
-                return witness
-    return witness if t.is_full() else None
-

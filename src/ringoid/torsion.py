@@ -4,8 +4,8 @@ A topology assigns to every object a set of submodules of its representable,
 subject to the identity, pullback, and glueing axioms.  The pullback axiom is
 checked against every morphism, not just basis vectors, because pulling back
 is not linear in the morphism.  Everything downstream of the axioms (the
-membership test, the radical, the roundtrip with torsion classes) is a finite
-computation at this scale.
+membership test, the roundtrip with torsion classes) is a finite computation
+at this scale.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 
 from .category import FinCat, Morphism, derived
-from .linalg import Mat, Subspace, check_vector_cap, is_line_first, kernel_basis, preimage
+from .linalg import Mat, check_vector_cap, is_line_first, kernel_basis, preimage
 from .modules import (
     FinModule,
     IsoClasses,
     ModuleCensus,
     Submodule,
-    all_submodules,
     cyclic_submodule,
     full_submodule,
     join_closure,
@@ -63,14 +62,6 @@ class Topology:
 
     def __repr__(self):
         return f"Topology({ {a: len(f) for a, f in self.families.items()} })"
-
-
-def maximal_topology(cat: FinCat) -> Topology:
-    return Topology(cat, {a: [full_submodule(representable(cat, a))] for a in cat.objects})
-
-
-def full_topology(cat: FinCat) -> Topology:
-    return Topology(cat, {a: all_submodules(representable(cat, a)) for a in cat.objects})
 
 
 def pullback_submodule(cat: FinCat, r: Morphism, target: Submodule) -> Submodule:
@@ -157,27 +148,6 @@ def torsion_membership(topo: Topology, m: FinModule) -> bool:
             if is_line_first(v) and not topo.covers(a, yoneda_kernel(cat, m, a, v)):
                 return False
     return True
-
-
-def torsion_radical(topo: Topology, m: FinModule) -> Submodule:
-    """The largest torsion submodule: elements whose classifying kernel covers."""
-    cat = topo.cat
-    spaces = {}
-    for a in cat.objects:
-        check_vector_cap(cat.p ** m.dims[a], f"torsion_radical: p^dim M({a})")
-        good = [
-            v
-            for v in itertools.product(range(cat.p), repeat=m.dims[a])
-            if topo.covers(a, yoneda_kernel(cat, m, a, v))
-        ]
-        sub = Subspace.from_vectors(cat.p, m.dims[a], good)
-        if cat.p ** sub.dim != len(good):
-            raise RuntimeError("radical values do not form a subspace")
-        spaces[a] = sub
-    t = Submodule(m, spaces)
-    if not t.is_closed():
-        raise RuntimeError("radical is not a submodule")
-    return t
 
 
 def topology_from_class(cat: FinCat, oracle) -> Topology:

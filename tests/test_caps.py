@@ -12,7 +12,7 @@ import ringoid
 from ringoid.category import catalog, list_idempotents
 from ringoid.center import center_idempotents, compute_center
 from ringoid.ideals import principal_ideals
-from ringoid.linalg import CapExceeded, Mat, enumerate_subspaces
+from ringoid.linalg import CapExceeded, Mat
 from ringoid.modules import (
     ModuleMap,
     _search_invertible,
@@ -22,7 +22,8 @@ from ringoid.modules import (
     simple_modules,
 )
 from ringoid.quiver import parse_quiver_dsl, path_category
-from ringoid.torsion import enumerate_topologies, maximal_topology, torsion_membership, torsion_radical
+from ringoid.torsion import enumerate_topologies, torsion_membership
+from reference import enumerate_subspaces, maximal_topology, torsion_radical
 
 KRONECKER = "vertices 1 2 ; arrow a: 1 -> 2 ; arrow b: 1 -> 2 ; field 2 ; maxlen 1 ;"
 STAR = "vertices 1 2 3 4 ; arrow a: 1 -> 4 ; arrow b: 2 -> 4 ; arrow c: 3 -> 4 ; field 2 ; maxlen 1 ;"

@@ -10,7 +10,6 @@ from ringoid.category import (
     Morphism,
     cat_from_json,
     cat_to_json,
-    cats_equal,
     catalog,
     from_ring_table,
     list_idempotents,
@@ -22,6 +21,7 @@ from ringoid.completion import AdditiveClosure, additive_closure, closure_tuples
 from ringoid.ideals import enumerate_idempotent_ideals, is_trace_of_projectives, quotient_category
 from ringoid.linalg import Mat, Subspace, vector_cap
 from ringoid.ttf import CornerCategory
+from reference import cats_equal
 
 
 def _validate_scalar(cat):

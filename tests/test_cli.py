@@ -8,7 +8,7 @@ import pytest
 
 from ringoid import cli
 from ringoid.category import cat_to_json, catalog
-from ringoid.torsion import maximal_topology
+from reference import maximal_topology
 
 
 def run_cli(args, capsys):
@@ -127,6 +127,32 @@ def test_unreadable_file():
 
 def test_unknown_catalog():
     assert cli.main(["validate", "catalog:nosuch", "--p", "2"]) == 65
+
+
+def test_a_catalog_name_without_a_prime_is_named_without_repr_quotes(capsys):
+    assert cli.main(["validate", "catalog:pt"]) == 65
+    assert capsys.readouterr().err == "cannot load category: catalog name 'pt' needs a prime, e.g. pt(2)\n"
+
+
+@pytest.mark.parametrize("p", ["3", "4"])
+def test_a_p_other_than_the_file_prime_is_bad_input(tmp_path, capsys, p):
+    # a JSON source carries its prime; a differing --p, prime (3) or not (4),
+    # is refused in one line, as catalog:pt(2) --p 3 is, and not ignored
+    path = tmp_path / "pt2.json"
+    path.write_text(cat_to_json(catalog("pt(2)")))
+    code = cli.main(["validate", str(path), "--p", p, "--json"])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err == f"cannot load category: --p {p} conflicts with the prime 2 of {path}\n"
+
+
+def test_the_file_prime_as_p_leaves_the_report_unchanged(tmp_path, capsys):
+    path = tmp_path / "pt2.json"
+    path.write_text(cat_to_json(catalog("pt(2)")))
+    with_p = run_cli(["validate", str(path), "--p", "2", "--json"], capsys)
+    assert with_p == run_cli(["validate", str(path), "--json"], capsys)
+    assert with_p[0] == 0 and json.loads(with_p[1])["parameters"]["p"] == 2
 
 
 def test_bad_flags_usage_error():

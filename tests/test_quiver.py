@@ -3,13 +3,14 @@ import random
 import pytest
 
 from ringoid import quiver
-from ringoid.category import cat_hash, cats_equal, catalog, validate
+from ringoid.category import cat_hash, catalog, validate
 from ringoid.linalg import CapExceeded
 from ringoid.quiver import (
     QuiverSyntaxError,
     parse_quiver_dsl,
     path_category,
 )
+from reference import cats_equal
 
 A2_TEXT = """
 vertices 1 2 ;

@@ -588,7 +588,8 @@ def test_corner_restriction_of_representable():
     closure = additive_closure(cat, 1)
     eps = closure.embed_morphism(cat.identity("2"))
     corner = CornerCategory(closure, [eps])
-    from ringoid.modules import representable, validate_module
+    from ringoid.modules import representable
+    from reference import validate_module
 
     jm, _ = corner.restriction_data(representable(cat, "2"))
     assert validate_module(jm) == []
@@ -620,7 +621,7 @@ def test_recollement_zero_ideal():
     data = recollement_data(cat, zero_ideal(cat), bound=1)
     assert data.witness == []
     assert len(data.corner.cat.objects) == 0
-    from ringoid.category import cats_equal
+    from reference import cats_equal
 
     assert cats_equal(data.quotient.cat, cat)
     for m in enumerate_modules(cat, 3):
@@ -1010,7 +1011,7 @@ def test_a_quotient_lost_by_j_star_fails_the_shadow(name, p, monkeypatch):
 
 
 def test_corner_restrictions_validate():
-    from ringoid.modules import validate_module
+    from reference import validate_module
 
     cat = catalog("a2cat(2)")
     for ideal in enumerate_idempotent_ideals(cat):
