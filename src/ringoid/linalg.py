@@ -539,17 +539,23 @@ class SubspaceFamily:
 
 def kernel_basis(m: Mat) -> Subspace:
     """The right kernel {v : m v = 0}, a subspace of F_p^cols."""
-    rows, pivots = rref_rows(m.p, [list(r) for r in m.entries], m.cols)
+    return _rows_kernel(m.p, [list(r) for r in m.entries], m.cols)
+
+
+def _rows_kernel(p: int, rows, ncols: int) -> Subspace:
+    """The kernel of a list of row lists (ints, any sign) in ncols
+    unknowns, reduced in place: one vector per free column of the RREF."""
+    rows, pivots = rref_rows(p, rows, ncols)
     rows = rows[: len(pivots)]
-    free = [j for j in range(m.cols) if j not in pivots]
+    free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for f in free:
-        v = [0] * m.cols
+        v = [0] * ncols
         v[f] = 1
         for row, c in zip(rows, pivots):
-            v[c] = (-row[f]) % m.p
+            v[c] = (-row[f]) % p
         basis.append(v)
-    return Subspace.from_vectors(m.p, m.cols, basis)
+    return Subspace.from_vectors(p, ncols, basis)
 
 
 def _matrix_rows(p: int, shapes: dict, equations):
@@ -610,7 +616,7 @@ def matrix_kernel(p: int, shapes: dict, equations):
     {key: Mat}.
     """
     offs, total, rows = _matrix_rows(p, shapes, equations)
-    solutions = kernel_basis(Mat(p, len(rows), total, rows))
+    solutions = _rows_kernel(p, rows, total)
 
     def pack(mats) -> Vec:
         flat = []

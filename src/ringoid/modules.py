@@ -79,35 +79,30 @@ class FinModule:
 
         rank M(c f) = rank M(f) for c != 0, so an element-wise profile
         computes one rank per line of A(a, b), at the line's first vector
-        (`is_line_first`), and copies it to the other multiples.  The zero
+        (`_line_table`), and copies it to the other multiples.  The zero
         element has rank 0 and a basis element the cached rank of its
         action."""
         if self._fingerprint is None:
-            p = self.cat.p
-            dims = tuple(self.dims[a] for a in self.cat.objects)
+            cat = self.cat
+            dims = tuple(self.dims[a] for a in cat.objects)
             ranks = []
-            for a in self.cat.objects:
-                for b in self.cat.objects:
-                    d = self.cat.hom_dim[(a, b)]
+            for a in cat.objects:
+                for b in cat.objects:
+                    d = cat.hom_dim[(a, b)]
                     if d == 0:
                         continue
                     basis_ranks = tuple(self.action[(a, b, i)].rank() for i in range(d))
-                    if p ** d <= 81:
-                        line_rank = {}
-                        for f in self.cat.elements(a, b):
-                            v = f.coords
-                            if not is_line_first(v):
-                                continue
-                            nonzero = [i for i, x in enumerate(v) if x]
+                    if cat.p ** d <= 81:
+                        firsts, line_of = _line_table(cat, a, b)
+                        line_rank = []
+                        for f, nonzero in firsts:
                             if not nonzero:
-                                r = 0
+                                line_rank.append(0)
                             elif len(nonzero) == 1:
-                                r = basis_ranks[nonzero[0]]
+                                line_rank.append(basis_ranks[nonzero[0]])
                             else:
-                                r = self.act(f).rank()
-                            for c in range(1, p):
-                                line_rank[tuple(c * x % p for x in v)] = r
-                        prof = tuple(line_rank[f.coords] for f in self.cat.elements(a, b))
+                                line_rank.append(self.act(f).rank())
+                        prof = tuple([line_rank[k] for k in line_of])
                     else:
                         prof = basis_ranks
                     ranks.append(((a, b), prof))
@@ -117,6 +112,28 @@ class FinModule:
     def __repr__(self):
         label = self.name or "module"
         return f"FinModule({label}, dims={self.dims})"
+
+
+def _line_table(cat: FinCat, a: str, b: str):
+    """(firsts, line_of) for A(a, b): firsts lists (f, nonzero) for the
+    first vector f of each line (`is_line_first`), in `cat.elements` order,
+    with the positions of its nonzero coordinates, and line_of[e] is the
+    position in firsts of the line of element e.  Built once per category
+    and hom space."""
+    return derived(cat, ("line table", a, b), lambda: _build_line_table(cat, a, b))
+
+
+def _build_line_table(cat: FinCat, a: str, b: str):
+    p = cat.p
+    firsts = []
+    line = {}
+    for f in cat.elements(a, b):
+        v = f.coords
+        if is_line_first(v):
+            for c in range(1, p):
+                line[tuple(c * x % p for x in v)] = len(firsts)
+            firsts.append((f, tuple(i for i, x in enumerate(v) if x)))
+    return firsts, tuple(line[f.coords] for f in cat.elements(a, b))
 
 
 def zero_module(cat: FinCat) -> FinModule:
@@ -532,6 +549,40 @@ def simple_modules(cat: FinCat) -> list:
     return sorted(index.classes, key=lambda m: (m.total_dim(), m.fingerprint()))
 
 
+def _extension_skeleton(cat: FinCat):
+    """(keys, identities, compositions): the parts of the extension system
+    that depend on the category alone.  keys are the basis morphisms
+    (a, b, i) in sorted order, identities the equations C(id_a) = 0, and
+    compositions hold (alpha, beta, terms) for every composable basis pair
+    alpha = (a, b, i), beta = (b, c, j), terms being those of C(beta . alpha)
+    with their `compose_basis` coefficients.  Built once per category;
+    `_extensions` adds the S(alpha) and Q(beta) terms of each pair of
+    modules."""
+    return derived(cat, ("extension skeleton",), lambda: _build_extension_skeleton(cat))
+
+
+def _build_extension_skeleton(cat: FinCat):
+    keys = sorted((a, b, i) for a in cat.objects for b in cat.objects for i in range(cat.hom_dim[(a, b)]))
+    identities = []
+    for a in cat.objects:
+        if cat.hom_dim[(a, a)]:
+            # the identity acts as the identity: C(id_a) = 0
+            identities.append([(cf, None, (a, a, i), None) for i, cf in enumerate(cat.id_coords[a]) if cf])
+    compositions = []
+    for a in cat.objects:
+        for b in cat.objects:
+            for i in range(cat.hom_dim[(a, b)]):
+                for c in cat.objects:
+                    for j in range(cat.hom_dim[(b, c)]):
+                        terms = [
+                            (cf, None, (a, c, k), None)
+                            for k, cf in enumerate(cat.compose_basis(a, b, c, i, j))
+                            if cf
+                        ]
+                        compositions.append(((a, b, i), (b, c, j), terms))
+    return keys, identities, compositions
+
+
 def _extensions(s: FinModule, q: FinModule) -> list:
     """Modules with submodule block s and quotient block q, one candidate
     per line of extension classes.
@@ -546,27 +597,14 @@ def _extensions(s: FinModule, q: FinModule) -> list:
     """
     cat = s.cat
     p = cat.p
-    shapes = {(a, b, i): (s.dims[a], q.dims[b]) for a, b, i in sorted(s.action)}
-    equations = []
-    for a in cat.objects:
-        if cat.hom_dim[(a, a)]:
-            # the identity acts as the identity: C(id_a) = 0
-            equations.append([(cf, None, (a, a, i), None) for i, cf in enumerate(cat.id_coords[a]) if cf])
-    for a in cat.objects:
-        for b in cat.objects:
-            for i in range(cat.hom_dim[(a, b)]):
-                for c in cat.objects:
-                    for j in range(cat.hom_dim[(b, c)]):
-                        # C(beta . alpha) = S(alpha) C(beta) + C(alpha) Q(beta)
-                        terms = [
-                            (cf, None, (a, c, k), None)
-                            for k, cf in enumerate(cat.compose_basis(a, b, c, i, j))
-                            if cf
-                        ]
-                        terms.append((-1, s.action[(a, b, i)], (b, c, j), None))
-                        terms.append((-1, None, (a, b, i), q.action[(b, c, j)]))
-                        equations.append(terms)
-    sol, _, unpack = matrix_kernel(p, shapes, equations)
+    keys, identities, compositions = _extension_skeleton(cat)
+    shapes = {(a, b, i): (s.dims[a], q.dims[b]) for a, b, i in keys}
+    # C(beta . alpha) = S(alpha) C(beta) + C(alpha) Q(beta)
+    equations = identities + [
+        terms + [(-1, s.action[alpha], beta, None), (-1, None, alpha, q.action[beta])]
+        for alpha, beta, terms in compositions
+    ]
+    sol, _, _ = matrix_kernel(p, shapes, equations)
     check_vector_cap(p ** sol.dim, "extension scan: p^dim cocycles")
     # the coboundary S(alpha) h_b - h_a Q(alpha) of the unit h = E_uv at
     # object o, written straight into the packed vector (each block
@@ -596,13 +634,16 @@ def _extensions(s: FinModule, q: FinModule) -> list:
     dims = {a: s.dims[a] + q.dims[a] for a in cat.objects}
     out = []
     for vec in reps:
-        blocks = unpack(vec)
-        action = {
-            (a, b, i): Mat.from_blocks(p, (s.dims[a], q.dims[a]), (s.dims[b], q.dims[b]),
-                                       {(0, 0): s.action[(a, b, i)], (0, 1): blk,
-                                        (1, 1): q.action[(a, b, i)]})
-            for (a, b, i), blk in blocks.items()
-        }
+        # the rows of [[S(alpha), C(alpha)], [0, Q(alpha)]], C(alpha) read
+        # off the packed vector row by row
+        action = {}
+        for (a, b, i), off in offs.items():
+            width = q.dims[b]
+            pad = (0,) * s.dims[b]
+            top = s.action[(a, b, i)].entries
+            action[(a, b, i)] = Mat._new(p, dims[a], dims[b], tuple(
+                [row + vec[off + r * width: off + (r + 1) * width] for r, row in enumerate(top)]
+                + [pad + row for row in q.action[(a, b, i)].entries]))
         out.append(FinModule(cat, dims, action))
     return out
 
@@ -665,6 +706,11 @@ class ModuleCensus:
                     simple_index[k] = i
                 self.sub_quot[i].add((simple_index[k], q))
         self.index = IsoClasses(self.classes)
+        self._partners = [[] for _ in self.classes]  # j -> (i, partner) for each pair of i holding j
+        for i, pairs in enumerate(self.sub_quot):
+            for s_idx, q_idx in pairs:
+                self._partners[s_idx].append((i, q_idx))
+                self._partners[q_idx].append((i, s_idx))
 
     def close(self, member) -> frozenset:
         """The hereditary closure of a set of class indices: the least superset
@@ -685,24 +731,24 @@ class ModuleCensus:
           and then E is.  A direct sum is an extension.
         Every module these steps pass through is a subquotient of a census
         member, so it lies within the bound and in the census.
+
+        A worklist applies the rules: each member is popped once, adds S and
+        M/S of its own pairs, and adds every class i with a pair (j, partner)
+        or (partner, j) whose partner is already a member (`_partners[j]`).
+        Once both halves of a pair are members, the later one to be popped
+        adds i.  The rules only ever add members, so the result is the least
+        set closed under them, whatever the pop order.
         """
         member = set(member)
-        sub_quot = self.sub_quot
-        changed = True
-        while changed:
-            changed = False
-            for i in list(member):
-                for s_idx, q_idx in sub_quot[i]:
-                    for j in (s_idx, q_idx):
-                        if j not in member:
-                            member.add(j)
-                            changed = True
-            for i in range(len(self.classes)):
-                if i in member:
-                    continue
-                if any(s in member and q in member for s, q in sub_quot[i]):
-                    member.add(i)
-                    changed = True
+        todo = list(member)
+        while todo:
+            j = todo.pop()
+            new = [k for pair in self.sub_quot[j] for k in pair]
+            new += [i for i, partner in self._partners[j] if partner in member]
+            for k in new:
+                if k not in member:
+                    member.add(k)
+                    todo.append(k)
         return frozenset(member)
 
 

@@ -136,18 +136,31 @@ def yoneda_kernel(cat: FinCat, m: FinModule, a: str, v) -> Submodule:
     return Submodule(h, spaces)
 
 
+def yoneda_kernels(cat: FinCat, m: FinModule) -> list:
+    """[(a, K)]: the `yoneda_kernel` K of every object a, in object order,
+    and every element v of M(a) that is the first of its line
+    (`is_line_first`), in `itertools.product` order.  Built once per
+    category and module; the kernels are shared by every topology, which
+    tests its own covering on them."""
+    return derived(cat, ("yoneda kernels", m.key()), lambda: _build_yoneda_kernels(cat, m))
+
+
+def _build_yoneda_kernels(cat: FinCat, m: FinModule) -> list:
+    out = []
+    for a in cat.objects:
+        check_vector_cap(cat.p ** m.dims[a], f"torsion_membership: p^dim M({a})")
+        for v in itertools.product(range(cat.p), repeat=m.dims[a]):
+            if is_line_first(v):
+                out.append((a, yoneda_kernel(cat, m, a, v)))
+    return out
+
+
 def torsion_membership(topo: Topology, m: FinModule) -> bool:
     """Membership in the torsion class: every element of every value space
     classifies a map out of a representable with covering kernel.  The map
     of cv has the kernel of the map of v for c != 0, so one element per
-    line (`is_line_first`) is tested."""
-    cat = topo.cat
-    for a in cat.objects:
-        check_vector_cap(cat.p ** m.dims[a], f"torsion_membership: p^dim M({a})")
-        for v in itertools.product(range(cat.p), repeat=m.dims[a]):
-            if is_line_first(v) and not topo.covers(a, yoneda_kernel(cat, m, a, v)):
-                return False
-    return True
+    line is tested (`yoneda_kernels`)."""
+    return all(topo.covers(a, k) for a, k in yoneda_kernels(topo.cat, m))
 
 
 def topology_from_class(cat: FinCat, oracle) -> Topology:

@@ -4,8 +4,9 @@ Each one is a plain, direct computation of something the package computes
 another way (or builds on), kept here as the independent side of a test: the
 naturality and functoriality checks written basis pair by basis pair, the
 subspace lattice listed by RREF shape, the torsion radical scanned vector by
-vector, traces summed map by map, and the center's multiplication table read
-coordinate by coordinate.  Nothing in `src/ringoid` imports this module.
+vector, traces summed map by map, the center's multiplication table read
+coordinate by coordinate, the hereditary closure of a census rescanned until
+it stops growing, and the rank profiles of a module read element by element.  Nothing in `src/ringoid` imports this module.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from ringoid.category import FinCat, cat_to_json
 from ringoid.center import CenterAlgebra, CenterElement
 from ringoid.completion import AdditiveClosure
 from ringoid.ideals import Ideal
-from ringoid.linalg import Mat, Subspace, check_vector_cap, kernel_basis, solve
+from ringoid.linalg import Mat, Subspace, check_vector_cap, is_line_first, kernel_basis, solve
 from ringoid.modules import (
     FinModule,
+    ModuleCensus,
     ModuleMap,
     Submodule,
     all_submodules,
@@ -213,3 +215,62 @@ def multiply(z: CenterAlgebra, x, y):
             for k, c in enumerate(z.mult[i][j]):
                 out[k] = (out[k] + xi * yj * c) % p
     return tuple(out)
+
+
+def reference_close(census: ModuleCensus, member) -> frozenset:
+    """`ModuleCensus.close` by a fixed-point loop: add S and M/S of the pairs
+    of every member, then every class with a pair of members, and repeat
+    both passes over all classes until nothing changes."""
+    member = set(member)
+    sub_quot = census.sub_quot
+    changed = True
+    while changed:
+        changed = False
+        for i in list(member):
+            for s_idx, q_idx in sub_quot[i]:
+                for j in (s_idx, q_idx):
+                    if j not in member:
+                        member.add(j)
+                        changed = True
+        for i in range(len(census.classes)):
+            if i in member:
+                continue
+            if any(s in member and q in member for s, q in sub_quot[i]):
+                member.add(i)
+                changed = True
+    return frozenset(member)
+
+
+def reference_fingerprint(m: FinModule):
+    """`FinModule.fingerprint` with the lines of each small hom space found
+    element by element: one rank per line, at its first vector, copied to
+    the line's other multiples."""
+    p = m.cat.p
+    dims = tuple(m.dims[a] for a in m.cat.objects)
+    ranks = []
+    for a in m.cat.objects:
+        for b in m.cat.objects:
+            d = m.cat.hom_dim[(a, b)]
+            if d == 0:
+                continue
+            basis_ranks = tuple(m.action[(a, b, i)].rank() for i in range(d))
+            if p ** d <= 81:
+                line_rank = {}
+                for f in m.cat.elements(a, b):
+                    v = f.coords
+                    if not is_line_first(v):
+                        continue
+                    nonzero = [i for i, x in enumerate(v) if x]
+                    if not nonzero:
+                        r = 0
+                    elif len(nonzero) == 1:
+                        r = basis_ranks[nonzero[0]]
+                    else:
+                        r = m.act(f).rank()
+                    for c in range(1, p):
+                        line_rank[tuple(c * x % p for x in v)] = r
+                prof = tuple(line_rank[f.coords] for f in m.cat.elements(a, b))
+            else:
+                prof = basis_ranks
+            ranks.append(((a, b), prof))
+    return (dims, tuple(ranks))

@@ -188,3 +188,20 @@ def test_enumerate_topologies_builds_each_pullback_once(monkeypatch):
     pullbacks = {key: n for key, n in builds.items() if key[0] == "pullback"}
     assert set(pullbacks.values()) == {1}
     assert (len(calls), len(pullbacks)) == (928, 64)
+
+
+def test_gabriel_builds_each_yoneda_kernel_once(monkeypatch, capsys):
+    # the 16 topologies of the A4 quiver test every quotient of a
+    # representable for torsion; the kernels of its lines are built once,
+    # 42 of them, where each topology building its own made 732
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    cat = path_category(parse_quiver_dsl(A4_DSL))
+    monkeypatch.setattr(cli, "load_category", lambda source, p: (cat, []))
+    calls = []
+    real = torsion.yoneda_kernel
+    monkeypatch.setattr(torsion, "yoneda_kernel",
+                        lambda c, m, a, v: calls.append((m.key(), a, v)) or real(c, m, a, v))
+    assert cli.main(["gabriel", "a4.json", "--census", "4", "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == 42

@@ -31,7 +31,15 @@ from ringoid.modules import (
     zero_module,
     zero_submodule,
 )
-from reference import check_naturality, gen_witness, kernel, trace, validate_module
+from reference import (
+    check_naturality,
+    gen_witness,
+    kernel,
+    reference_close,
+    reference_fingerprint,
+    trace,
+    validate_module,
+)
 
 
 def brute_force_submodules(m):
@@ -753,3 +761,31 @@ def test_census_p3_iso_tests(monkeypatch):
         for name, bound in cases:
             ModuleCensus(catalog(name, 3), bound)
     assert len(calls) == 66
+
+
+def census_or_quiver(name, bound):
+    """The census of a catalog category or of a walk quiver over F_2."""
+    from ringoid.modules import module_census
+
+    return module_census(catalog(name) if "(" in name else walk_quiver(name, 2), bound)
+
+
+@pytest.mark.parametrize("name, bound", [("a4", 4)] + [(f"{n}({p})", 3) for p in (2, 3) for n in CATALOG_NAMES])
+def test_worklist_close_matches_the_fixed_point_loop(name, bound):
+    # from every single class and from every class of the sweep joined with
+    # each seed, the quotients of the representables within the bound
+    from ringoid.torsion import hereditary_class_sweep
+
+    census = census_or_quiver(name, bound)
+    cat = census.classes[0].cat
+    seeds = sorted({census.index.find(q) for _, _, q in representable_quotients(cat) if q.total_dim() <= bound})
+    starts = [{i} for i in range(len(census.classes))]
+    starts += [closed | {s} for closed in hereditary_class_sweep(cat, bound) for s in seeds]
+    for start in starts:
+        assert census.close(start) == reference_close(census, start), start
+
+
+@pytest.mark.parametrize("name, bound", [("a4", 4)] + [(f"{n}({p})", 3) for p in (2, 3, 5) for n in CATALOG_NAMES])
+def test_fingerprint_tables_match_the_element_loop(name, bound):
+    for m in census_or_quiver(name, bound).classes:
+        assert m.fingerprint() == reference_fingerprint(m)

@@ -626,3 +626,18 @@ def test_closure_oracle_refuses_modules_beyond_its_bound():
     assert oracle(direct_sum(h, h))
     with pytest.raises(ValueError, match="only total up to dimension 2"):
         oracle(direct_sum(h, direct_sum(h, h)))
+
+
+def test_membership_caches_kernels_not_verdicts():
+    # J is the largest topology of A4, in which every submodule covers; J
+    # less the zero submodule of H_1 is no topology.  Its verdicts are its
+    # own even after J's roundtrip has built every kernel
+    cat = catalog_or_quiver("a4")
+    big = enumerate_topologies(cat)[-1]
+    assert gabriel_roundtrip(big)
+    a, zero, q = next((a, r, q) for a, r, q in representable_quotients(cat) if r.is_zero())
+    less = Topology(cat, {b: [s for s in big.families[b] if (b, s.key()) != (a, zero.key())] for b in cat.objects})
+    assert less.size() == big.size() - 1
+    assert not gabriel_roundtrip(less)
+    assert torsion_membership(big, q)
+    assert not torsion_membership(less, q)
