@@ -66,7 +66,7 @@ ANCHORS = {
     "construction:oplus-generator": "completion.find_oplus_generator",
     "refusal:vector-cap": "linalg.check_vector_cap",
     "refusal:closure-object-cap": "completion.AdditiveClosure",
-    "refusal:envelope-object-cap": "completion.IdempotentCompletion",
+    "refusal:envelope-object-cap": "completion.check_envelope_objects",
 }
 
 
@@ -139,8 +139,7 @@ def cmd_validate(cat, args, report):
 
 def cmd_complete(cat, args, report):
     if args.idempotents:
-        comp = idempotent_completion(cat, args.bound)
-        out = comp.cat
+        out = idempotent_completion(cat, args.bound).cat
         report.add(
             "idempotent-completion-validates",
             "construction:idempotent-completion",

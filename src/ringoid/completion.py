@@ -1,4 +1,5 @@
-"""Additive closure and idempotent completion of a FinCat, with bounded tuples.
+"""Additive closure of a FinCat and the full subcategories of its idempotent
+completion (corners, the completion itself among them), with bounded tuples.
 
 The full Cauchy completion is infinite; every operation here takes an
 explicit tuple-length bound and is a bounded approximation, which is all the
@@ -14,7 +15,8 @@ import json
 
 from .category import FinCat, Morphism, derived, list_idempotents, transfer_category
 from .linalg import CapExceeded, Mat, Subspace, image_basis
-from .modules import FinModule, ModuleMap, direct_sum, image, representable, submodule_module, zero_module
+from .modules import (FinModule, ModuleMap, direct_sum, image, representable, restrict_along, submodule_module,
+                      zero_module)
 
 MAX_CLOSURE_OBJECTS = 130
 CLOSURE_OBJECTS = "additive_closure: tuple objects"
@@ -41,6 +43,14 @@ def check_closure_objects(count: int) -> None:
     if count > MAX_CLOSURE_OBJECTS:
         raise CapExceeded(f"additive closure would have {count} objects, over cap {MAX_CLOSURE_OBJECTS}",
                           CLOSURE_OBJECTS, count, MAX_CLOSURE_OBJECTS)
+
+
+def check_envelope_objects(count: int) -> None:
+    """Refuse a Karoubi envelope of more than MAX_CLOSURE_OBJECTS idempotent
+    objects."""
+    if count > MAX_CLOSURE_OBJECTS:
+        raise CapExceeded(f"idempotent completion would have {count} objects, over cap {MAX_CLOSURE_OBJECTS}",
+                          ENVELOPE_OBJECTS, count, MAX_CLOSURE_OBJECTS)
 
 
 class AdditiveClosure:
@@ -175,81 +185,76 @@ def induce_module(closure: AdditiveClosure, m: FinModule) -> FinModule:
     return FinModule(closure.cat, dims, action, name=f"ind({m.name})" if m.name else "")
 
 
-def idempotent_subcategory(closure: AdditiveClosure, idempotents, name: str):
+class CornerCategory:
     """The full subcategory of the Karoubi envelope on named idempotents of
-    closure objects, as (category, lift).
+    closure objects, with the restriction j^* of closure modules to it.
+    `carrier` maps each object to its idempotent.
 
     The hom space eps1 -> eps2 is the sandwich image eps2 . A . eps1, which
     for idempotents is the subspace of morphisms f with eps2 f eps1 = f, and
-    the identity of eps is eps itself.  lift[(o1, o2)] holds the RREF basis of
-    that subspace as columns of closure coordinates.
+    the identity of eps is eps itself.  _lift[(o1, o2)] holds the RREF basis
+    of that subspace as columns of closure coordinates.
 
     Column j of post[(o2, t1)] @ pre[(o1, t2)] is e2 . f_j . e1 for the j-th
     basis element f_j of A(t1, t2), where t = e.src is a carrier, so the
     pre- and postcomposition matrices are built once per (idempotent,
     carrier) and each hom space is the image of one product.
     """
-    ccat = closure.cat
-    carriers = list(dict.fromkeys(e.src for e in idempotents.values()))
-    pre = {(o, t): ccat.precompose_matrix(e, t) for o, e in idempotents.items() for t in carriers}
-    post = {(o, s): ccat.postcompose_matrix(e, s) for o, e in idempotents.items() for s in carriers}
-    lift = {}
-    encode = {}
-    for o1, e1 in idempotents.items():
-        for o2, e2 in idempotents.items():
-            sub = image_basis(post[(o2, e1.src)] @ pre[(o1, e2.src)])
-            lift[(o1, o2)] = sub.basis_matrix()
-            encode[(o1, o2)] = sub.coords
-    cat = transfer_category(
-        ccat,
-        list(idempotents),
-        {o: e.src for o, e in idempotents.items()},
-        lift,
-        encode,
-        {o: e.coords for o, e in idempotents.items()},
-        name=name,
-    )
-    return cat, lift
+
+    def __init__(self, closure: AdditiveClosure, idempotents: dict, name: str):
+        ccat = closure.cat
+        for eps in idempotents.values():
+            if ccat.compose(eps, eps) != eps:
+                raise ValueError("corner objects must be idempotent endomorphisms")
+        self.closure = closure
+        self.carrier = idempotents
+        carriers = list(dict.fromkeys(e.src for e in idempotents.values()))
+        pre = {(o, t): ccat.precompose_matrix(e, t) for o, e in idempotents.items() for t in carriers}
+        post = {(o, s): ccat.postcompose_matrix(e, s) for o, e in idempotents.items() for s in carriers}
+        self._lift = {}
+        encode = {}
+        for o1, e1 in idempotents.items():
+            for o2, e2 in idempotents.items():
+                sub = image_basis(post[(o2, e1.src)] @ pre[(o1, e2.src)])
+                self._lift[(o1, o2)] = sub.basis_matrix()
+                encode[(o1, o2)] = sub.coords
+        self.cat = transfer_category(ccat, list(idempotents), {o: e.src for o, e in idempotents.items()},
+                                     self._lift, encode, {o: e.coords for o, e in idempotents.items()}, name=name)
+
+    def restriction_data(self, m: FinModule):
+        """(j* module, per-object image subspaces), built once per module."""
+        return derived(self.cat, ("j*", m.key()), lambda: self._restrict(m))
+
+    def _restrict(self, m: FinModule):
+        """j* M(o) is the image of M(eps_o); a corner morphism o1 -> o2 acts
+        by M of its closure lift, read from image o2 into image o1."""
+        images = {o: image_basis(self.closure.act(m, eps)) for o, eps in self.carrier.items()}
+        lifts = {o: img.basis_matrix() for o, img in images.items()}
+
+        def act(f: Morphism) -> Mat:
+            gamma = Morphism(self.carrier[f.src].src, self.carrier[f.tgt].src, f.coords)
+            moved = self.closure.act(m, gamma) @ lifts[f.tgt]
+            read = images[f.src].coords_matrix(moved.transpose().entries)
+            if read is None:
+                raise RuntimeError("corner action does not preserve the images")
+            return read
+
+        mod = restrict_along(self.cat, {o: img.dim for o, img in images.items()}, act, self._lift,
+                             f"j*({m.name})" if m.name else "")
+        return mod, images
 
 
-class IdemObject:
-    def __init__(self, carrier_id: str, carrier, idem: Morphism):
-        self.carrier_id = carrier_id
-        self.carrier = carrier
-        self.idem = idem
-
-
-class IdempotentCompletion:
-    """The Karoubi envelope of the bounded additive closure.
-
-    Objects are pairs (tuple object, idempotent endomorphism); the hom space
-    of (t, r) -> (u, s) is the subspace of closure morphisms fixed by the
-    two-sided sandwich with s and r, and the identity of (t, r) is r itself.
-    The tables grow with the cube of the object count, so more than
-    MAX_CLOSURE_OBJECTS objects are refused before any table is built.
-    """
-
-    def __init__(self, base: FinCat, bound: int):
-        self.base = base
-        self.closure = additive_closure(base, bound)
-        ccat = self.closure.cat
-        self.objects_meta = {}
-        for t_id in ccat.objects:
-            for n, eps in enumerate(list_idempotents(ccat, t_id)):
-                self.objects_meta[f"{t_id}#{n}"] = IdemObject(t_id, self.closure.tuples[t_id], eps)
-        count = len(self.objects_meta)
-        if count > MAX_CLOSURE_OBJECTS:
-            raise CapExceeded(f"idempotent completion would have {count} objects, over cap {MAX_CLOSURE_OBJECTS}",
-                              ENVELOPE_OBJECTS, count, MAX_CLOSURE_OBJECTS)
-        self.cat, _ = idempotent_subcategory(
-            self.closure,
-            {o: m.idem for o, m in self.objects_meta.items()},
-            f"karoubi({base.name},{bound})" if base.name else "karoubi",
-        )
-
-
-def idempotent_completion(base: FinCat, bound: int) -> IdempotentCompletion:
-    return IdempotentCompletion(base, bound)
+def idempotent_completion(base: FinCat, bound: int) -> CornerCategory:
+    """The Karoubi envelope of the bounded additive closure: the corner on
+    every idempotent of every closure object, `{t}#{n}` naming the n-th
+    idempotent of t.  The tables grow with the cube of the object count, so
+    more than MAX_CLOSURE_OBJECTS objects are refused before any table is
+    built."""
+    closure = additive_closure(base, bound)
+    idempotents = {f"{t}#{n}": eps for t in closure.cat.objects
+                   for n, eps in enumerate(list_idempotents(closure.cat, t))}
+    check_envelope_objects(len(idempotents))
+    return CornerCategory(closure, idempotents, f"karoubi({base.name},{bound})" if base.name else "karoubi")
 
 
 def proj_module_of_idempotent(closure: AdditiveClosure, eps: Morphism):

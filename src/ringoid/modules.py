@@ -605,7 +605,6 @@ def _extensions(s: FinModule, q: FinModule) -> list:
         for alpha, beta, terms in compositions
     ]
     sol, _, _ = matrix_kernel(p, shapes, equations)
-    check_vector_cap(p ** sol.dim, "extension scan: p^dim cocycles")
     # the coboundary S(alpha) h_b - h_a Q(alpha) of the unit h = E_uv at
     # object o, written straight into the packed vector (each block
     # row-major, in `shapes` order): when b = o, column u of S(alpha) goes
@@ -630,7 +629,12 @@ def _extensions(s: FinModule, q: FinModule) -> list:
                             vec[j] -= x
                 cob_vecs.append(vec)
     cob = Subspace.from_vectors(p, sol.ambient, cob_vecs)
-    reps = sorted(filter(is_line_first, {cob.reduce(vec) for vec in sol.vectors()}))
+    # reduce is linear, so the reduced cocycles are the span of the reduced
+    # basis (its zero vectors dropped before the RREF): Ext^1, as the
+    # subspace of Z^1 that vanishes at the pivots of B^1
+    ext = Subspace.from_vectors(p, sol.ambient, [v for v in map(cob.reduce, sol.basis_vectors()) if any(v)])
+    check_vector_cap(p ** ext.dim, "extension scan: p^dim Ext")
+    reps = sorted(filter(is_line_first, ext.vectors()))
     dims = {a: s.dims[a] + q.dims[a] for a in cat.objects}
     out = []
     for vec in reps:

@@ -1,5 +1,5 @@
-"""TTF triples from idempotent ideals, split detection, corner categories,
-and canonical recollement data.
+"""TTF triples from idempotent ideals, split detection, j^* on the maps of
+a corner category, and canonical recollement data.
 
 The bijection with idempotent ideals is exercised exactly: the reverse map
 evaluates the torsion vanishing condition on the quotients of the
@@ -13,8 +13,7 @@ from functools import cached_property
 
 from .category import FinCat, Morphism, derived
 from .center import central_idempotent_ideals
-from .completion import (AdditiveClosure, closure_on, closure_tuples, idempotent_subcategory,
-                         proj_module_of_idempotent, tuple_id)
+from .completion import CornerCategory, closure_on, closure_tuples, proj_module_of_idempotent, tuple_id
 from .ideals import (
     Ideal,
     enumerate_idempotent_ideals,
@@ -24,7 +23,7 @@ from .ideals import (
     quotient_category,
     restrict_along_quotient,
 )
-from .linalg import Mat, image_basis, kernel_basis
+from .linalg import Mat, kernel_basis
 from .modules import (
     FinModule,
     ModuleMap,
@@ -34,7 +33,6 @@ from .modules import (
     killed_by,
     module_times_ideal,
     representable_quotients,
-    restrict_along,
     simple_kernel_sequences,
     submodule_module,
 )
@@ -150,41 +148,6 @@ def is_split(cat: FinCat, triple: TTFTriple, census_bound: int = 4) -> dict:
     return report
 
 
-class CornerCategory:
-    """Objects are chosen idempotents; homs are the two-sided sandwiches."""
-
-    def __init__(self, closure: AdditiveClosure, idempotents):
-        ccat = closure.cat
-        for eps in idempotents:
-            if ccat.compose(eps, eps) != eps:
-                raise ValueError("corner objects must be idempotent endomorphisms")
-        self.closure = closure
-        self.carrier = {f"e{i}": eps for i, eps in enumerate(idempotents)}
-        self.cat, self._lift = idempotent_subcategory(closure, self.carrier, "corner")
-
-    def restriction_data(self, m: FinModule):
-        """(j* module, per-object image subspaces), built once per module."""
-        return derived(self.cat, ("j*", m.key()), lambda: self._restrict(m))
-
-    def _restrict(self, m: FinModule):
-        """j* M(o) is the image of M(eps_o); a corner morphism o1 -> o2 acts
-        by M of its closure lift, read from image o2 into image o1."""
-        images = {o: image_basis(self.closure.act(m, eps)) for o, eps in self.carrier.items()}
-        lifts = {o: img.basis_matrix() for o, img in images.items()}
-
-        def act(f: Morphism) -> Mat:
-            gamma = Morphism(self.carrier[f.src].src, self.carrier[f.tgt].src, f.coords)
-            moved = self.closure.act(m, gamma) @ lifts[f.tgt]
-            read = images[f.src].coords_matrix(moved.transpose().entries)
-            if read is None:
-                raise RuntimeError("corner action does not preserve the images")
-            return read
-
-        mod = restrict_along(self.cat, {o: img.dim for o, img in images.items()}, act, self._lift,
-                             f"j*({m.name})" if m.name else "")
-        return mod, images
-
-
 def corner_restriction_map(corner: CornerCategory, phi: ModuleMap) -> ModuleMap:
     """j* on maps: the induced map on a tuple (c_1, ..., c_k) is block
     diagonal, so each source image basis vector is moved slice by slice by
@@ -237,7 +200,7 @@ class RecollementData:
     def corner(self) -> CornerCategory:
         """The corner category on the witnesses; the shadows read each
         witness on its own corner instead (`corner_facts`)."""
-        return CornerCategory(self.closure, self.witness)
+        return CornerCategory(self.closure, {f"e{i}": eps for i, eps in enumerate(self.witness)}, "corner")
 
     def inclusion(self, n: FinModule) -> FinModule:
         """i_*: a module over A/I viewed over A."""
@@ -300,7 +263,7 @@ def corner_facts(cat: FinCat, t: tuple, coords: tuple, census_bound: int) -> tup
 def _corner_facts(cat: FinCat, t: tuple, coords: tuple, census_bound: int) -> tuple:
     closure = closure_on(cat, [t])
     eps = Morphism(tuple_id(t), tuple_id(t), coords)
-    corner = CornerCategory(closure, [eps])
+    corner = CornerCategory(closure, {"e0": eps}, "corner")
     (o,) = corner.cat.objects
     census = enumerate_modules(cat, census_bound)
     dims = tuple(corner.restriction_data(m)[0].dims[o] for m in census)

@@ -65,7 +65,7 @@ REFUSALS = [
     (lambda: (all_submodules, representable(catalog("dual(2)"), "x")),
      3, "all_submodules: sum of p^dim M(a)", 4),
     (lambda: (enumerate_modules, catalog("a2cat(2)"), 4),
-     7, "extension scan: p^dim cocycles", 8),
+     7, "extension scan: p^dim Ext", 8),
     (lambda: (principal_ideals, catalog("dual(2)")),
      2, "principal_ideals: nonzero morphisms", 3),
     # the star quiver has 4 simple modules, so 2^4 sets of them; its

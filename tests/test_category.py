@@ -428,7 +428,9 @@ def test_trusted_quotients_and_corners_equal_validated(name, p, monkeypatch):
         witness = is_trace_of_projectives(cat, ideal, 3)
         if witness is not None:
             closure = additive_closure(cat, 3)
-            _trusted_and_validated(lambda: CornerCategory(closure, witness), monkeypatch)
+            _trusted_and_validated(
+                lambda: CornerCategory(closure, {f"e{i}": eps for i, eps in enumerate(witness)}, "corner"),
+                monkeypatch)
 
 
 @pytest.mark.parametrize("name, bound", [("dual(2)", 2), ("a2cat(3)", 1)])

@@ -199,7 +199,7 @@ def test_karoubi_envelope_over_the_object_cap_is_refused_before_its_tables(monke
     def no_tables(*args):
         raise AssertionError("envelope tables built past the cap")
 
-    monkeypatch.setattr(completion, "idempotent_subcategory", no_tables)
+    monkeypatch.setattr(completion, "CornerCategory", no_tables)
     monkeypatch.delenv("RINGOID_CAP_VECTORS", raising=False)
     start = time.perf_counter()
     code, out = run_cli(["complete", "catalog:a2", "--p", "2", "--bound", "2", "--idempotents", "--json"], capsys)
@@ -211,7 +211,7 @@ def test_karoubi_envelope_over_the_object_cap_is_refused_before_its_tables(monke
         "verdict": "refused(cap): idempotent completion would have 281 objects, over cap 130",
         "witness": {"operation": "idempotent_completion: idempotent objects", "needed": 281, "cap": 130},
     }]
-    assert cli.ANCHORS["refusal:envelope-object-cap"] == "completion.IdempotentCompletion"
+    assert cli.ANCHORS["refusal:envelope-object-cap"] == "completion.check_envelope_objects"
 
 
 def test_complete_emits_interchange_category(capsys):

@@ -158,10 +158,10 @@ def test_karoubi_composes_and_encodes_each_distinct_composite_once(monkeypatch):
 
 
 def test_extension_enumeration_cap_refusal(monkeypatch):
-    # at cap 7 the submodule scans of the crawl fit, and a cocycle space of
-    # dimension 3 (8 elements) is the first scan to refuse
+    # at cap 7 the submodule scans of the crawl fit, and an extension space
+    # of dimension 3 (8 elements) is the first scan to refuse
     monkeypatch.setenv("RINGOID_CAP_VECTORS", "7")
-    with pytest.raises(CapExceeded, match=r"^extension scan: p\^dim cocycles = 8 exceeds cap 7"):
+    with pytest.raises(CapExceeded, match=r"^extension scan: p\^dim Ext = 8 exceeds cap 7"):
         enumerate_modules(catalog("a2cat(2)"), 4)
 
 
@@ -169,8 +169,8 @@ def test_identity_object_keeps_endo_algebra():
     cat = catalog("dual(2)")
     comp = idempotent_completion(cat, 1)
     # find (x, id): its endo algebra must have the base dimension
-    for obj, meta in comp.objects_meta.items():
-        if meta.carrier == ("x",) and meta.idem.coords == tuple(cat.id_coords["x"]):
+    for obj, eps in comp.carrier.items():
+        if comp.closure.tuples[eps.src] == ("x",) and eps.coords == tuple(cat.id_coords["x"]):
             assert comp.cat.hom_dim[(obj, obj)] == cat.hom_dim[("x", "x")]
             break
     else:
@@ -183,19 +183,19 @@ def test_every_idempotent_splits():
     comp = idempotent_completion(cat, 1)
     ccat = comp.cat
     by_carrier = {}
-    for obj, meta in comp.objects_meta.items():
-        by_carrier.setdefault(meta.carrier_id, []).append((obj, meta))
+    for obj, eps in comp.carrier.items():
+        by_carrier.setdefault(eps.src, []).append((obj, eps))
     for carrier_id, objs in by_carrier.items():
         ids = comp.closure.cat.id_coords[carrier_id]
-        id_obj = next(o for o, m in objs if m.idem.coords == tuple(ids))
-        for o, meta in objs:
-            r = meta.idem
+        id_obj = next(o for o, m in objs if m.coords == tuple(ids))
+        for o, eps in objs:
+            r = eps
             complement = Morphism(
                 carrier_id, carrier_id,
                 tuple((x - y) % 2 for x, y in zip(ids, r.coords)),
             )
             comp_obj = next(
-                oo for oo, mm in objs if mm.idem.coords == complement.coords
+                oo for oo, mm in objs if mm.coords == complement.coords
             )
             for other, _ in objs:
                 lhs = ccat.hom_dim[(id_obj, other)]
@@ -392,16 +392,16 @@ def test_endo_algebra_four_term_decomposition():
         comp = idempotent_completion(cat, 1)
         ccat = comp.cat
         by_carrier = {}
-        for obj, meta in comp.objects_meta.items():
-            by_carrier.setdefault(meta.carrier_id, []).append((obj, meta))
+        for obj, eps in comp.carrier.items():
+            by_carrier.setdefault(eps.src, []).append((obj, eps))
         for carrier_id, objs in by_carrier.items():
             ids = comp.closure.cat.id_coords[carrier_id]
-            id_obj = next(o for o, m in objs if m.idem.coords == tuple(ids))
-            for o, meta in objs:
+            id_obj = next(o for o, m in objs if m.coords == tuple(ids))
+            for o, eps in objs:
                 complement_coords = tuple(
-                    (x - y) % cat.p for x, y in zip(ids, meta.idem.coords)
+                    (x - y) % cat.p for x, y in zip(ids, eps.coords)
                 )
-                co = next(oo for oo, mm in objs if mm.idem.coords == complement_coords)
+                co = next(oo for oo, mm in objs if mm.coords == complement_coords)
                 total = (
                     ccat.hom_dim[(o, o)]
                     + ccat.hom_dim[(co, co)]

@@ -16,6 +16,9 @@ through `modules.py`, except the traced `completion.induce_module`.
 builds the simple-kernel sequences; the module census reads its pairs from
 its own crawl, and only `closure_on` builds an additive closure, under its
 memo.  (h) `Submodule` and `Ideal` define none of the lattice operations of `linalg.SubspaceFamily`.
+(i) Only `completion.CornerCategory` and `ideals.QuotientCategory` call
+`transfer_category`: every full subcategory of the Karoubi envelope, the
+envelope itself included, is a `CornerCategory`.
 """
 
 import ast
@@ -143,6 +146,10 @@ def test_only_modules_builds_modules_for_the_functors():
 
 def test_only_closure_on_builds_an_additive_closure():
     assert callers("AdditiveClosure", MODULES) == ["completion.closure_on"]
+
+
+def test_corners_and_quotients_are_the_only_transferred_categories():
+    assert callers("transfer_category", MODULES) == ["completion.CornerCategory", "ideals.QuotientCategory"]
 
 
 def test_only_the_recollement_shadow_builds_simple_kernel_sequences():

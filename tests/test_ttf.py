@@ -4,8 +4,8 @@ import pytest
 
 from ringoid import cli, ideals, ttf
 from ringoid.category import CATALOG_NAMES, Morphism, catalog, list_idempotents, validate
-from ringoid.completion import (additive_closure, closure_on, idempotent_subcategory, induce_module,
-                                proj_module_of_idempotent, tuple_id)
+from ringoid.completion import (additive_closure, closure_on, induce_module, proj_module_of_idempotent,
+                                tuple_id)
 from ringoid.ideals import (
     Ideal,
     enumerate_idempotent_ideals,
@@ -385,7 +385,7 @@ def test_is_split_multiplies_each_census_module_by_the_ideal_once(monkeypatch):
 def test_corner_of_identity_is_endo_algebra():
     cat = catalog("a2cat(2)")
     closure = additive_closure(cat, 1)
-    corner = CornerCategory(closure, [closure.embed_morphism(cat.identity("1"))])
+    corner = CornerCategory(closure, {"e0": closure.embed_morphism(cat.identity("1"))}, "corner")
     assert validate(corner.cat) == []
     assert corner.cat.hom_dim[("e0", "e0")] == 1
 
@@ -393,7 +393,7 @@ def test_corner_of_identity_is_endo_algebra():
 def test_corner_of_prod_idempotent_is_point():
     cat = catalog("prod(2)")
     closure = additive_closure(cat, 1)
-    corner = CornerCategory(closure, [closure.embed_morphism(Morphism("x", "x", (1, 0)))])
+    corner = CornerCategory(closure, {"e0": closure.embed_morphism(Morphism("x", "x", (1, 0)))}, "corner")
     assert corner.cat.hom_dim[("e0", "e0")] == 1
     assert validate(corner.cat) == []
 
@@ -407,11 +407,11 @@ def test_corner_agrees_with_karoubi_homs():
     comp = idempotent_completion(cat, 1)
     closure = comp.closure
     carriers = [
-        (obj, meta) for obj, meta in comp.objects_meta.items()
-        if meta.carrier == ("x",)
+        (obj, eps) for obj, eps in comp.carrier.items()
+        if comp.closure.tuples[eps.src] == ("x",)
     ]
-    eps_list = [meta.idem for _, meta in carriers]
-    corner = CornerCategory(closure, eps_list)
+    eps_list = [eps for _, eps in carriers]
+    corner = CornerCategory(closure, {f"e{i}": eps for i, eps in enumerate(eps_list)}, "corner")
     for i, (obj_i, _) in enumerate(carriers):
         for j, (obj_j, _) in enumerate(carriers):
             assert (
@@ -427,7 +427,7 @@ def test_idempotent_subcategory_homs_are_the_sandwich_fixed_spaces(name, p):
     closure = additive_closure(catalog(name, p), 1)
     ccat = closure.cat
     idems = {f"{t}#{n}": eps for t in ccat.objects for n, eps in enumerate(list_idempotents(ccat, t))}
-    _, lift = idempotent_subcategory(closure, idems, "probe")
+    lift = CornerCategory(closure, idems, "probe")._lift
     for o1, e1 in idems.items():
         for o2, e2 in idems.items():
             moved = [
@@ -439,7 +439,7 @@ def test_idempotent_subcategory_homs_are_the_sandwich_fixed_spaces(name, p):
 
 
 def sandwich_lifts(closure, idems):
-    """Reference for the lift of `idempotent_subcategory`: the span of
+    """Reference for the lift of `CornerCategory`: the span of
     e2 . f . e1 over the basis f of A(e1.src, e2.src), two generic compose
     calls per basis element."""
     ccat = closure.cat
@@ -460,7 +460,7 @@ def test_idempotent_subcategory_lift_matches_compose_reference(name, p, bound):
     closure = additive_closure(catalog(name, p), bound)
     ccat = closure.cat
     idems = {f"{t}#{n}": eps for t in ccat.objects for n, eps in enumerate(list_idempotents(ccat, t))}
-    _, lift = idempotent_subcategory(closure, idems, "probe")
+    lift = CornerCategory(closure, idems, "probe")._lift
     assert list(lift.items()) == list(sandwich_lifts(closure, idems).items())
 
 
@@ -519,7 +519,7 @@ def test_corner_restriction_map_refuses_a_map_that_leaves_the_image():
     cat = catalog("prod(3)")
     closure = additive_closure(cat, 1)
     eps = Morphism("(x)", "(x)", (0, 1))
-    corner = CornerCategory(closure, [eps])
+    corner = CornerCategory(closure, {"e0": eps}, "corner")
     h = representable(cat, "x")
     assert corner.restriction_data(h)[1]["e0"].basis_vectors() == ((0, 1),)
     identity = ModuleMap(h, h, {"x": Mat.identity(3, 2)})
@@ -551,7 +551,7 @@ def test_corner_on_tuple_idempotents_matches_the_induced_module(name):
         if not (closure.block(eps, 0, 1).is_zero() and closure.block(eps, 1, 0).is_zero())
     ]
     assert mixed
-    corner = CornerCategory(closure, mixed[:3])
+    corner = CornerCategory(closure, {f"e{i}": eps for i, eps in enumerate(mixed[:3])}, "corner")
     assert_restriction_matches_the_induced_module(corner, enumerate_modules(cat, 3))
 
 
@@ -563,8 +563,8 @@ def test_corner_actions_match_the_block_action_formula(name, p):
     # image of o1; the corner holds every nonzero idempotent of a base object
     cat = catalog(name, p)
     closure = additive_closure(cat, 1)
-    corner = CornerCategory(closure, [eps for t in closure.cat.objects
-                                      for eps in list_idempotents(closure.cat, t) if not eps.is_zero()])
+    nonzero = [eps for t in closure.cat.objects for eps in list_idempotents(closure.cat, t) if not eps.is_zero()]
+    corner = CornerCategory(closure, {f"e{i}": eps for i, eps in enumerate(nonzero)}, "corner")
     for m in enumerate_modules(cat, 3):
         mod, images = corner.restriction_data(m)
         assert mod.dims == {o: images[o].dim for o in corner.carrier}
@@ -580,14 +580,14 @@ def test_corner_actions_match_the_block_action_formula(name, p):
 def test_corner_objects_must_be_idempotent():
     closure = additive_closure(catalog("dual(2)"), 1)
     with pytest.raises(ValueError, match="idempotent"):
-        CornerCategory(closure, [Morphism("(x)", "(x)", (0, 1))])
+        CornerCategory(closure, {"e0": Morphism("(x)", "(x)", (0, 1))}, "corner")
 
 
 def test_corner_restriction_of_representable():
     cat = catalog("a2cat(2)")
     closure = additive_closure(cat, 1)
     eps = closure.embed_morphism(cat.identity("2"))
-    corner = CornerCategory(closure, [eps])
+    corner = CornerCategory(closure, {"e0": eps}, "corner")
     from ringoid.modules import representable
     from reference import validate_module
 
