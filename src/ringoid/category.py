@@ -16,7 +16,6 @@ import hashlib
 import itertools
 import json
 import operator
-from functools import reduce
 
 from .linalg import Mat, Vec, check_prime, check_vector_cap, packed_idempotents, vector_cap, zero_vec
 
@@ -300,6 +299,14 @@ def validate(cat: FinCat) -> list:
     return report + _associativity_failures(cat)
 
 
+def _xor_all(values) -> int:
+    """The sum of packed products at p = 2, in 1-bit slots."""
+    acc = 0
+    for v in values:
+        acc ^= v
+    return acc
+
+
 def _associativity_failures(cat: FinCat) -> list:
     """Basis triples f_i: a -> b, g_j: b -> c, h_k: c -> d with
     h_k(g_j f_i) != (h_k g_j) f_i, in the order (a, b, c, d, i, j, k).
@@ -328,13 +335,13 @@ def _associativity_failures(cat: FinCat) -> list:
     p, objs, hom, comp = cat.p, cat.objects, cat.hom_dim, cat.comp
     half = p // 2
     if p == 2:
-        w, combine, bound = 1, operator.xor, 0
+        w, combine, bound = 1, _xor_all, 0
     else:
         # a slot sums coordinates of one composite times coordinates of others
         vectors = {vec for table in comp.values() for row in table for vec in row}
         sizes = [[min(v, p - v) for v in vec] for vec in vectors]
         bound = max(map(sum, sizes), default=0) * max(map(max, filter(None, sizes)), default=0)
-        w, combine = max(1, (2 * bound).bit_length()), operator.add
+        w, combine = max(1, (2 * bound).bit_length()), sum
     width = {c: max(hom[c, d] for d in objs) for c in objs}
     # S packs depend on (b, c) alone and are kept throughout; L and T packs
     # are kept while a is fixed, and C packs serve one (a, b, c)
@@ -400,8 +407,8 @@ def _associativity_failures(cat: FinCat) -> list:
                                     if v:
                                         packed[m] += (v - p if v > half else v) << shift
                         ss.extend(packed)
-                lhs = reduce(combine, map(operator.mul, cs, ls), 0)
-                rhs = reduce(combine, map(operator.lshift, map(operator.mul, ts[0], ss), ts[1]), 0)
+                lhs = combine(map(operator.mul, cs, ls))
+                rhs = combine(map(operator.lshift, map(operator.mul, ts[0], ss), ts[1]))
                 if lhs == rhs:
                     continue
                 failures = set()

@@ -163,12 +163,17 @@ def restrict_along_quotient(qdata: QuotientCategory, n: FinModule) -> FinModule:
     return restrict_along(qdata.base, n.dims, n.act, qdata.proj, n.name)
 
 
-def extend_to_quotient(qdata: QuotientCategory, m: FinModule) -> FinModule:
-    """M / M.I as a module over A/I: the quotient module read along the
+def read_over_quotient(qdata: QuotientCategory, n: FinModule, name: str) -> FinModule:
+    """A module killed by the ideal as a module over A/I: read along the
     chosen lift, on which the ideal acts by zero, so any lift gives the
     same action."""
+    return restrict_along(qdata.cat, n.dims, n.act, qdata.lift, name)
+
+
+def extend_to_quotient(qdata: QuotientCategory, m: FinModule) -> FinModule:
+    """M / M.I as a module over A/I."""
     q, _ = quotient_module(m, module_times_ideal(m, qdata.ideal))
-    return restrict_along(qdata.cat, q.dims, q.act, qdata.lift, f"{m.name}/MI" if m.name else "")
+    return read_over_quotient(qdata, q, f"{m.name}/MI" if m.name else "")
 
 
 def is_trace_of_projectives(cat: FinCat, ideal: Ideal, bound: int = 3):

@@ -9,8 +9,6 @@ ideal), so the finite intersection computes the honest infinite one.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .category import FinCat, Morphism, derived
 from .center import central_idempotent_ideals
 from .completion import CornerCategory, closure_on, closure_tuples, proj_module_of_idempotent, tuple_id
@@ -21,6 +19,7 @@ from .ideals import (
     is_idempotent,
     is_trace_of_projectives,
     quotient_category,
+    read_over_quotient,
     restrict_along_quotient,
 )
 from .linalg import Mat, kernel_basis
@@ -175,7 +174,7 @@ def corner_restriction_map(corner: CornerCategory, phi: ModuleMap) -> ModuleMap:
 class RecollementData:
     """The canonical recollement datum of a trace-of-projectives ideal: the
     quotient category with restriction and extension of scalars on one side,
-    the corner category with the idempotent-image functor on the other."""
+    the witness idempotents, each on its tuple, on the other."""
 
     def __init__(self, cat: FinCat, ideal: Ideal, bound: int = 3):
         witness = is_trace_of_projectives(cat, ideal, bound)
@@ -189,18 +188,11 @@ class RecollementData:
         self.bound = bound
         self.witness = witness
         self.quotient = quotient_category(cat, ideal)
-        # the closure on the witness tuples alone, in the closure order the
-        # search picked them in: one pass over the tuples up to the last
+        # the witnesses come in closure order: one pass over the tuples up to the last
         tuples = closure_tuples(cat.objects, bound)
-        self.closure = closure_on(cat, [next(t for t in tuples if tuple_id(t) == s)
-                                        for s in dict.fromkeys(eps.src for eps in witness)])
+        found = {s: next(t for t in tuples if tuple_id(t) == s) for s in dict.fromkeys(eps.src for eps in witness)}
+        self.tuples = [found[eps.src] for eps in witness]
         self.triple = ttf_from_ideal(cat, ideal)
-
-    @cached_property
-    def corner(self) -> CornerCategory:
-        """The corner category on the witnesses; the shadows read each
-        witness on its own corner instead (`corner_facts`)."""
-        return CornerCategory(self.closure, {f"e{i}": eps for i, eps in enumerate(self.witness)}, "corner")
 
     def inclusion(self, n: FinModule) -> FinModule:
         """i_*: a module over A/I viewed over A."""
@@ -211,19 +203,13 @@ class RecollementData:
         return extend_to_quotient(self.quotient, m)
 
     def coextension(self, m: FinModule) -> FinModule:
-        """i^!: the largest submodule killed by the ideal, over A/I."""
-        t = annihilator(m, self.ideal)
-        t_mod, _ = submodule_module(t)
-        return extend_to_quotient(self.quotient, t_mod)
-
-    def corner_image(self, m: FinModule) -> FinModule:
-        """j^*: restriction to the corner category."""
-        return self.corner.restriction_data(m)[0]
+        """i^!: the largest submodule killed by the ideal, read over A/I."""
+        t_mod, _ = submodule_module(annihilator(m, self.ideal))
+        return read_over_quotient(self.quotient, t_mod, t_mod.name)
 
     def witness_facts(self, census_bound: int) -> list:
         """The `corner_facts` of each witness idempotent, in witness order."""
-        return [corner_facts(self.cat, self.closure.tuples[eps.src], eps.coords, census_bound)
-                for eps in self.witness]
+        return [corner_facts(self.cat, t, eps.coords, census_bound) for t, eps in zip(self.tuples, self.witness)]
 
     def corner_kernel(self, census_bound: int) -> tuple:
         """Ker j^* on the census up to census_bound, as a fingerprint: for
@@ -325,7 +311,7 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
     """
     cat = data.cat
     census = enumerate_modules(cat, census_bound)
-    torsion = [data.triple.in_torsion(m) for m in census]
+    torsion = data.triple.census_fingerprint(census)
     facts = data.witness_facts(census_bound)
 
     left_adjunction = True
@@ -341,7 +327,7 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
                 right_adjunction = False
 
     report = {
-        "kernel_of_corner_is_torsion": data.corner_kernel(census_bound) == tuple(torsion),
+        "kernel_of_corner_is_torsion": data.corner_kernel(census_bound) == torsion,
         "generator_adjunction": all(generator for _, generator, _ in facts),
         "left_adjunction": left_adjunction,
         "right_adjunction": right_adjunction,

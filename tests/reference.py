@@ -6,7 +6,9 @@ naturality and functoriality checks written basis pair by basis pair, the
 subspace lattice listed by RREF shape, the torsion radical scanned vector by
 vector, traces summed map by map, the center's multiplication table read
 coordinate by coordinate, the hereditary closure of a census rescanned until
-it stops growing, and the rank profiles of a module read element by element.  Nothing in `src/ringoid` imports this module.
+it stops growing, the rank profiles of a module read element by element, and
+the corner of a recollement datum on all its witnesses at once.  Nothing in
+`src/ringoid` imports this module.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 
 from ringoid.category import FinCat, cat_to_json
 from ringoid.center import CenterAlgebra, CenterElement
-from ringoid.completion import AdditiveClosure
+from ringoid.completion import AdditiveClosure, CornerCategory, closure_on
 from ringoid.ideals import Ideal
 from ringoid.linalg import Mat, Subspace, check_vector_cap, is_line_first, kernel_basis, solve
 from ringoid.modules import (
@@ -175,6 +177,14 @@ def restrict_module(closure: AdditiveClosure, n: FinModule) -> FinModule:
     units = {pair: Mat.identity(base.p, d) for pair, d in base.hom_dim.items()}
     return restrict_along(base, {a: n.dims[closure.embed_object(a)] for a in base.objects},
                           lambda f: n.act(closure.embed_morphism(f)), units, f"res({n.name})" if n.name else "")
+
+
+def witness_corner(data) -> CornerCategory:
+    """The corner of a recollement datum on all its witnesses at once, `e0`,
+    `e1`, ... in witness order, over the closure of their tuples alone: the
+    whole-witness j^* that the shadows read one witness at a time."""
+    witnesses = {f"e{i}": eps for i, eps in enumerate(data.witness)}
+    return CornerCategory(closure_on(data.cat, dict.fromkeys(data.tuples)), witnesses, "corner")
 
 
 def trace_ideal(cat: FinCat, modules) -> Ideal:

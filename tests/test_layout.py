@@ -18,7 +18,8 @@ its own crawl, and only `closure_on` builds an additive closure, under its
 memo.  (h) `Submodule` and `Ideal` define none of the lattice operations of `linalg.SubspaceFamily`.
 (i) Only `completion.CornerCategory` and `ideals.QuotientCategory` call
 `transfer_category`: every full subcategory of the Karoubi envelope, the
-envelope itself included, is a `CornerCategory`.
+envelope itself included, is a `CornerCategory`.  (j) No module imports
+`functools`, so `category.derived` is the only memo.
 """
 
 import ast
@@ -150,6 +151,21 @@ def test_only_closure_on_builds_an_additive_closure():
 
 def test_corners_and_quotients_are_the_only_transferred_categories():
     assert callers("transfer_category", MODULES) == ["completion.CornerCategory", "ideals.QuotientCategory"]
+
+
+def imported_packages(tree) -> set:
+    """The top-level packages a module imports, relative imports aside."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            out.update(a.name.split(".")[0] for a in n.names)
+        elif isinstance(n, ast.ImportFrom) and n.level == 0:
+            out.add(n.module.split(".")[0])
+    return out
+
+
+def test_no_module_imports_functools():
+    assert [mod for mod, tree in MODULES.items() if "functools" in imported_packages(tree)] == []
 
 
 def test_only_the_recollement_shadow_builds_simple_kernel_sequences():

@@ -9,6 +9,7 @@ from ringoid.completion import (additive_closure, closure_on, induce_module, pro
 from ringoid.ideals import (
     Ideal,
     enumerate_idempotent_ideals,
+    extend_to_quotient,
     generated_by,
     is_trace_of_projectives,
     unit_ideal,
@@ -45,6 +46,7 @@ from ringoid.ttf import (
     recollement_shadows,
     ttf_from_ideal,
 )
+from reference import witness_corner
 
 
 def short_exact_sequences(m):
@@ -536,7 +538,7 @@ def test_corner_restriction_matches_the_induced_module(name):
     witnessed = [i for i in enumerate_idempotent_ideals(cat) if is_trace_of_projectives(cat, i, 3) is not None]
     assert witnessed
     for ideal in witnessed:
-        assert_restriction_matches_the_induced_module(recollement_data(cat, ideal, 3).corner, census)
+        assert_restriction_matches_the_induced_module(witness_corner(recollement_data(cat, ideal, 3)), census)
 
 
 @pytest.mark.parametrize("name", ["a2cat(2)", "a2cat(3)", "dual(2)", "prod(2)"])
@@ -607,12 +609,13 @@ def test_recollement_unit_ideal():
     cat = catalog("a2cat(2)")
     data = recollement_data(cat, unit_ideal(cat), bound=2)
     assert data.quotient.cat.total_dim() == 0
+    corner = witness_corner(data)
     census = enumerate_modules(cat, 3)
     # with everything closed, j* reflects hom dimensions
     for m in census:
         for n in census:
             assert len(hom_space(m, n)) == len(
-                hom_space(data.corner_image(m), data.corner_image(n))
+                hom_space(corner.restriction_data(m)[0], corner.restriction_data(n)[0])
             )
 
 
@@ -620,7 +623,7 @@ def test_recollement_zero_ideal():
     cat = catalog("dual(2)")
     data = recollement_data(cat, zero_ideal(cat), bound=1)
     assert data.witness == []
-    assert len(data.corner.cat.objects) == 0
+    assert len(witness_corner(data).cat.objects) == 0
     from reference import cats_equal
 
     assert cats_equal(data.quotient.cat, cat)
@@ -635,7 +638,8 @@ def test_recollement_e2_quotient_and_corner():
     data = recollement_data(cat, ideal, bound=2)
     dims = [data.quotient.cat.hom_dim[(a, b)] for a in cat.objects for b in cat.objects]
     assert dims == [1, 0, 0, 0]
-    endo_dims = [data.corner.cat.hom_dim[(o, o)] for o in data.corner.cat.objects]
+    corner = witness_corner(data)
+    endo_dims = [corner.cat.hom_dim[(o, o)] for o in corner.cat.objects]
     assert 1 in endo_dims
 
 
@@ -656,29 +660,33 @@ def test_recollement_closure_has_the_witness_length():
     sizes = []
     for ideal in enumerate_idempotent_ideals(cat):
         data = recollement_data(cat, ideal, bound=3)
-        assert (data.bound, data.closure.bound) == (3, 1 if data.witness else 0)
-        sizes.append(len(data.closure.cat.objects))
+        closure = witness_corner(data).closure
+        assert (data.bound, closure.bound) == (3, 1 if data.witness else 0)
+        sizes.append(len(closure.cat.objects))
     assert sizes == [0, 1, 1, 2]
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_recollement_closure_holds_the_witness_tuples_alone(p):
     # in witness order, and a witness on one tuple reuses the closure the
-    # search kept for that tuple
+    # search kept for that tuple; the datum keeps each witness's tuple
     for name in CATALOG_NAMES:
         cat = catalog(name, p)
         for data in witnessed_recollements(cat):
+            assert [tuple_id(t) for t in data.tuples] == [eps.src for eps in data.witness]
+            closure = witness_corner(data).closure
             ids = list(dict.fromkeys(eps.src for eps in data.witness))
-            assert list(data.closure.tuples) == ids
+            assert list(closure.tuples) == ids
             if len(ids) == 1:
-                assert data.closure is closure_on(cat, data.closure.tuples.values())
+                assert closure is closure_on(cat, closure.tuples.values())
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_zero_ideal_datum_has_no_closure_object(name):
     cat = catalog(name, 2)
     data = recollement_data(cat, zero_ideal(cat), bound=3)
-    assert (data.closure.tuples, len(data.corner.cat.objects)) == ({}, 0)
+    corner = witness_corner(data)
+    assert (data.tuples, corner.closure.tuples, len(corner.cat.objects)) == ([], {}, 0)
     assert recollement_shadows(data, census_bound=3)["pass"]
 
 
@@ -693,9 +701,10 @@ def test_recollement_on_longer_witnesses_uses_their_closure(monkeypatch):
     sizes = []
     for ideal in enumerate_idempotent_ideals(cat):
         data = recollement_data(cat, ideal, bound=3)
-        assert data.closure.bound == (2 if data.witness else 0)
-        assert set(data.closure.tuples) == {eps.src for eps in data.witness}
-        sizes.append(len(data.closure.cat.objects))
+        closure = witness_corner(data).closure
+        assert closure.bound == (2 if data.witness else 0)
+        assert set(closure.tuples) == {eps.src for eps in data.witness}
+        sizes.append(len(closure.cat.objects))
         assert recollement_shadows(data, census_bound=3)["pass"]
     assert sizes == [0, 1, 1, 2]
 
@@ -752,22 +761,24 @@ def witnessed_recollements(cat, bound=3):
 
 
 def reference_recollement_shadows(data, census_bound=4):
-    """The shadows read per ideal on the datum's own corner: every map moved
-    through all witnesses at once, and exactness read as
-    image_basis(j^* incl) == kernel_basis(j^* proj) on each corner object."""
+    """The shadows read per ideal on the corner of all its witnesses at once
+    (`witness_corner`): every map moved through all witnesses at once, and
+    exactness read as image_basis(j^* incl) == kernel_basis(j^* proj) on each
+    corner object."""
     cat = data.cat
     census = enumerate_modules(cat, census_bound)
     torsion = [data.triple.in_torsion(m) for m in census]
+    corner = witness_corner(data)
 
     kernel_matches = all(
-        (data.corner_image(m).total_dim() == 0) == t for m, t in zip(census, torsion)
+        (corner.restriction_data(m)[0].total_dim() == 0) == t for m, t in zip(census, torsion)
     )
 
     generator_adjunction = True
-    for o, eps in data.corner.carrier.items():
-        p_mod, _ = proj_module_of_idempotent(data.closure, eps)
+    for o, eps in corner.carrier.items():
+        p_mod, _ = proj_module_of_idempotent(corner.closure, eps)
         for m in census:
-            if hom_dim(p_mod, m) != data.corner_image(m).dims[o]:
+            if hom_dim(p_mod, m) != corner.restriction_data(m)[0].dims[o]:
                 generator_adjunction = False
                 break
         if not generator_adjunction:
@@ -786,7 +797,7 @@ def reference_recollement_shadows(data, census_bound=4):
                 right_adjunction = False
 
     sequences = [seq for m in census for seq in simple_kernel_sequences(m)]
-    exactness = inexact_sequences(data, sequences) == []
+    exactness = inexact_sequences(corner, sequences) == []
 
     report = {
         "kernel_of_corner_is_torsion": kernel_matches,
@@ -833,8 +844,27 @@ def test_recollement_shadows_on_pair_witnesses_match_the_reference(p, monkeypatc
     recollements = witnessed_recollements(cat)
     assert [len(data.witness) for data in recollements] == [0, 1, 1, 2]
     for data in recollements:
-        assert all(len(data.closure.tuples[eps.src]) == 2 for eps in data.witness)
+        closure = witness_corner(data).closure
+        assert all(len(closure.tuples[eps.src]) == 2 for eps in data.witness)
         assert recollement_shadows(data, census_bound=3) == reference_recollement_shadows(data, census_bound=3)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_coextension_is_the_annihilator_modulo_its_zero_product(name, p):
+    # i^! reads the largest submodule t(M) killed by I over A/I directly;
+    # t(M).I is zero, so i^* of t(M), its quotient by t(M).I, is the same
+    # module over the same category
+    cat = catalog(name, p)
+    census = enumerate_modules(cat, 3)
+    recollements = witnessed_recollements(cat)
+    assert recollements
+    for data in recollements:
+        for m in census:
+            t_mod, _ = submodule_module(annihilator(m, data.ideal))
+            got, want = data.coextension(m), extend_to_quotient(data.quotient, t_mod)
+            assert got.cat is want.cat is data.quotient.cat
+            assert got.key() == want.key()
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -851,14 +881,15 @@ def test_killed_census_classes_are_the_quotient_census(name, p):
         assert sorted(found) == list(range(len(crawled.classes)))
 
 
-def inexact_sequences(data, sequences, restrict_map=corner_restriction_map):
-    """The indices of the sequences that j* (by restrict_map) does not carry
-    to short exact sequences: the per-sequence test of the shadow."""
+def inexact_sequences(corner, sequences, restrict_map=corner_restriction_map):
+    """The indices of the sequences that j* to the corner (by restrict_map)
+    does not carry to short exact sequences: the per-sequence test of the
+    shadow."""
     out = []
     for k, (incl, proj) in enumerate(sequences):
-        j_incl = restrict_map(data.corner, incl)
-        j_proj = restrict_map(data.corner, proj)
-        for o in data.corner.cat.objects:
+        j_incl = restrict_map(corner, incl)
+        j_proj = restrict_map(corner, proj)
+        for o in corner.cat.objects:
             inc_mat, proj_mat = j_incl.comps[o], j_proj.comps[o]
             if (inc_mat.rank() != j_incl.src.dims[o] or proj_mat.rank() != j_proj.tgt.dims[o]
                     or image_basis(inc_mat) != kernel_basis(proj_mat)):
@@ -877,7 +908,7 @@ def test_corner_restriction_is_exact_on_every_submodule_sequence(name, p):
     recollements = witnessed_recollements(cat)
     assert recollements
     for data in recollements:
-        assert inexact_sequences(data, sequences) == []
+        assert inexact_sequences(witness_corner(data), sequences) == []
         assert recollement_shadows(data, census_bound=3)["corner_exactness"]
 
 
@@ -923,7 +954,7 @@ def test_a_drop_on_a_non_simple_submodule_fails_the_reference(name, p, monkeypat
     fired = 0
     for data in witnessed_recollements(cat):
         dropped.clear()
-        bad = inexact_sequences(data, sequences, mutated)
+        bad = inexact_sequences(witness_corner(data), sequences, mutated)
         assert len(bad) == len(dropped)
         fired += len(bad)
         dropped.clear()
@@ -1015,9 +1046,9 @@ def test_corner_restrictions_validate():
 
     cat = catalog("a2cat(2)")
     for ideal in enumerate_idempotent_ideals(cat):
-        data = recollement_data(cat, ideal, bound=2)
+        corner = witness_corner(recollement_data(cat, ideal, bound=2))
         for m in enumerate_modules(cat, 3):
-            jm = data.corner_image(m)
+            jm, _ = corner.restriction_data(m)
             assert validate_module(jm) == []
 
 
