@@ -354,14 +354,6 @@ def join_closure(bottom, gens, join, key) -> list:
     return list(found.values())
 
 
-def simple_kernel_sequences(m: FinModule):
-    """Yields (incl, proj): the inclusion S -> M and the projection
-    M -> M/S of every simple submodule S, in `simple_submodules` order, one
-    pair at a time.  Not memoized: a caller that rereads them keeps them."""
-    for s in simple_submodules(m):
-        yield submodule_module(s)[1], quotient_module(m, s)[1]
-
-
 def submodule_module(s: Submodule):
     """(N, incl) where N carries the submodule in its own basis and incl embeds it."""
     m = s.module
@@ -760,6 +752,33 @@ def module_census(cat: FinCat, bound: int) -> ModuleCensus:
     """The census of modules of total dimension <= bound, built once per
     category and bound."""
     return derived(cat, ("census", bound), lambda: ModuleCensus(cat, bound))
+
+
+def extension_sequences(cat: FinCat, bound: int) -> list:
+    """[(incl, proj)]: for every simple s of `simple_modules`, every census
+    class q with dim s + dim q <= bound and every candidate E of
+    `_extensions(s, q)`, the block maps incl = [I; 0]: s -> E and
+    proj = [0 I]: E -> q of 0 -> s -> E -> q -> 0.  Built once per category
+    and bound, apart from the census: only the recollement shadows read
+    them."""
+    return derived(cat, ("extension sequences", bound), lambda: _build_extension_sequences(cat, bound))
+
+
+def _build_extension_sequences(cat: FinCat, bound: int) -> list:
+    p = cat.p
+    census = module_census(cat, bound).classes
+    out = []
+    for s in simple_modules(cat):
+        for q in census:
+            if s.total_dim() + q.total_dim() > bound:
+                continue
+            sizes = {a: (s.dims[a], q.dims[a]) for a in cat.objects}
+            incl = {a: Mat.from_blocks(p, (ds, dq), (ds,), {(0, 0): Mat.identity(p, ds)})
+                    for a, (ds, dq) in sizes.items()}
+            proj = {a: Mat.from_blocks(p, (dq,), (ds, dq), {(0, 1): Mat.identity(p, dq)})
+                    for a, (ds, dq) in sizes.items()}
+            out.extend((ModuleMap(s, e, incl), ModuleMap(e, q, proj)) for e in _extensions(s, q))
+    return out
 
 
 def ideal_actions(m: FinModule, ideal):

@@ -28,11 +28,11 @@ from .modules import (
     ModuleMap,
     annihilator,
     enumerate_modules,
+    extension_sequences,
     hom_dim,
     killed_by,
     module_times_ideal,
     representable_quotients,
-    simple_kernel_sequences,
     submodule_module,
 )
 
@@ -185,7 +185,6 @@ class RecollementData:
             )
         self.cat = cat
         self.ideal = ideal
-        self.bound = bound
         self.witness = witness
         self.quotient = quotient_category(cat, ideal)
         # the witnesses come in closure order: one pass over the tuples up to the last
@@ -263,17 +262,16 @@ def _corner_facts(cat: FinCat, t: tuple, coords: tuple, census_bound: int) -> tu
         return (r_inc == inc.cols and r_pro == pro.rows and (pro @ inc).is_zero()
                 and r_inc + r_pro == inc.rows)
 
-    exactness = all(exact(incl, proj) for m in census
-                    for incl, proj in derived(cat, ("sequences", m.key()),
-                                              lambda: list(simple_kernel_sequences(m))))
+    exactness = all(exact(incl, proj) for incl, proj in extension_sequences(cat, census_bound))
     return dims, generator, exactness
 
 
 def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
     """The finite shadows of the recollement axioms on the module census:
     Ker(j^*) is the torsion class, both adjunction dimension identities hold
-    on census pairs, and j^* is exact on the census sequences
-    0 -> S -> M -> M/S -> 0 with S simple.  The A/I modules of the pairs are
+    on census pairs, and j^* is exact on the extension sequences
+    0 -> s -> E -> q -> 0 of the module crawl (`extension_sequences`), s
+    simple and q a census class.  The A/I modules of the pairs are
     the census classes killed by I, read over A/I: i_* is full and faithful
     onto the A-modules killed by I, which is invariant under isomorphism.
 
@@ -287,13 +285,20 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
     Exactness on these gives exactness on every short exact sequence
     0 -> N -> M -> M/N -> 0 with M within the bound, because j^* is additive
     (j^* 0 = 0), is a functor (commuting squares and zero composites stay
-    so) and carries isomorphisms to isomorphisms.  The census holds a module
-    of every iso class within the bound, and `simple_kernel_sequences` every
-    simple submodule of it, so each simple-kernel sequence of a module
-    within the bound is isomorphic to a checked one and stays exact with it.
-    Induct on the length of M, reading a module by its census class, as M/S
-    is read below.  For N = 0 or N = M there is nothing to show; otherwise
-    take a simple S <= N and the 3x3 diagram with columns
+    so) and so carries isomorphisms of sequences to isomorphisms of
+    sequences.  First, every simple-kernel sequence 0 -> S -> M -> M/S -> 0
+    with dim M <= bound is isomorphic, as a sequence, to a checked one.  The
+    census holds a class q of M/S one level down and `simple_modules` a
+    simple s isomorphic to S.  Through these and a vector-space splitting of
+    M/S, the sequence becomes 0 -> s -> E_C -> q -> 0 with the block maps,
+    E_C acting by [[s(alpha), C(alpha)], [0, q(alpha)]].  The shift
+    [[I, h], [0, I]]: E_C -> E_C' reduces C modulo B^1 and fixes both block
+    maps; diag(cI, I): E_C' -> E_cC' moves C' to the first vector of its
+    line, with c on s and the identity on q.  Both are isomorphisms of
+    sequences, and E_cC' is a candidate of `_extensions(s, q)`.
+    Then induct on the length of M, reading a module by its census class,
+    as M/S is read below.  For N = 0 or N = M there is nothing to show;
+    otherwise take a simple S <= N and the 3x3 diagram with columns
     0 -> S -> N -> N/S -> 0, 0 -> S -> M -> M/S -> 0 and
     0 -> 0 -> M/N -> M/N -> 0, and rows 0 -> S -> S -> 0 -> 0,
     0 -> N -> M -> M/N -> 0 and 0 -> N/S -> M/S -> M/N -> 0.  Under j^* the
@@ -307,7 +312,8 @@ def recollement_shadows(data: RecollementData, census_bound: int = 4) -> dict:
     their composite zero and their ranks add up to dim j^*M: the image of
     j^*(incl) then lies in the kernel of j^*(proj) with the same dimension.
     What this check cannot see is a j^* on maps that is not a functor,
-    exact on the simple kernels only; a test walks every submodule for that.
+    exact on the extension sequences only; a test walks every submodule for
+    that.
     """
     cat = data.cat
     census = enumerate_modules(cat, census_bound)

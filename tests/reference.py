@@ -6,7 +6,8 @@ naturality and functoriality checks written basis pair by basis pair, the
 subspace lattice listed by RREF shape, the torsion radical scanned vector by
 vector, traces summed map by map, the center's multiplication table read
 coordinate by coordinate, the hereditary closure of a census rescanned until
-it stops growing, the rank profiles of a module read element by element, and
+it stops growing, the rank profiles of a module read element by element, the
+simple-kernel sequences of a module read off its own simple submodules, and
 the corner of a recollement datum on all its witnesses at once.  Nothing in
 `src/ringoid` imports this module.
 """
@@ -29,8 +30,11 @@ from ringoid.modules import (
     full_submodule,
     hom_space,
     image,
+    quotient_module,
     representable,
     restrict_along,
+    simple_submodules,
+    submodule_module,
     zero_submodule,
 )
 from ringoid.torsion import Topology, yoneda_kernel
@@ -108,6 +112,14 @@ def check_naturality(phi: ModuleMap) -> bool:
                 if lhs != rhs:
                     return False
     return True
+
+
+def simple_kernel_sequences(m: FinModule):
+    """Yields (incl, proj): the inclusion S -> M and the projection
+    M -> M/S of every simple submodule S, in `simple_submodules` order, one
+    pair at a time.  Not memoized: a caller that rereads them keeps them."""
+    for s in simple_submodules(m):
+        yield submodule_module(s)[1], quotient_module(m, s)[1]
 
 
 def kernel(phi: ModuleMap) -> Submodule:

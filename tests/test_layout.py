@@ -13,9 +13,9 @@ other module composes through `FinCat`.  (e) Only `IsoClasses` calls
 through `modules.py`, except the traced `completion.induce_module`.
 (f) Every method of a top-level class is named outside its own definition.
 (g) Only the recollement shadow, through its per-idempotent corner facts,
-builds the simple-kernel sequences; the module census reads its pairs from
-its own crawl, and only `closure_on` builds an additive closure, under its
-memo.  (h) `Submodule` and `Ideal` define none of the lattice operations of `linalg.SubspaceFamily`.
+builds the extension sequences of the module crawl, and only `closure_on`
+builds an additive closure, under its memo.  (h) `Submodule` and `Ideal`
+define none of the lattice operations of `linalg.SubspaceFamily`.
 (i) Only `completion.CornerCategory` and `ideals.QuotientCategory` call
 `transfer_category`: every full subcategory of the Karoubi envelope, the
 envelope itself included, is a `CornerCategory`.  (j) No module imports
@@ -168,9 +168,9 @@ def test_no_module_imports_functools():
     assert [mod for mod, tree in MODULES.items() if "functools" in imported_packages(tree)] == []
 
 
-def test_only_the_recollement_shadow_builds_simple_kernel_sequences():
+def test_only_the_recollement_shadow_builds_extension_sequences():
     # the corner facts of a witness idempotent are the shadow's corner side
-    assert callers("simple_kernel_sequences", MODULES) == ["ttf._corner_facts"]
+    assert callers("extension_sequences", MODULES) == ["ttf._corner_facts"]
 
 
 def test_every_method_is_named_outside_its_definition():

@@ -24,13 +24,14 @@ from ringoid.modules import (
     all_submodules,
     annihilator,
     enumerate_modules,
+    extension_sequences,
     hom_dim,
     hom_space,
     is_iso,
+    module_census,
     module_times_ideal,
     quotient_module,
     representable,
-    simple_kernel_sequences,
     simple_modules,
     submodule_module,
     zero_module,
@@ -46,13 +47,14 @@ from ringoid.ttf import (
     recollement_shadows,
     ttf_from_ideal,
 )
-from reference import witness_corner
+from reference import check_naturality, simple_kernel_sequences, witness_corner
 
 
 def short_exact_sequences(m):
     """Reference: [(incl, proj)] for every submodule S of m, in
-    all_submodules order, where the recollement shadow reads only the simple
-    ones."""
+    all_submodules order, where the recollement shadow reads only the
+    crawl's extension sequences, one per simple-kernel sequence up to
+    isomorphism."""
     return [(submodule_module(s)[1], quotient_module(m, s)[1]) for s in all_submodules(m)]
 
 
@@ -655,13 +657,13 @@ def test_recollement_shadows(name):
 def test_recollement_closure_has_the_witness_length():
     # every witness of a2cat(3) lies on the singletons, so the corner is
     # built on a closure of singletons, the zero ideal's on no tuple; the
-    # datum keeps the requested bound
+    # requested bound caps the length of every witness tuple
     cat = catalog("a2cat(3)")
     sizes = []
     for ideal in enumerate_idempotent_ideals(cat):
         data = recollement_data(cat, ideal, bound=3)
         closure = witness_corner(data).closure
-        assert (data.bound, closure.bound) == (3, 1 if data.witness else 0)
+        assert all(len(t) <= 3 for t in data.tuples) and closure.bound == (1 if data.witness else 0)
         sizes.append(len(closure.cat.objects))
     assert sizes == [0, 1, 1, 2]
 
@@ -818,19 +820,79 @@ REFERENCE_QUIVERS = {
 }
 
 
-@pytest.mark.parametrize("name", [f"{n}({p})" for p in (2, 3) for n in CATALOG_NAMES] + sorted(REFERENCE_QUIVERS))
+REFERENCE_CASES = [f"{n}({p})" for p in (2, 3) for n in CATALOG_NAMES] + sorted(REFERENCE_QUIVERS)
+
+
+def reference_category(name):
+    """A freshly built catalog category or path category of `REFERENCE_QUIVERS`."""
+    from ringoid.quiver import parse_quiver_dsl, path_category
+
+    return path_category(parse_quiver_dsl(REFERENCE_QUIVERS[name])) if name in REFERENCE_QUIVERS else catalog(name)
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
 def test_recollement_shadows_match_the_reference(name):
     # the corner facts are shared by every ideal a witness idempotent
     # witnesses; the reference reads each datum's corner afresh
-    from ringoid.quiver import parse_quiver_dsl, path_category
-
-    cat = path_category(parse_quiver_dsl(REFERENCE_QUIVERS[name])) if name in REFERENCE_QUIVERS else catalog(name)
+    cat = reference_category(name)
     recollements = witnessed_recollements(cat)
     assert len(recollements) == len(enumerate_idempotent_ideals(cat))
     for data in recollements:
         rep = recollement_shadows(data, census_bound=3)
         assert rep == reference_recollement_shadows(data, census_bound=3)
         assert rep["pass"], (name, rep)
+
+
+def class_triples(census, sequences) -> set:
+    """The census classes (S, M, M/S) of the sequences 0 -> S -> M -> M/S -> 0."""
+    find = census.index.find
+    return {(find(incl.src), find(incl.tgt), find(proj.tgt)) for incl, proj in sequences}
+
+
+def simple_kernel_triples(census) -> set:
+    """`class_triples` of the simple-kernel sequences of every census class."""
+    return class_triples(census, [seq for m in census.classes for seq in simple_kernel_sequences(m)])
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_extension_sequences_cover_the_simple_kernel_sequences(name):
+    # the shadow checks exactness on the crawl's extension sequences: up to
+    # isomorphism of sequences they are the simple-kernel sequences of the
+    # census, read here off each class's own simple submodules
+    cat = reference_category(name)
+    census = module_census(cat, 3)
+    sequences = extension_sequences(cat, 3)
+    assert class_triples(census, sequences) == simple_kernel_triples(census)
+    for incl, proj in sequences:
+        assert check_naturality(incl) and check_naturality(proj)
+        for a in cat.objects:
+            inc, pro = incl.comps[a], proj.comps[a]
+            assert inc.rank() == inc.cols and pro.rank() == pro.rows
+            assert image_basis(inc) == kernel_basis(pro)
+
+
+def test_extension_sequences_without_a_line_miss_a_simple_kernel_sequence(monkeypatch):
+    # each candidate of `_extensions` stands for one line of extension
+    # classes: with the last one dropped whenever there are two or more,
+    # some simple-kernel sequence of the census is met by no candidate
+    from ringoid import modules
+
+    real = modules._extensions
+
+    def dropping_the_last(s, q):
+        out = real(s, q)
+        return out[:-1] if len(out) >= 2 else out
+
+    missed = []
+    for name in REFERENCE_CASES:
+        cat = reference_category(name)
+        census = module_census(cat, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "_extensions", dropping_the_last)
+            sequences = extension_sequences(cat, 3)
+        if class_triples(census, sequences) != simple_kernel_triples(census):
+            missed.append(name)
+    assert missed
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -901,7 +963,7 @@ def inexact_sequences(corner, sequences, restrict_map=corner_restriction_map):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_corner_restriction_is_exact_on_every_submodule_sequence(name, p):
-    # the shadow checks the simple-kernel sequences only; this reference
+    # the shadow checks the crawl's extension sequences only; this reference
     # walks every submodule of every census module, for each witnessed ideal
     cat = catalog(name, p)
     sequences = [seq for m in enumerate_modules(cat, 3) for seq in short_exact_sequences(m)]
@@ -943,8 +1005,8 @@ MUTATION_CASES = [("a2cat", 2), ("a2cat", 3), ("prod", 3), ("dual", 2)]
 @pytest.mark.parametrize("name, p", MUTATION_CASES)
 def test_a_drop_on_a_non_simple_submodule_fails_the_reference(name, p, monkeypatch):
     # a j* that is not a functor on the proper non-simple inclusions: the
-    # all-submodule reference sees it, the simple-kernel shadow by design
-    # does not (it never moves such a map)
+    # all-submodule reference sees it, the shadow by design does not (each
+    # inclusion it moves starts at a simple module)
     cat = catalog(name, p)
     sequences = [seq for m in enumerate_modules(cat, 3) for seq in short_exact_sequences(m)]
     dropped = []
