@@ -166,8 +166,8 @@ def cmd_complete(cat, args, report):
 
 
 def cmd_ideals(cat, args, report):
-    ideals = enumerate_idempotent_ideals(cat) if args.idempotent else enumerate_ideals(cat)
-    anchor = "lattice:idempotent-ideals" if args.idempotent else "lattice:two-sided-ideals"
+    ideals = enumerate_idempotent_ideals(cat) if args.idempotents else enumerate_ideals(cat)
+    anchor = "lattice:idempotent-ideals" if args.idempotents else "lattice:two-sided-ideals"
     sound = all(i.validate() == [] for i in ideals)
     report.add(
         "ideal-enumeration",
@@ -175,7 +175,7 @@ def cmd_ideals(cat, args, report):
         "pass" if sound else "fail",
         {"count": len(ideals), "dims": [i.total_dim() for i in ideals]},
     )
-    if args.idempotent:
+    if args.idempotents:
         witnesses = [
             is_trace_of_projectives(cat, i, args.bound) is not None for i in ideals
         ]
@@ -311,10 +311,8 @@ def recollement_check(cat, ideal, bound, census_bound):
     that datum's shadows on the census up to census_bound, or None when no
     idempotent witnesses the ideal as a trace of projectives within the
     tuple bound."""
-    if is_trace_of_projectives(cat, ideal, bound) is None:
-        return None
     data = recollement_data(cat, ideal, bound)
-    return data, recollement_shadows(data, census_bound)
+    return None if data is None else (data, recollement_shadows(data, census_bound))
 
 
 def cmd_recollement(cat, args, report):
@@ -464,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="gabriel: census dimension (0 = skip)")
     parser.add_argument("--json", action="store_true", help="emit the machine-readable report")
     parser.add_argument("--seed", type=int, default=0, help="reserved; all runs are deterministic")
-    parser.add_argument("--idempotent", action="store_true", help="ideals: restrict to idempotent ones")
-    parser.add_argument("--idempotents", action="store_true", help="complete/center: include idempotent data")
+    parser.add_argument("--idempotents", "--idempotent", action="store_true",
+                        help="ideals: restrict to idempotent ones; complete/center: include idempotent data")
     parser.add_argument("--summands", action="store_true", help="center: check the summand bijection")
     parser.add_argument("--ideal", default="all", help="recollement: idempotent ideal index or 'all'")
     return parser

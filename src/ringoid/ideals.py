@@ -176,12 +176,6 @@ def extend_to_quotient(qdata: QuotientCategory, m: FinModule) -> FinModule:
     return read_over_quotient(qdata, q, f"{m.name}/MI" if m.name else "")
 
 
-def is_trace_of_projectives(cat: FinCat, ideal: Ideal, bound: int = 3):
-    """A witness set of idempotent endomorphisms of tuple objects, of length
-    at most `bound`, whose generated ideal is the given one, or None."""
-    return derived(cat, ("witness", ideal.key(), bound), lambda: _trace_witness(cat, ideal, bound))
-
-
 def _tuple_idempotent_ideals(cat: FinCat, t: tuple) -> list:
     """(eps, base ideal it generates) for the first nonzero idempotent eps of
     End(t) that generates each distinct ideal, in `list_idempotents` order.
@@ -204,10 +198,12 @@ def _tuple_idempotent_ideals(cat: FinCat, t: tuple) -> list:
     return list(out.values())
 
 
-def _trace_witness(cat: FinCat, ideal: Ideal, bound: int):
-    """The greedy witness: one pass over the tuples in closure order, picking
-    each idempotent whose base ideal lies in the given one and is not yet in
-    the sum of those picked, until that sum is the ideal.
+def is_trace_of_projectives(cat: FinCat, ideal: Ideal, bound: int = 3):
+    """The greedy witness: one pass over the tuples t of length at most
+    `bound` in closure order, picking each idempotent eps of End(t) whose
+    base ideal lies in the given one and is not yet in the sum of those
+    picked, until that sum is the ideal.  The picked pairs (t, eps), or
+    None when the pass ends short of the ideal.
 
     Length 1 is expected to suffice.  By Jans's correspondence an
     idempotent ideal is the trace of a finitely generated projective; by
@@ -225,7 +221,7 @@ def _trace_witness(cat: FinCat, ideal: Ideal, bound: int):
         for eps, j in derived(cat, ("tuple idempotent ideals", t), lambda: _tuple_idempotent_ideals(cat, t)):
             if ideal.contains(j) and not acc.contains(j):
                 acc = acc.sum(j)
-                witness.append(eps)
+                witness.append((t, eps))
         if acc == ideal:
             return witness
     return None

@@ -195,8 +195,8 @@ def witness_corner(data) -> CornerCategory:
     """The corner of a recollement datum on all its witnesses at once, `e0`,
     `e1`, ... in witness order, over the closure of their tuples alone: the
     whole-witness j^* that the shadows read one witness at a time."""
-    witnesses = {f"e{i}": eps for i, eps in enumerate(data.witness)}
-    return CornerCategory(closure_on(data.cat, dict.fromkeys(data.tuples)), witnesses, "corner")
+    witnesses = {f"e{i}": eps for i, (_, eps) in enumerate(data.witness)}
+    return CornerCategory(closure_on(data.cat, dict.fromkeys(t for t, _ in data.witness)), witnesses, "corner")
 
 
 def trace_ideal(cat: FinCat, modules) -> Ideal:

@@ -429,7 +429,7 @@ def test_trusted_quotients_and_corners_equal_validated(name, p, monkeypatch):
         if witness is not None:
             closure = additive_closure(cat, 3)
             _trusted_and_validated(
-                lambda: CornerCategory(closure, {f"e{i}": eps for i, eps in enumerate(witness)}, "corner"),
+                lambda: CornerCategory(closure, {f"e{i}": eps for i, (_, eps) in enumerate(witness)}, "corner"),
                 monkeypatch)
 
 

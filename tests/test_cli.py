@@ -409,8 +409,10 @@ def test_census_check_catches_a_dropped_idempotent_ideal(monkeypatch, capsys, na
 def test_census_recollements_fail_when_an_ideal_has_no_witness(monkeypatch, capsys, name):
     # the shadows of the other ideals still pass; only the count of the
     # witnessed ideals against the idempotent ideals sees the hidden one
-    real = cli.is_trace_of_projectives
-    monkeypatch.setattr(cli, "is_trace_of_projectives",
+    from ringoid import ttf
+
+    real = ttf.is_trace_of_projectives
+    monkeypatch.setattr(ttf, "is_trace_of_projectives",
                         lambda cat, ideal, bound=3: None if ideal.is_full() else real(cat, ideal, bound))
     code, out = run_cli(["census", f"catalog:{name}", "--p", "2", "--json"], capsys)
     assert code == 1
@@ -625,6 +627,43 @@ def test_json_report_matches_recorded_hash(capsys, name):
     code, out = run_cli([*argv, "--json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected
+
+
+# the reports that read --idempotents, recorded under the spelling each
+# command read when --idempotent and --idempotents were two options: either
+# spelling now gives the idempotent report
+IDEMPOTENTS_SHA256 = {
+    "ideals": (["ideals", "catalog:mat2", "--p", "2"], "f65b44bc9aa86b2e"),
+    "complete": (["complete", "catalog:dual", "--p", "2", "--bound", "2"], "3ba47bde0570988b"),
+    "center": (["center", "catalog:prod", "--p", "2"], "cea0e1c34cb222d9"),
+}
+
+
+@pytest.mark.parametrize("spelling", ["--idempotents", "--idempotent"])
+@pytest.mark.parametrize("command", sorted(IDEMPOTENTS_SHA256))
+def test_both_spellings_of_idempotents_give_the_idempotent_report(capsys, command, spelling):
+    argv, expected = IDEMPOTENTS_SHA256[command]
+    code, out = run_cli([*argv, spelling, "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected
+
+
+def test_recollement_refuses_an_ideal_without_a_witness(monkeypatch, capsys):
+    # with the unit ideal of a2cat(3) hidden from the search, its finding is
+    # a refusal at the bound and the other three data still pass
+    from ringoid import ttf
+
+    real = ttf.is_trace_of_projectives
+    monkeypatch.setattr(ttf, "is_trace_of_projectives",
+                        lambda cat, ideal, bound=3: None if ideal.is_full() else real(cat, ideal, bound))
+    code, out = run_cli(["recollement", "catalog:a2cat", "--p", "3", "--ideal", "all", "--json"], capsys)
+    assert code == 2
+    findings = json.loads(out)["findings"]
+    assert [(f["statement_id"], f["verdict"]) for f in findings] == [
+        ("recollement-0", "pass"), ("recollement-1", "pass"), ("recollement-2", "pass"),
+        ("recollement-3", "refused(bound=3)")]
+    assert findings[-1]["witness"] == ("no idempotent witness at this bound; the ideal must be a"
+                                       " trace of finitely generated projective modules")
 
 
 def test_complete_json_embeds_the_interchange_document(capsys):

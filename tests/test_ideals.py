@@ -477,7 +477,7 @@ def subcategory_from_ideal(cat, ideal, bound=3):
     if witness is None:
         return None
     closure = additive_closure(cat, bound)
-    return [proj_module_of_idempotent(closure, eps)[0] for eps in witness]
+    return [proj_module_of_idempotent(closure, eps)[0] for _, eps in witness]
 
 
 def sandwich_base_ideal(closure, eps):
@@ -545,7 +545,7 @@ def test_witness_for_e1_over_a2cat():
     assert w is not None
     closure = additive_closure(cat, 2)
     regen = zero_ideal(cat)
-    for eps in w:
+    for _, eps in w:
         regen = regen.sum(restrict_closure_ideal(closure, generated_by(closure.cat, [eps])))
     assert regen == ideal
 
@@ -557,12 +557,12 @@ def test_non_idempotent_radical_has_no_witness():
 
 
 def closure_scan(closure):
-    """The witness scan of one closure, the reference for the search: (eps,
-    base ideal) for the first nonzero closure idempotent of each base ideal,
-    in closure object order, the ideal read through the closure's sandwich
-    spans on singleton pairs.  Idempotents are listed through
-    `ideals.list_idempotents`, so a patch hiding tuples from the search
-    hides them here too."""
+    """The witness scan of one closure, the reference for the search:
+    ((t, eps), base ideal) for the first nonzero closure idempotent eps of
+    each base ideal, on its tuple t, in closure object order, the ideal read
+    through the closure's sandwich spans on singleton pairs.  Idempotents
+    are listed through `ideals.list_idempotents`, so a patch hiding tuples
+    from the search hides them here too."""
     ccat, base = closure.cat, closure.base
     embed = closure.embed_object
     out, seen = [], set()
@@ -578,15 +578,16 @@ def closure_scan(closure):
             })
             if j.key() not in seen:
                 seen.add(j.key())
-                out.append((eps, j))
+                out.append(((closure.tuples[t_id], eps), j))
     return out
 
 
 def greedy_witness(scan, ideal, require_sum=True):
     """The witness search of one closure: the greedy pick, in scan order, of
-    the closure idempotents whose induced ideals lie in the given one, or
-    None when they do not sum to it (unless require_sum is off)."""
-    candidates = [(eps, j) for eps, j in scan if ideal.contains(j)]
+    the (tuple, closure idempotent) pairs whose induced ideals lie in the
+    given one, or None when they do not sum to it (unless require_sum is
+    off)."""
+    candidates = [(pair, j) for pair, j in scan if ideal.contains(j)]
     total = zero_ideal(ideal.cat)
     for _, j in candidates:
         total = total.sum(j)
@@ -594,10 +595,10 @@ def greedy_witness(scan, ideal, require_sum=True):
         return None
     witness = []
     acc = zero_ideal(ideal.cat)
-    for eps, j in candidates:
+    for pair, j in candidates:
         if not acc.contains(j):
             acc = acc.sum(j)
-            witness.append(eps)
+            witness.append(pair)
         if acc == ideal:
             break
     return witness
@@ -617,7 +618,7 @@ def scanned_tuple_closures(cat) -> set:
 def witnesses_match_the_bound_3_reference(cat) -> bool:
     """The search, run first, builds the closure of each tuple it scans and
     no other; the reference then scans the bound-3 closure."""
-    witnesses = [is_trace_of_projectives(cat, i, 3) for i in enumerate_idempotent_ideals(cat)]
+    witnesses = [ideals.is_trace_of_projectives(cat, i, 3) for i in enumerate_idempotent_ideals(cat)]
     assert closure_keys(cat) == scanned_tuple_closures(cat)
     scan = closure_scan(additive_closure(cat, 3))
     return witnesses == [greedy_witness(scan, i) for i in enumerate_idempotent_ideals(cat)]
@@ -625,7 +626,7 @@ def witnesses_match_the_bound_3_reference(cat) -> bool:
 
 def witness_lengths(cat, witness) -> set:
     lengths = {tuple_id(t): len(t) for t in closure_tuples(cat.objects, 3)}
-    return {lengths[eps.src] for eps in witness}
+    return {lengths[eps.src] for _, eps in witness}
 
 
 def hiding_singletons(monkeypatch, objects):
@@ -652,7 +653,7 @@ def test_a_search_without_singletons_climbs_to_longer_tuples(name, monkeypatch):
         w = is_trace_of_projectives(cat, ideal, 3)
         assert w is not None
         regen = zero_ideal(cat)
-        for eps in w:
+        for _, eps in w:
             regen = regen.sum(sandwich_base_ideal(closure, eps))
         assert regen == ideal
         assert witness_lengths(cat, w) <= {2, 3}
@@ -671,7 +672,7 @@ def test_a_search_that_stops_short_fails_the_reference(name, monkeypatch):
     witnesses = [is_trace_of_projectives(cat, i, 3) for i in enumerate_idempotent_ideals(cat)]
     assert any(witness_lengths(cat, w) - {1} for w in witnesses if w is not None)
     cat = catalog(name)
-    monkeypatch.setattr(ideals, "_trace_witness", lambda c, ideal, bound: greedy_witness(
+    monkeypatch.setattr(ideals, "is_trace_of_projectives", lambda c, ideal, bound: greedy_witness(
         closure_scan(AdditiveClosure(c, closure_tuples(c.objects, 1))), ideal, require_sum=False))
     assert not witnesses_match_the_bound_3_reference(cat)
 
@@ -696,7 +697,7 @@ def test_a5_ideals_are_witnessed_under_the_closure_cap():
     for ideal in idem:
         w = is_trace_of_projectives(cat, ideal, 3)
         assert w is not None
-        assert all(eps.src in singletons for eps in w)
+        assert all(eps.src in singletons for _, eps in w)
     assert closure_keys(cat) == {((),), (("1",),), (("2",),), (("3",),), (("4",),), (("5",),)}
 
 

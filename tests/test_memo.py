@@ -144,6 +144,31 @@ def test_the_census_reads_the_corner_once_per_witness_idempotent(monkeypatch, ca
     assert sorted(key[1:] for key in facts) == [(("x",), (0, 1), 4), (("x",), (1, 0), 4)]
 
 
+@pytest.mark.parametrize("argv", [["census", "catalog:a2cat", "--p", "3"],
+                                  ["recollement", "catalog:a2cat", "--p", "3", "--ideal", "all"]])
+def test_one_witness_search_per_idempotent_ideal(monkeypatch, capsys, argv):
+    # the search is the one place a witness is found: each datum is built
+    # from the pairs it returns, so no ideal is searched twice, and no
+    # search result is kept in the memo
+    cat = catalog("a2cat(3)")
+    monkeypatch.setattr(cli, "load_category", lambda source, p: (cat, []))
+    searched = []
+    real = ideals.is_trace_of_projectives
+
+    def counting(c, ideal, bound=3):
+        searched.append(ideal.key())
+        return real(c, ideal, bound)
+
+    monkeypatch.setattr(cli, "is_trace_of_projectives", counting)
+    monkeypatch.setattr(ttf, "is_trace_of_projectives", counting)
+    assert cli.main([*argv, "--json"]) == 0
+    capsys.readouterr()
+    idem = ideals.enumerate_idempotent_ideals(cat)
+    assert len(searched) == len(idem) == 4
+    assert sorted(searched) == sorted(i.key() for i in idem)
+    assert "witness" not in {key[0] for key, _cap in cat._derived}
+
+
 def test_the_module_census_keeps_no_submodule_lists():
     # the census walks every submodule once; holding them all for the whole
     # sweep would raise the peak memory of the torsion sweep, and so would
